@@ -1,9 +1,10 @@
 """Simplified fractional Fourier transform toolbox.
 
-Forward/inverse transforms (fast chirp-FFT path plus slow quadrature
-oracles), the weighted convolution / product / correlation operators of
-the matching fractional domain, and a verification harness that checks
-every spectral identity against independently computed sides.
+Forward/inverse transforms (the chirp-FFT path plus chirp-z rectangle-rule
+quadrature on any uniform grid), the weighted convolution / product /
+correlation operators of the matching fractional domain, and a
+verification harness that checks every spectral identity against
+independently computed sides.
 """
 
 from .errors import (

@@ -9,6 +9,7 @@ radians (--angle) or as the fractional order a with phi = a*pi/2
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import json
 import math
@@ -32,7 +33,6 @@ from .errors import (
 from .grid import Spectrum, UniformGrid, gen_chirp, gen_gaussian, make_grid
 from .kernel import Angle, make_angle
 from .theorems import (
-    IdentityId,
     SuiteConfig,
     report_rows,
     run_suite,
@@ -242,11 +242,7 @@ def _suite_config_from(config_path, tolerance, identities, count) -> SuiteConfig
             raise click.UsageError(f"--config: {exc}") from None
         if not isinstance(raw, dict):
             raise click.UsageError("--config: expected a JSON object")
-        allowed = {
-            "n", "start", "span", "angles", "d_values", "q_values",
-            "identities", "pair_indices", "tolerance_fractional",
-            "tolerance_pi_half", "tolerance_product", "zero_floor",
-        }
+        allowed = {field.name for field in dataclasses.fields(SuiteConfig)}
         unknown = set(raw) - allowed
         if unknown:
             raise click.UsageError(f"--config: unknown keys {sorted(unknown)}")
@@ -259,20 +255,7 @@ def _suite_config_from(config_path, tolerance, identities, count) -> SuiteConfig
         overrides["tolerance_product"] = tolerance
     if identities is not None:
         overrides["identities"] = [s.strip() for s in identities.split(",") if s.strip()]
-    if "identities" in overrides:
-        try:
-            overrides["identities"] = tuple(
-                IdentityId(name) for name in overrides["identities"]
-            )
-        except ValueError as exc:
-            raise click.UsageError(f"--identities: {exc}") from None
-    for key in ("angles", "d_values", "q_values", "pair_indices"):
-        if key in overrides:
-            overrides[key] = tuple(overrides[key])
-    try:
-        return SuiteConfig(**overrides)
-    except TypeError as exc:
-        raise click.UsageError(f"--config: {exc}") from None
+    return SuiteConfig(**overrides)
 
 
 @cli.command()

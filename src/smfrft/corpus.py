@@ -17,6 +17,9 @@ import numpy as np
 from .grid import SampledSignal, UniformGrid, gen_chirp, gen_gaussian
 
 
+PAIR_COUNT = 3  # len(default_pairs(grid))
+
+
 def default_pairs(grid: UniformGrid) -> list[tuple[SampledSignal, SampledSignal]]:
     """Three operand pairs for the identity suite.
 

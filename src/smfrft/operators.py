@@ -16,18 +16,24 @@ arguments t_n -+ tau_m must land back on the sampling lattice, the grid
 origin itself has to sit on the lattice (start an integer multiple of
 step); both harness grids satisfy this by construction.
 
-The O(N^2) sums are evaluated in row blocks; results are bitwise
-deterministic.
+Both weighted sums run in O(N log N). Their weights split into chirps,
+
+    tau (tau -+ t) = tau^2/2 + (t -+ tau)^2/2 - t^2/2,
+
+so each operator is: chirp both operands with e^{(j/2) cot s^2}, take one
+linear (zero-extended, never circular) FFT convolution or correlation of
+length 2N - 1, and post-chirp with e^{-(j/2) cot t^2}. The dense lagged
+sums they replace are kept only as the test suite's oracle.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ._chunked import run_blocks, unit_phasor
 from .errors import AlignmentError, InvalidParameterError, ShapeMismatchError
 from .grid import SampledSignal
 from .kernel import Angle
+from .transform import linear_convolve
 
 _ALIGN_RTOL = 1e-9
 
@@ -85,40 +91,16 @@ def _origin_index(signal: SampledSignal) -> int:
     return _lattice_index(signal.grid.start, signal.grid.step, "grid start")
 
 
-def _lagged_matrix(g: SampledSignal, origin: int, lag_sign: int) -> np.ndarray:
-    """Toeplitz/Hankel view V[n, m] = g~[n + lag_sign*(m + origin)] built
-    from one zero-padded copy, so no (N, N) gather is materialized."""
-    n = g.grid.count
-    padded = np.zeros(2 * n - 1, dtype=np.complex128)
-    # padded[j] holds sample index j - shift of g, zeros elsewhere
-    shift = (n - 1) + origin if lag_sign < 0 else -origin
-    lo = max(0, shift)
-    hi = min(2 * n - 1, shift + n)
-    if lo < hi:
-        padded[lo:hi] = g.samples[lo - shift:hi - shift]
-    windows = np.lib.stride_tricks.sliding_window_view(padded, n)
-    return windows[:, ::-1] if lag_sign < 0 else windows
-
-
-def _weighted_lag_sum(first: np.ndarray, g: SampledSignal, cot: float,
-                      lag_sign: int) -> np.ndarray:
-    """Blockwise out[n] = sum_m first[m] g~[n + lag_sign*(m + origin)]
-    e^{lag_sign * j cot tau_m t_n}, the shared core of the weighted
-    convolution (lag_sign = -1) and correlation (lag_sign = +1)."""
-    grid = g.grid
-    origin = _origin_index(g)
+def _post_chirped(grid, full: np.ndarray, offset: int,
+                  chirp: np.ndarray) -> SampledSignal:
+    """out[n] = dt * conj(chirp[n]) * full[n + offset], zero where the
+    index leaves the linear convolution (the zero-extension of g)."""
     n = grid.count
-    t = grid.points()
-    lagged = _lagged_matrix(g, origin, lag_sign)
-    out = np.empty(n, dtype=np.complex128)
-
-    def work(block: slice) -> None:
-        cross = unit_phasor(np.outer(lag_sign * cot * t[block], t))
-        cross *= lagged[block]
-        out[block] = cross @ first
-
-    run_blocks(work, n, n * n)
-    return out
+    idx = np.arange(n) + offset
+    valid = (idx >= 0) & (idx < full.shape[0])
+    taken = np.zeros(n, dtype=np.complex128)
+    taken[valid] = full[idx[valid]]
+    return SampledSignal(grid, grid.step * np.conj(chirp) * taken)
 
 
 def frac_convolve(f: SampledSignal, g: SampledSignal,
@@ -127,18 +109,19 @@ def frac_convolve(f: SampledSignal, g: SampledSignal,
 
     out[n] = dt * sum_m f[m] g~(t_n - tau_m) e^{j tau_m (tau_m - t_n) cot}
 
-    where g~ is g zero-extended off-grid. The weight factorizes as
-    e^{j cot tau^2} * e^{-j cot tau t}, which keeps the sum a blockwise
-    matrix-vector product. Commutative for decaying operands: the
-    substitution sigma = t - tau maps the weight onto the same form with
-    the operand roles exchanged.
+    where g~ is g zero-extended off-grid. With c(s) = e^{(j/2) cot s^2}
+    the weight is c(tau) c(t - tau) / c(t), so the sum is the linear
+    convolution of f*c with g*c, read at lattice index n - origin and
+    post-chirped. Commutative for decaying operands: the substitution
+    sigma = t - tau maps the weight onto the same form with the operand
+    roles exchanged.
     """
     _require_common_grid(f, g)
+    origin = _origin_index(g)
     t = f.grid.points()
-    cot = angle.cot_phi
-    first = f.samples * np.exp(1j * cot * t * t)
-    out = _weighted_lag_sum(first, g, cot, lag_sign=-1)
-    return SampledSignal(f.grid, f.grid.step * out)
+    chirp = np.exp(0.5j * angle.cot_phi * t * t)
+    full = linear_convolve(f.samples * chirp, g.samples * chirp)
+    return _post_chirped(f.grid, full, -origin, chirp)
 
 
 def frac_correlate(f: SampledSignal, g: SampledSignal,
@@ -146,10 +129,15 @@ def frac_correlate(f: SampledSignal, g: SampledSignal,
     """Weighted correlation, conjugate-linear in its first operand.
 
     out[n] = dt * sum_m conj(f[m]) g~(t_n + tau_m) e^{j tau_m (tau_m + t_n) cot}
+
+    The weight is c(tau) c(t + tau) / c(t), so the sum is the linear
+    correlation of conj(f)*c with g*c (a convolution with the first
+    operand reversed), read at lattice index n + origin.
     """
     _require_common_grid(f, g)
+    origin = _origin_index(g)
+    n = f.grid.count
     t = f.grid.points()
-    cot = angle.cot_phi
-    first = np.conj(f.samples) * np.exp(1j * cot * t * t)
-    out = _weighted_lag_sum(first, g, cot, lag_sign=+1)
-    return SampledSignal(f.grid, f.grid.step * out)
+    chirp = np.exp(0.5j * angle.cot_phi * t * t)
+    full = linear_convolve((np.conj(f.samples) * chirp)[::-1], g.samples * chirp)
+    return _post_chirped(f.grid, full, origin + n - 1, chirp)

@@ -3,12 +3,17 @@
 Each check computes its two sides by disjoint routes:
 
 * LHS: run the time-domain operator (weighted convolution / product /
-  correlation, possibly with shifted or modulated operands), then push
-  the result through the slow quadrature transform.
+  correlation, possibly with shifted or modulated operands; the weighted
+  sums are chirp-factorized FFT convolutions), then push the result
+  through the quadrature transform (a chirp-z transform).
 * RHS: evaluate the closed-form spectral expression, with every spectrum
   at shifted or negated abscissae obtained by a fresh quadrature at those
   exact points. Nothing is interpolated, and no RHS ever calls a
   time-domain operator.
+
+The test suite re-runs the whole certificate with the dense O(N^2)
+quadrature and operator sums patched in for these FFT evaluators and
+requires the same verdicts, so no verdict rests on FFT code alone.
 
 Two of the printed identity forms are internally inconsistent with the
 rest of the family (the sign of the pi/2 phase in the shifted correlation,
@@ -29,13 +34,14 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .corpus import default_pairs
-from .errors import GridCompatibilityError
+from .corpus import PAIR_COUNT, default_pairs
+from .errors import AlignmentError, GridCompatibilityError, InvalidParameterError
 from .grid import (
     ComplexArray,
     SampledSignal,
@@ -45,13 +51,19 @@ from .grid import (
 )
 from .kernel import Angle, make_angle, sqrt_j2pi, sqrt_j_over_2pi
 from .operators import (
+    _lattice_index,
     frac_convolve,
     frac_correlate,
     frac_product,
     modulate_op,
     shift_op,
 )
-from .transform import fast_ugrid, smfrft_direct, smfrft_quadrature
+from .transform import (
+    fast_ugrid,
+    linear_convolve,
+    smfrft_direct,
+    smfrft_quadrature,
+)
 
 PI_HALF = math.pi / 2
 
@@ -253,7 +265,7 @@ def rhs_product(f, g, angle, ugrid: UniformGrid) -> ComplexArray:
         )
     fs = _spectrum_at(f, u, angle)
     gs = _spectrum_at(g, u, angle)
-    full = np.convolve(fs, gs)
+    full = linear_convolve(fs, gs)
     take = np.arange(ugrid.count) - r_u
     valid = (take >= 0) & (take < full.shape[0])
     out = np.zeros(ugrid.count, dtype=np.complex128)
@@ -494,6 +506,33 @@ _DEFAULT_ANGLES = (math.pi / 6, math.pi / 4, math.pi / 3,
                    PI_HALF - 0.1, PI_HALF)
 
 
+def _number(name: str, value, integral: bool = False):
+    kind = numbers.Integral if integral else numbers.Real
+    if (isinstance(value, bool) or not isinstance(value, kind)
+            or not math.isfinite(value)):
+        what = "an integer" if integral else "a finite number"
+        raise InvalidParameterError(f"{name}: expected {what}, got {value!r}")
+    return value
+
+
+def _numbers(name: str, values, integral: bool = False) -> tuple:
+    if not isinstance(values, (list, tuple)):
+        raise InvalidParameterError(f"{name}: expected a list, got {values!r}")
+    return tuple(_number(name, v, integral) for v in values)
+
+
+def _identities(values) -> tuple:
+    if not isinstance(values, (list, tuple)):
+        raise InvalidParameterError(f"identities: expected a list, got {values!r}")
+    try:
+        return tuple(v if isinstance(v, IdentityId) else IdentityId(v)
+                     for v in values)
+    except ValueError:
+        raise InvalidParameterError(
+            f"identities: expected names from {[i.value for i in IdentityId]}, "
+            f"got {list(values)!r}") from None
+
+
 @dataclass(frozen=True, slots=True)
 class SuiteConfig:
     """Corpus, parameter grid, and tolerances for a full suite run."""
@@ -510,6 +549,45 @@ class SuiteConfig:
     tolerance_pi_half: float = 1e-6
     tolerance_product: float = 1e-3
     zero_floor: float = 1e-14
+
+    def __post_init__(self):
+        """Check every field's type and range, so that a bad configuration
+        fails here with InvalidParameterError instead of deep in a check.
+
+        Sequences become tuples and identity names become IdentityId.
+        Delays and the grid start must sit on the time lattice, because
+        the operators shift by whole samples.
+        """
+        n = _number("n", self.n, integral=True)
+        if n < 2:
+            raise InvalidParameterError(f"n: need at least 2 samples, got {n}")
+        start = _number("start", self.start)
+        span = _number("span", self.span)
+        if span <= 0:
+            raise InvalidParameterError(f"span: must be > 0, got {span!r}")
+        for name in ("angles", "d_values", "q_values"):
+            object.__setattr__(self, name, _numbers(name, getattr(self, name)))
+        for phi in self.angles:
+            make_angle(phi)
+        step = span / n
+        try:
+            _lattice_index(start, step, "start")
+            for d in self.d_values:
+                if abs(_lattice_index(d, step, "d_values entry")) >= n:
+                    raise InvalidParameterError(
+                        f"d_values: delay {d!r} is not shorter than the span")
+        except AlignmentError as exc:
+            raise InvalidParameterError(str(exc)) from None
+        pairs = _numbers("pair_indices", self.pair_indices, integral=True)
+        if any(not 0 <= i < PAIR_COUNT for i in pairs):
+            raise InvalidParameterError(
+                f"pair_indices: each must be in 0..{PAIR_COUNT - 1}, got {list(pairs)}")
+        object.__setattr__(self, "pair_indices", pairs)
+        object.__setattr__(self, "identities", _identities(self.identities))
+        for name in ("tolerance_fractional", "tolerance_pi_half",
+                     "tolerance_product", "zero_floor"):
+            if _number(name, getattr(self, name)) < 0:
+                raise InvalidParameterError(f"{name}: must be >= 0")
 
     def time_grid(self) -> UniformGrid:
         return make_grid(self.start, self.span / self.n, self.n)

@@ -1,9 +1,11 @@
-"""Forward and inverse transforms: slow quadrature oracles and fast paths.
+"""Forward and inverse transforms: chirp-z quadrature and the FFT-bin fast path.
 
-Two independent routes compute the same simplified fractional transform:
+Two routes compute the same simplified fractional transform:
 
-* ``smfrft_direct`` evaluates the defining integral by a left-point
-  rectangle rule at arbitrary output points, O(N*M). It is the oracle.
+* ``smfrft_quadrature`` / ``smfrft_direct`` evaluate the defining integral
+  by a left-point rectangle rule on any evenly spaced output grid
+  (shifted, negated, a sub-range, or a single point). The sum is a
+  chirp-z transform (Bluestein): one linear FFT convolution, O((N+M) log).
 * ``smfrft_fast`` realizes the three-step chirp-multiply -> FFT ->
   constant-scale factorization on the FFT-bin output grid, O(N log N).
 
@@ -11,7 +13,8 @@ On the FFT-bin grid the two are algebraically the same finite sum, so
 their agreement is a rounding-level cross-check, not a discretization
 statement. The rectangle rule (rather than trapezoid) is what makes the
 sums identical; for Gaussian-enveloped signals the endpoint terms are
-negligible anyway.
+negligible anyway. The dense O(N*M) sums these replace live on only as
+the test suite's oracle, which gates every evaluator here.
 
 The fast inverse refuses any spectrum whose grids do not satisfy
 du * N * dt = 2*pi exactly (to 1e-9 relative): on that reciprocal pairing
@@ -25,13 +28,75 @@ import math
 
 import numpy as np
 
-from ._chunked import phase_matvec
 from .errors import AngleMismatchError, FftSizeError, GridCompatibilityError
 from .grid import ComplexArray, SampledSignal, Spectrum, UniformGrid
 from .kernel import Angle, sqrt_j2pi, sqrt_j_over_2pi
 
 # relative slack on du*N*dt == 2*pi for the fast inverse pairing
 _RECIPROCAL_RTOL = 1e-9
+# quadrature points may leave an exact arithmetic progression by this much,
+# relative to their largest magnitude (rounding of shifts and negations)
+_EVEN_RTOL = 1e-12
+
+
+def _fft_size(length: int) -> int:
+    return 1 << max(0, length - 1).bit_length()
+
+
+def linear_convolve(a: np.ndarray, b: np.ndarray) -> ComplexArray:
+    """Full linear convolution of two 1-D arrays (zero-extended, never
+    circular) by one zero-padded FFT product; len(a) + len(b) - 1 values."""
+    length = a.shape[0] + b.shape[0] - 1
+    size = _fft_size(length)
+    return np.fft.ifft(np.fft.fft(a, size) * np.fft.fft(b, size))[:length]
+
+
+def _chirp_z(values: np.ndarray, x0: float, dx: float, y0: float, dy: float,
+             count: int, sign: int) -> ComplexArray:
+    """out[k] = sum_n values[n] * exp(sign*j*(y0 + k*dy)*(x0 + n*dx)), k < count.
+
+    With both indices counted from the middle of their axis (n', k'),
+    Bluestein's k'*n' = (k'^2 + n'^2 - (k' - n')^2)/2 splits the phase into
+    a chirp on the input, one linear convolution with a chirp over the
+    lags k' - n', and a chirp on the output. Output k is entry k + N - 1
+    of that convolution, which a circular FFT convolution of size
+    >= N + count - 1 already holds exactly. Centring the indices keeps the
+    phases, and so their rounding, small.
+    """
+    n = values.shape[0]
+    mid_n, mid_k = (n - 1) // 2, (count - 1) // 2
+    rate = sign * dx * dy
+    xc = x0 + mid_n * dx
+    yc = y0 + mid_k * dy
+    i = np.arange(n, dtype=np.float64) - mid_n
+    pre = values * np.exp(1j * (sign * yc * dx * i + 0.5 * rate * i * i))
+    lags = np.arange(-(n - 1), count, dtype=np.float64) - (mid_k - mid_n)
+    size = _fft_size(lags.shape[0])
+    sums = np.fft.ifft(np.fft.fft(pre, size)
+                       * np.fft.fft(np.exp(-0.5j * rate * lags * lags), size))
+    k = np.arange(count, dtype=np.float64) - mid_k
+    post = np.exp(1j * (sign * (yc + k * dy) * xc + 0.5 * rate * k * k))
+    return post * sums[n - 1:n - 1 + count]
+
+
+def _even_spacing(points: np.ndarray) -> tuple[float, float]:
+    """(start, step) of an evenly spaced 1-D array; step may be negative,
+    and is 0 for a single point."""
+    if points.ndim != 1:
+        raise GridCompatibilityError(
+            f"quadrature points must be a 1-D array, got shape {points.shape}"
+        )
+    count = points.shape[0]
+    start = float(points[0])
+    step = (float(points[-1]) - start) / (count - 1) if count > 1 else 0.0
+    line = start + step * np.arange(count, dtype=np.float64)
+    slack = _EVEN_RTOL * float(np.max(np.abs(points)))
+    if not np.all(np.abs(points - line) <= slack):
+        raise GridCompatibilityError(
+            "quadrature points must be evenly spaced (a uniform grid, possibly "
+            "shifted, negated or a contiguous sub-range)"
+        )
+    return start, step
 
 
 def fast_ugrid(tgrid: UniformGrid) -> UniformGrid:
@@ -43,22 +108,28 @@ def fast_ugrid(tgrid: UniformGrid) -> UniformGrid:
 
 
 def smfrft_quadrature(x: SampledSignal, u_points, angle: Angle) -> ComplexArray:
-    """Rectangle-rule transform of ``x`` at arbitrary output points.
+    """Rectangle-rule transform of ``x`` at evenly spaced output points.
 
-    values[k] = dt * sum_n x[n] * kernel(t_n, u_k). This is the slow
-    reference path; it never touches an FFT. The kernel chirp
-    e^{(j/2) t^2 cot} depends only on t, so it is folded into the input
-    vector and the remaining e^{-j u t} factor is evaluated blockwise.
+    values[k] = dt * sum_n x[n] * kernel(t_n, u_k). ``u_points`` is a 1-D
+    arithmetic progression in either direction (or one point); u0 and du
+    are read from it, and anything else raises GridCompatibilityError.
+    The kernel chirp e^{(j/2) t^2 cot} depends only on t, so it is folded
+    into the input vector and the remaining e^{-j u t} sum is a chirp-z
+    transform.
     """
-    t = x.grid.points()
     u = np.atleast_1d(np.asarray(u_points, dtype=np.float64))
+    if u.shape == (0,):
+        return np.zeros(0, dtype=np.complex128)
+    u0, du = _even_spacing(u)
+    grid = x.grid
+    t = grid.points()
     chirped = x.samples * np.exp(0.5j * angle.cot_phi * t * t)
-    sums = phase_matvec(-u, t, chirped)
-    return (x.grid.step / sqrt_j2pi()) * sums
+    sums = _chirp_z(chirped, grid.start, grid.step, u0, du, u.shape[0], -1)
+    return (grid.step / sqrt_j2pi()) * sums
 
 
 def smfrft_direct(x: SampledSignal, ugrid: UniformGrid, angle: Angle) -> Spectrum:
-    """Slow quadrature transform onto a uniform output grid."""
+    """Quadrature transform onto a uniform output grid."""
     return Spectrum(ugrid, smfrft_quadrature(x, ugrid.points(), angle),
                     angle, tgrid=x.grid)
 
@@ -88,7 +159,8 @@ def smfrft_fast(x: SampledSignal, angle: Angle) -> Spectrum:
 
 def ismfrft_direct(spectrum: Spectrum, tgrid: UniformGrid,
                    angle: Angle) -> SampledSignal:
-    """Slow inverse: post-chirped rectangle rule over the u grid.
+    """Quadrature inverse: post-chirped rectangle rule over the u grid,
+    onto any uniform time grid (a chirp-z transform).
 
     samples[n] = sqrt(j/(2*pi)) * exp(-(j/2) t_n^2 cot)
                  * du * sum_k exp(j u_k t_n) * X[k]
@@ -98,11 +170,12 @@ def ismfrft_direct(spectrum: Spectrum, tgrid: UniformGrid,
             f"spectrum was computed at phi={spectrum.angle.phi!r}, "
             f"inverse requested at phi={angle.phi!r}"
         )
+    ugrid = spectrum.ugrid
+    fourier = _chirp_z(spectrum.values, ugrid.start, ugrid.step,
+                       tgrid.start, tgrid.step, tgrid.count, +1)
     t = tgrid.points()
-    u = spectrum.ugrid.points()
-    fourier = phase_matvec(t, u, spectrum.values)
     post = sqrt_j_over_2pi() * np.exp(-0.5j * angle.cot_phi * t * t)
-    return SampledSignal(tgrid, post * spectrum.ugrid.step * fourier)
+    return SampledSignal(tgrid, post * ugrid.step * fourier)
 
 
 def ismfrft_fast(spectrum: Spectrum, angle: Angle) -> SampledSignal:
@@ -146,14 +219,17 @@ def frft_direct(x: SampledSignal, ugrid: UniformGrid, angle: Angle) -> Spectrum:
 
     Reference implementation only; at phi = pi/2 it equals sqrt(j) times
     the simplified transform pointwise (the kernels differ by exactly
-    that constant when cot(phi) = 0).
+    that constant when cot(phi) = 0). The cross term e^{-j csc u t} is a
+    chirp-z transform onto the scaled grid csc*u.
     """
     cot = angle.cot_phi
     csc = 1.0 / math.sin(angle.phi)
     amp = np.sqrt((1.0 - 1j * cot) / (2.0 * math.pi))
-    t = x.grid.points()
+    grid = x.grid
+    t = grid.points()
     u = ugrid.points()
     chirped = x.samples * np.exp(0.5j * cot * t * t)
-    sums = phase_matvec(-csc * u, t, chirped)
-    values = (x.grid.step * amp) * np.exp(0.5j * cot * u * u) * sums
+    sums = _chirp_z(chirped, grid.start, grid.step, csc * ugrid.start,
+                    csc * ugrid.step, ugrid.count, -1)
+    values = (grid.step * amp) * np.exp(0.5j * cot * u * u) * sums
     return Spectrum(ugrid, values, angle, tgrid=x.grid)

@@ -232,6 +232,17 @@ class TestVerify:
         result = runner.invoke(cli, ["verify", "--config", str(cfg)])
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("bad", [{"pair_indices": [5]}, {"n": "abc"}])
+    def test_invalid_config_value_exits_two(self, runner, tmp_path, bad):
+        # a bad value is a usage error, never a reported identity failure
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**self.CFG, **bad}))
+        result = runner.invoke(cli, ["verify", "--config", str(cfg),
+                                     "--output", str(tmp_path / "r.json")])
+        assert result.exit_code == 2, result.output
+        assert "error:" in result.output
+        assert not (tmp_path / "r.json").exists()
+
     def test_unknown_identity_exits_two(self, runner, tmp_path):
         result = runner.invoke(cli, ["verify", "--identities", "NOPE",
                                      "--output", str(tmp_path / "r.json")])

@@ -8,6 +8,7 @@ import smfrft.theorems as theorems
 from smfrft import (
     CheckConfig,
     IdentityId,
+    InvalidParameterError,
     SampledSignal,
     SuiteConfig,
     check_conv_modulation,
@@ -33,6 +34,9 @@ from smfrft import (
     smfrft_quadrature,
     suite_passed,
 )
+from smfrft.corpus import PAIR_COUNT, default_pairs
+
+import dense_oracle
 
 PI = math.pi
 
@@ -70,8 +74,11 @@ class TestConjTransform:
         angle = make_angle(PI / 3)
         overline = conj_transform(jf, angle, ugrid)
         plain = smfrft_direct(g, ugrid, angle)
+        # rounding level against the spectrum's scale: entries in the
+        # ~1e-16 tails carry rounding of the whole FFT sum
+        scale = np.max(np.abs(plain.values))
         np.testing.assert_allclose(overline.values, -1j * plain.values,
-                                   rtol=1e-15)
+                                   rtol=1e-15, atol=1e-15 * scale)
 
     def test_naive_conjugate_reading_fails(self, theorem_grid):
         # the overline operator transforms the conjugated signal; taking
@@ -364,3 +371,48 @@ class TestSuite:
         monkeypatch.setattr(theorems, "rhs_correlation", boom)
         with pytest.raises(RuntimeError, match="CORR .*phi=0.785"):
             run_suite(cfg)
+
+
+class TestSuiteConfigValidation:
+    def test_defaults_and_names(self):
+        cfg = SuiteConfig(identities=["CONV", IdentityId.PROD],
+                          angles=[PI / 4], pair_indices=[0, 2])
+        assert cfg.identities == (IdentityId.CONV, IdentityId.PROD)
+        assert cfg.angles == (PI / 4,)
+        assert cfg.pair_indices == (0, 2)
+        assert len(default_pairs(SuiteConfig().time_grid())) == PAIR_COUNT
+
+    @pytest.mark.parametrize("overrides", [
+        {"n": "abc"}, {"n": 1}, {"n": 2.0}, {"n": True},
+        {"span": 0.0}, {"start": float("nan")}, {"angles": 5},
+        {"angles": ["x"]}, {"pair_indices": [5]}, {"pair_indices": [-1]},
+        {"identities": ["NOPE"]}, {"identities": "CONV"},
+        {"d_values": [0.3]}, {"d_values": [32.0]}, {"start": -16.01},
+        {"tolerance_fractional": -1.0}, {"zero_floor": float("inf")},
+    ])
+    def test_bad_fields_rejected(self, overrides):
+        with pytest.raises(InvalidParameterError):
+            SuiteConfig(**overrides)
+
+
+class TestDenseCrossCheck:
+    def test_suite_verdicts_match_dense_evaluators(self, monkeypatch):
+        # the certificate must not rest on FFT code alone: rerun it with
+        # the dense quadrature and operator sums patched in for the
+        # chirp-z and FFT evaluators and require the same verdicts
+        cfg = SuiteConfig(n=1024, angles=(PI / 3, PI / 2))
+        fft_rows = report_rows(run_suite(cfg))
+        monkeypatch.setattr(theorems, "smfrft_quadrature",
+                            dense_oracle.smfrft_quadrature)
+        monkeypatch.setattr(theorems, "frac_convolve",
+                            dense_oracle.frac_convolve)
+        monkeypatch.setattr(theorems, "frac_correlate",
+                            dense_oracle.frac_correlate)
+        dense_rows = report_rows(run_suite(cfg))
+        assert len(fft_rows) == len(dense_rows) == 70
+        for fast, dense in zip(fft_rows, dense_rows):
+            for key in ("identity", "phi", "d", "q", "pass", "chosen_form"):
+                assert fast[key] == dense[key], (key, fast, dense)
+            for key in ("residual_paper_form", "residual_derived_form"):
+                assert fast[key] == pytest.approx(dense[key], rel=1e-6), (
+                    key, fast, dense)

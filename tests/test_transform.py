@@ -11,6 +11,8 @@ from smfrft import (
     SampledSignal,
     Spectrum,
     fast_ugrid,
+    frac_convolve,
+    frac_correlate,
     frft_direct,
     gen_chirp,
     gen_gaussian,
@@ -25,6 +27,8 @@ from smfrft import (
     smfrft_quadrature,
 )
 
+import dense_oracle
+
 PI = math.pi
 
 
@@ -33,19 +37,42 @@ def random_signal(grid, rng):
     return SampledSignal(grid, data)
 
 
+def assert_matches_kernel_sum(got, x, u, angle):
+    """Each value against dt * sum_n x[n] * kernel(t_n, u_k), term by term."""
+    t = x.grid.points()
+    for k, uk in enumerate(u):
+        ref = x.grid.step * sum(
+            x.samples[n] * smfrft_kernel(t[n], uk, angle)
+            for n in range(x.grid.count)
+        )
+        assert got[k] == pytest.approx(ref, rel=1e-12)
+
+
 class TestDirectQuadrature:
     def test_matches_pointwise_kernel_sum(self, small_grid, quarter_angle):
-        # ties the vectorized path to the scalar kernel definition
+        # ties the dense oracle, which gates the chirp-z path, to the
+        # scalar kernel definition at uneven points
         x = gen_gaussian(small_grid, 0.3, 0.9, 1.2)
         u = np.array([-2.0, -0.3, 0.0, 1.7])
+        got = dense_oracle.smfrft_quadrature(x, u, quarter_angle)
+        assert_matches_kernel_sum(got, x, u, quarter_angle)
+
+    @pytest.mark.parametrize("u0,du,count", [(-2.0, 0.3, 13), (1.7, -0.45, 9),
+                                             (0.4, 0.0, 1)])
+    def test_chirp_z_matches_pointwise_kernel_sum(self, small_grid,
+                                                  quarter_angle, u0, du, count):
+        # the chirp-z path against the scalar kernel on even u-grids,
+        # ascending, descending and a single point
+        x = gen_gaussian(small_grid, 0.3, 0.9, 1.2)
+        u = u0 + du * np.arange(count)
         got = smfrft_quadrature(x, u, quarter_angle)
-        t = small_grid.points()
-        for k, uk in enumerate(u):
-            ref = small_grid.step * sum(
-                x.samples[n] * smfrft_kernel(t[n], uk, quarter_angle)
-                for n in range(small_grid.count)
-            )
-            assert got[k] == pytest.approx(ref, rel=1e-12)
+        assert_matches_kernel_sum(got, x, u, quarter_angle)
+
+    def test_uneven_points_rejected(self, small_grid, quarter_angle):
+        x = gen_gaussian(small_grid, 0.3, 0.9, 1.2)
+        with pytest.raises(GridCompatibilityError):
+            smfrft_quadrature(x, np.array([-2.0, -0.3, 0.0, 1.7]),
+                              quarter_angle)
 
     def test_zero_signal(self, small_grid, quarter_angle):
         x = SampledSignal(small_grid, np.zeros(small_grid.count, complex))
@@ -236,19 +263,16 @@ class TestConventionalTransform:
 
 
 class TestDeterminism:
-    def test_worker_count_does_not_change_bits(self, rng, monkeypatch):
-        # blocked evaluation writes disjoint slices with identical per-row
-        # arithmetic, so results are bitwise equal at any worker count
-        import smfrft._chunked as chunked
-
+    def test_repeat_calls_are_bitwise_equal(self, rng):
         grid = make_grid(-16.0, 32.0 / 2048, 2048)
         x = random_signal(grid, rng)
+        y = random_signal(grid, rng)
         angle = make_angle(1.0)
-        u = fast_ugrid(grid).points()
-        threaded = smfrft_quadrature(x, u, angle)
-        monkeypatch.setattr(chunked, "_WORKERS", 1)
-        sequential = smfrft_quadrature(x, u, angle)
-        assert np.array_equal(threaded, sequential)
+        u = fast_ugrid(grid).points() - 0.3
+        for op in (lambda: smfrft_quadrature(x, u, angle),
+                   lambda: frac_convolve(x, y, angle).samples,
+                   lambda: frac_correlate(x, y, angle).samples):
+            assert np.array_equal(op(), op())
 
 
 class TestLinearity:
