@@ -220,7 +220,8 @@ def filter_cmd(input_, output, passband, angle, order_):
     Transforms with the fast path, zeroes everything outside the
     passband, and inverts. A chirp whose rate matches cot(phi) is
     compact near u = 0 at that angle, so a narrow passband there
-    separates it from broadband interference.
+    separates it from broadband interference. Prints the fraction of the
+    input energy that the output keeps to stderr.
     """
     ang = _resolve_angle(angle, order_)
     lo, hi = _parse_band(passband)
@@ -230,7 +231,16 @@ def filter_cmd(input_, output, passband, angle, order_):
     mask = (u >= lo) & (u <= hi)
     filtered = Spectrum(spectrum.ugrid, np.where(mask, spectrum.values, 0.0),
                         ang, tgrid=spectrum.tgrid)
-    io_csv.write_signal_csv(output, ismfrft_fast(filtered, ang))
+    result = ismfrft_fast(filtered, ang)
+    io_csv.write_signal_csv(output, result)
+    e_in = signal.energy()
+    e_out = result.energy()
+    kept = e_out / e_in if e_in else 0.0
+    click.echo(
+        f"energy kept: dt*sum|x|^2 = {e_in!r}  dt*sum|y|^2 = {e_out!r}  "
+        f"dt*sum|y|^2 / dt*sum|x|^2 = {kept!r}",
+        err=True,
+    )
 
 
 def _suite_config_from(config_path, tolerance, identities, count) -> SuiteConfig:

@@ -8,10 +8,20 @@ inferred on read: the column must be uniform to within 1e-9 relative of
 the median step. Write -> read -> write is byte-identical whenever the
 grid start and step are exactly representable doubles, which holds for
 every grid this package generates by default.
+
+Both directions work in blocks of ``_BLOCK_ROWS`` rows. The writer
+formats one block at a time with ``repr`` and streams it to the open
+file, so it never holds all N row strings. The reader parses one block
+at a time with Python's ``float`` (the same syntax and the same doubles
+as a row-by-row parse) into a preallocated ``(rows, 3)`` table, and
+looks for the offending row only in a block that failed, so errors
+name the first bad row in file order. Empty lines at the end of a file
+are ignored; an empty line between rows is an error.
 """
 
 from __future__ import annotations
 
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -20,17 +30,48 @@ from .errors import InvalidGridError, InvalidParameterError
 from .grid import ComplexArray, SampledSignal, UniformGrid
 
 _UNIFORMITY_RTOL = 1e-9
-
-
-def _format_row(axis_value: float, value: complex) -> str:
-    return f"{axis_value!r},{value.real!r},{value.imag!r}"
+_BLOCK_ROWS = 4096
+_ROW = "{!r},{!r},{!r}\n".format
 
 
 def _write(path, header: str, axis, values) -> None:
-    lines = [header]
-    lines.extend(_format_row(float(a), complex(v))
-                 for a, v in zip(axis, values))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
+    axis = np.asarray(axis, dtype=np.float64)
+    values = np.asarray(values, dtype=np.complex128)
+    with open(path, "w", encoding="ascii") as handle:
+        handle.write(header + "\n")
+        for start in range(0, axis.shape[0], _BLOCK_ROWS):
+            block = slice(start, start + _BLOCK_ROWS)
+            handle.write("".join(map(_ROW, axis[block].tolist(),
+                                     values.real[block].tolist(),
+                                     values.imag[block].tolist())))
+
+
+def _parse_block(lines: list[str], out: np.ndarray) -> bool:
+    """Fill the ``(len(lines), 3)`` table ``out``; False if any line is bad."""
+    # two commas on every line, so the joined split has 3 parts per line
+    if list(map(str.count, lines, repeat(","))) != [2] * len(lines):
+        return False
+    try:
+        out.reshape(-1)[:] = list(map(float, ",".join(lines).split(",")))
+    except ValueError:
+        return False
+    return bool(np.isfinite(out).all())
+
+
+def _bad_row(path, lines: list[str], first_row: int) -> InvalidParameterError:
+    """The error for the first offending line of a block that failed;
+    ``first_row`` is the file row number of ``lines[0]``."""
+    for i, line in enumerate(lines, start=first_row):
+        parts = line.split(",")
+        if len(parts) != 3:
+            return InvalidParameterError(f"{path}: row {i}: expected 3 columns")
+        try:
+            row = [float(p) for p in parts]
+        except ValueError as exc:
+            return InvalidParameterError(f"{path}: row {i}: {exc}")
+        if not np.all(np.isfinite(row)):
+            return InvalidParameterError(f"{path}: row {i}: non-finite value")
+    raise AssertionError("block failed but every row parses")
 
 
 def _parse(path, header: str) -> tuple[np.ndarray, ComplexArray]:
@@ -41,21 +82,18 @@ def _parse(path, header: str) -> tuple[np.ndarray, ComplexArray]:
             f"{path}: expected header {header!r}, got {lines[0]!r}"
             if lines else f"{path}: empty file"
         )
-    axis = np.empty(len(lines) - 1, dtype=np.float64)
-    values = np.empty(len(lines) - 1, dtype=np.complex128)
-    for i, line in enumerate(lines[1:], start=2):
-        parts = line.split(",")
-        if len(parts) != 3:
-            raise InvalidParameterError(f"{path}: row {i}: expected 3 columns")
-        try:
-            a, re, im = (float(p) for p in parts)
-        except ValueError as exc:
-            raise InvalidParameterError(f"{path}: row {i}: {exc}") from None
-        if not (np.isfinite(a) and np.isfinite(re) and np.isfinite(im)):
-            raise InvalidParameterError(f"{path}: row {i}: non-finite value")
-        axis[i - 2] = a
-        values[i - 2] = complex(re, im)
-    return axis, values
+    del text  # the lines hold it from here on
+    rows = len(lines) - 1
+    while rows and not lines[rows]:
+        rows -= 1
+    table = np.empty((rows, 3), dtype=np.float64)
+    for start in range(0, rows, _BLOCK_ROWS):
+        stop = min(start + _BLOCK_ROWS, rows)
+        block = lines[1 + start:1 + stop]
+        if not _parse_block(block, table[start:stop]):
+            raise _bad_row(path, block, start + 2)
+    values = np.ascontiguousarray(table[:, 1:]).view(np.complex128)
+    return table[:, 0].copy(), values.reshape(-1)
 
 
 def _infer_grid(axis: np.ndarray, path) -> UniformGrid:

@@ -176,6 +176,39 @@ class TestFilter:
         assert relative_l2_error(recovered.samples, clean.samples) <= 0.05
 
 
+def kept_energy(stderr: str) -> float:
+    line = next(ln for ln in stderr.splitlines() if ln.startswith("energy kept:"))
+    return float(line.rsplit("=", 1)[1])
+
+
+class TestFilterEnergy:
+    # a chirp of rate r is matched at phi = arccot(r): its spectrum there is
+    # ~exp(-(u*w)^2/2), so -4:4 holds all of it and 20:30 none of it
+    RATE = 1.3
+
+    def run(self, runner, tmp_path, passband):
+        sig = tmp_path / "sig.csv"
+        out = tmp_path / "filtered.csv"
+        invoke(runner, "generate", "--kind", "chirp", "--rate", self.RATE,
+               "--width", "2.5", "--start", "-32", "--step", 1 / 32,
+               "--count", "2048", "--output", sig)
+        result = runner.invoke(cli, ["filter", "--input", str(sig),
+                                     "--output", str(out),
+                                     "--angle", repr(math.atan(1 / self.RATE)),
+                                     "--passband", passband])
+        assert result.exit_code == 0
+        return result
+
+    def test_matched_passband_keeps_energy(self, runner, tmp_path):
+        result = self.run(runner, tmp_path, "-4:4")
+        assert "energy kept" not in result.stdout
+        assert abs(kept_energy(result.stderr) - 1.0) <= 1e-9
+
+    def test_stopband_keeps_no_energy(self, runner, tmp_path):
+        result = self.run(runner, tmp_path, "20:30")
+        assert kept_energy(result.stderr) <= 1e-12
+
+
 class TestVerify:
     CFG = {
         "n": 256,

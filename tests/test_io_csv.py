@@ -94,3 +94,60 @@ def test_single_row_rejected(tmp_path):
     path.write_text("t,re,im\n0.0,1.0,0.0\n")
     with pytest.raises(InvalidGridError):
         read_signal_csv(path)
+
+
+def test_trailing_blank_lines_ignored(tmp_path):
+    rows = "t,re,im\n0.0,1.0,0.0\n1.0,2.0,0.5\n"
+    plain = tmp_path / "plain.csv"
+    padded = tmp_path / "padded.csv"
+    plain.write_text(rows)
+    padded.write_text(rows + "\n\n")
+    back = read_signal_csv(padded)
+    assert back.grid == make_grid(0.0, 1.0, 2)
+    np.testing.assert_array_equal(back.samples, read_signal_csv(plain).samples)
+
+
+def test_blank_line_between_rows_is_named(tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_text("t,re,im\n0.0,1.0,0.0\n\n1.0,1.0,0.0\n2.0,1.0,0.0\n")
+    with pytest.raises(InvalidParameterError, match="row 3: expected 3 columns"):
+        read_signal_csv(path)
+
+
+def test_crlf_file_parses_like_lf(tmp_path):
+    grid = make_grid(-2.0, 0.25, 16)
+    lf = tmp_path / "lf.csv"
+    crlf = tmp_path / "crlf.csv"
+    write_signal_csv(lf, gen_gaussian(grid, 0.1, 0.7, 1.5))
+    crlf.write_bytes(lf.read_bytes().replace(b"\n", b"\r\n"))
+    back = read_signal_csv(crlf)
+    assert back.grid == grid
+    assert back.samples.tobytes() == read_signal_csv(lf).samples.tobytes()
+
+
+def _long_file(tmp_path, edits: dict):
+    """A 10,000-row signal file (file rows 2..10001) with the data lines of
+    the given file rows replaced; the reader parses it in several blocks."""
+    lines = ["t,re,im"] + [f"{k * 0.5!r},{k % 7.0!r},-1.0" for k in range(10_000)]
+    for row, line in edits.items():
+        lines[row - 1] = line
+    path = tmp_path / "long.csv"
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+@pytest.mark.parametrize("edits, message", [
+    ({9000: "4498.5,garbage,-1.0"},
+     "row 9000: could not convert string to float: 'garbage'"),
+    ({9000: "4498.5,1.0"}, "row 9000: expected 3 columns"),
+    # the columns balance over two rows; the first still has two
+    ({9000: "4498.5,1.0", 9001: "4499.0,1.0,-1.0,3.0"},
+     "row 9000: expected 3 columns"),
+    ({9000: "4498.5,inf,-1.0"}, "row 9000: non-finite value"),
+    ({3: "0.5,inf,-1.0", 5: "1.5,garbage,-1.0"}, "row 3: non-finite value"),
+])
+def test_error_names_row_in_later_block(tmp_path, edits, message):
+    path = _long_file(tmp_path, edits)
+    with pytest.raises(InvalidParameterError) as err:
+        read_signal_csv(path)
+    assert str(err.value) == f"{path}: {message}"
