@@ -47,15 +47,7 @@ from .theorems import (
     IdentityId,
     IdentityReport,
     SuiteConfig,
-    check_conv_modulation,
-    check_conv_shift,
-    check_conv_tfshift,
-    check_convolution,
-    check_corr_modulation,
-    check_corr_shift,
-    check_corr_tfshift,
-    check_correlation,
-    check_product,
+    check,
     conj_transform,
     report_rows,
     reports_to_json,

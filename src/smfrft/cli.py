@@ -14,6 +14,7 @@ import functools
 import json
 import math
 import sys
+from pathlib import Path
 
 import click
 import numpy as np
@@ -34,7 +35,7 @@ from .grid import Spectrum, UniformGrid, gen_chirp, gen_gaussian, make_grid
 from .kernel import Angle, make_angle
 from .theorems import (
     SuiteConfig,
-    report_rows,
+    reports_to_json,
     run_suite,
     suite_passed,
 )
@@ -284,9 +285,7 @@ def verify(output, config_path, tolerance, identities, count):
     """Run the identity suite and write the residual report."""
     cfg = _suite_config_from(config_path, tolerance, identities, count)
     reports = run_suite(cfg)
-    with open(output, "w", encoding="ascii") as handle:
-        json.dump(report_rows(reports), handle, indent=2)
-        handle.write("\n")
+    Path(output).write_text(reports_to_json(reports) + "\n", encoding="ascii")
     click.echo(f"{'identity':<16} {'phi':>9} {'d':>5} {'q':>5} "
                f"{'residual':>12}  pass")
     for r in reports:

@@ -5,9 +5,10 @@ one row per sample in grid order (ascending axis). Values are written
 with shortest round-trip decimal formatting (at most 17 significant
 digits), so parsing reproduces the exact doubles. The axis grid is
 inferred on read: the column must be uniform to within 1e-9 relative of
-the median step. Write -> read -> write is byte-identical whenever the
-grid start and step are exactly representable doubles, which holds for
-every grid this package generates by default.
+the median step. The spectrum writer raises ShapeMismatchError for more
+or fewer values than grid points. Write -> read -> write is byte-identical
+whenever the grid start and step are exactly representable doubles,
+which holds for every grid this package generates by default.
 
 Both directions work in blocks of ``_BLOCK_ROWS`` rows. The writer
 formats one block at a time with ``repr`` and streams it to the open
@@ -26,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InvalidGridError, InvalidParameterError
+from .errors import InvalidGridError, InvalidParameterError, ShapeMismatchError
 from .grid import ComplexArray, SampledSignal, UniformGrid
 
 _UNIFORMITY_RTOL = 1e-9
@@ -122,6 +123,11 @@ def read_signal_csv(path) -> SampledSignal:
 
 
 def write_spectrum_csv(path, ugrid: UniformGrid, values: ComplexArray) -> None:
+    # a signal's samples match its grid by construction; spectrum values
+    # arrive as a bare array, so check their length here
+    if np.shape(values) != (ugrid.count,):
+        raise ShapeMismatchError(
+            f"{path}: {np.size(values)} values for a grid of {ugrid.count} points")
     _write(path, "u,re,im", ugrid.points(), values)
 
 

@@ -1,19 +1,25 @@
-"""Identity checks: independent left/right-hand sides and residual reports.
+"""Identity checks: one catalogue row per family, independent sides.
 
-Each check computes its two sides by disjoint routes:
+The paper's shift, modulation and plain convolution / correlation
+theorems are its time-frequency-shifted forms at q = 0, d = 0 or both.
+``_FAMILIES`` holds one row per ``IdentityId``: the operator, the operand
+that is shifted and modulated, the (d, q) axes the suite sweeps and,
+where the printed form departs from the derivation, where and how. Each
+check computes its two sides from the row by disjoint routes:
 
-* LHS: run the time-domain operator (weighted convolution / product /
-  correlation, possibly with shifted or modulated operands; the weighted
-  sums are chirp-factorized FFT convolutions), then push the result
+* LHS: shift and modulate the row's operand, run the time-domain
+  operator (a chirp-factorized FFT convolution), then push the result
   through the quadrature transform (a chirp-z transform).
-* RHS: evaluate the closed-form spectral expression, with every spectrum
-  at shifted or negated abscissae obtained by a fresh quadrature at those
-  exact points. Nothing is interpolated, and no RHS ever calls a
-  time-domain operator.
+* RHS: ``rhs_conv_tfshift`` for every convolution family,
+  ``rhs_corr_tfshift_derived`` for every correlation family and
+  ``rhs_product`` for the product, with every spectrum at shifted or
+  negated abscissae a fresh quadrature at those exact points. Nothing
+  is interpolated, and no RHS ever calls a time-domain operator.
 
-The test suite re-runs the whole certificate with the dense O(N^2)
-quadrature and operator sums patched in for these FFT evaluators and
-requires the same verdicts, so no verdict rests on FFT code alone.
+The rows hold no evaluator; each is looked up in this module when a
+check runs, so the test suite can re-run the whole certificate with the
+dense O(N^2) quadrature and operator sums patched in here and require
+the same verdicts: no verdict rests on FFT code alone.
 
 Two of the printed identity forms are internally inconsistent with the
 rest of the family (the sign of the pi/2 phase in the shifted correlation,
@@ -37,6 +43,7 @@ import math
 import numbers
 from dataclasses import dataclass
 from enum import Enum
+from typing import Callable
 
 import numpy as np
 
@@ -88,26 +95,6 @@ class IdentityId(Enum):
     CORR_TFSHIFT_R = "CORR_TFSHIFT_R"
 
 
-# which (d, q) axes each family sweeps
-_PARAM_KIND = {
-    IdentityId.CONV: "base",
-    IdentityId.PROD: "base",
-    IdentityId.CORR: "base",
-    IdentityId.CONV_SHIFT_L: "shift",
-    IdentityId.CONV_SHIFT_R: "shift",
-    IdentityId.CORR_SHIFT_L: "shift",
-    IdentityId.CORR_SHIFT_R: "shift",
-    IdentityId.CONV_MOD_L: "mod",
-    IdentityId.CONV_MOD_R: "mod",
-    IdentityId.CORR_MOD_L: "mod",
-    IdentityId.CORR_MOD_R: "mod",
-    IdentityId.CONV_TFSHIFT_L: "tfshift",
-    IdentityId.CONV_TFSHIFT_R: "tfshift",
-    IdentityId.CORR_TFSHIFT_L: "tfshift",
-    IdentityId.CORR_TFSHIFT_R: "tfshift",
-}
-
-
 @dataclass(frozen=True, slots=True)
 class IdentityReport:
     """Residuals and verdict for one identity at one parameter set.
@@ -139,112 +126,31 @@ class CheckConfig:
     zero_floor: float = 1e-14
 
 
-# --------------------------------------------------------------------------
-# spectra helpers
-
-def _spectrum_at(signal: SampledSignal, points, angle: Angle) -> ComplexArray:
-    return smfrft_quadrature(signal, points, angle)
-
-
-def _conj_spectrum_at(signal: SampledSignal, points,
-                      angle: Angle) -> ComplexArray:
-    """The overline operator: transform of the conjugated signal.
-
-    Equivalently the transform of the real part minus j times the
-    transform of the imaginary part. Distinct from conjugating the
-    transform, which would also conjugate the kernel chirp.
-    """
-    return smfrft_quadrature(signal.conjugate(), points, angle)
-
-
 def conj_transform(f: SampledSignal, angle: Angle,
                    ugrid: UniformGrid) -> Spectrum:
-    """Overline-operator spectrum of ``f`` on a uniform grid."""
+    """Overline-operator spectrum of ``f`` on a uniform grid.
+
+    The overline operator transforms the conjugated signal. That is
+    distinct from conjugating the transform, which would also conjugate
+    the kernel chirp.
+    """
     return smfrft_direct(f.conjugate(), ugrid, angle)
 
 
 # --------------------------------------------------------------------------
-# LHS: time-domain operator outputs
-
-def lhs_signal(identity: IdentityId, f: SampledSignal, g: SampledSignal,
-               angle: Angle, d: float, q: float) -> SampledSignal:
-    """Operator output whose transform is the left-hand side."""
-    if identity is IdentityId.CONV:
-        return frac_convolve(f, g, angle)
-    if identity is IdentityId.CONV_SHIFT_L:
-        return frac_convolve(shift_op(f, d), g, angle)
-    if identity is IdentityId.CONV_SHIFT_R:
-        return frac_convolve(f, shift_op(g, d), angle)
-    if identity is IdentityId.CONV_MOD_L:
-        return frac_convolve(modulate_op(f, q), g, angle)
-    if identity is IdentityId.CONV_MOD_R:
-        return frac_convolve(f, modulate_op(g, q), angle)
-    if identity is IdentityId.CONV_TFSHIFT_L:
-        return frac_convolve(modulate_op(shift_op(f, d), q), g, angle)
-    if identity is IdentityId.CONV_TFSHIFT_R:
-        return frac_convolve(f, modulate_op(shift_op(g, d), q), angle)
-    if identity is IdentityId.PROD:
-        return frac_product(f, g, angle)
-    if identity is IdentityId.CORR:
-        return frac_correlate(f, g, angle)
-    if identity is IdentityId.CORR_SHIFT_L:
-        return frac_correlate(shift_op(f, d), g, angle)
-    if identity is IdentityId.CORR_SHIFT_R:
-        return frac_correlate(f, shift_op(g, d), angle)
-    if identity is IdentityId.CORR_MOD_L:
-        # modulation enters the integral on the conjugated copy of f
-        return frac_correlate(modulate_op(f, -q), g, angle)
-    if identity is IdentityId.CORR_MOD_R:
-        return frac_correlate(f, modulate_op(g, q), angle)
-    if identity is IdentityId.CORR_TFSHIFT_L:
-        return frac_correlate(modulate_op(shift_op(f, d), -q), g, angle)
-    if identity is IdentityId.CORR_TFSHIFT_R:
-        return frac_correlate(f, modulate_op(shift_op(g, d), q), angle)
-    raise ValueError(f"unknown identity {identity!r}")
-
-
-# --------------------------------------------------------------------------
-# RHS: closed-form spectral expressions
-#
-# The builders are standalone so the specialization lattice (tfshift at
-# d=0 and/or q=0 collapsing onto the simpler families) can be asserted
-# on the formulas themselves.
-
-def rhs_convolution(f, g, angle, u) -> ComplexArray:
-    return sqrt_j2pi() * _spectrum_at(f, u, angle) * _spectrum_at(g, u, angle)
-
-
-def rhs_conv_shift(f, g, angle, d, u, side) -> ComplexArray:
-    cot = angle.cot_phi
-    phase = np.exp(-1j * u * d + 0.5j * d * d * cot)
-    if side == "L":
-        fs = _spectrum_at(f, u - d * cot, angle)
-        gs = _spectrum_at(g, u, angle)
-    else:
-        fs = _spectrum_at(f, u, angle)
-        gs = _spectrum_at(g, u - d * cot, angle)
-    return sqrt_j2pi() * phase * fs * gs
-
-
-def rhs_conv_modulation(f, g, angle, q, u, side) -> ComplexArray:
-    if side == "L":
-        fs = _spectrum_at(f, u - q, angle)
-        gs = _spectrum_at(g, u, angle)
-    else:
-        fs = _spectrum_at(f, u, angle)
-        gs = _spectrum_at(g, u - q, angle)
-    return sqrt_j2pi() * fs * gs
-
+# RHS: closed-form spectral expressions. At d = 0 and/or q = 0 the general
+# builders collapse onto the plain, shifted and modulated forms. The
+# correlation forms take the overline spectrum of f (see conj_transform).
 
 def rhs_conv_tfshift(f, g, angle, d, q, u, side) -> ComplexArray:
     cot = angle.cot_phi
     phase = np.exp(-1j * (u - q) * d + 0.5j * d * d * cot)
     if side == "L":
-        fs = _spectrum_at(f, u - q - d * cot, angle)
-        gs = _spectrum_at(g, u, angle)
+        fs = smfrft_quadrature(f, u - q - d * cot, angle)
+        gs = smfrft_quadrature(g, u, angle)
     else:
-        fs = _spectrum_at(f, u, angle)
-        gs = _spectrum_at(g, u - q - d * cot, angle)
+        fs = smfrft_quadrature(f, u, angle)
+        gs = smfrft_quadrature(g, u - q - d * cot, angle)
     return sqrt_j2pi() * phase * fs * gs
 
 
@@ -263,8 +169,8 @@ def rhs_product(f, g, angle, ugrid: UniformGrid) -> ComplexArray:
         raise GridCompatibilityError(
             "product check needs a u grid whose start is a multiple of du"
         )
-    fs = _spectrum_at(f, u, angle)
-    gs = _spectrum_at(g, u, angle)
+    fs = smfrft_quadrature(f, u, angle)
+    gs = smfrft_quadrature(g, u, angle)
     full = linear_convolve(fs, gs)
     take = np.arange(ugrid.count) - r_u
     valid = (take >= 0) & (take < full.shape[0])
@@ -273,45 +179,12 @@ def rhs_product(f, g, angle, ugrid: UniformGrid) -> ComplexArray:
     return sqrt_j_over_2pi() * ugrid.step * out
 
 
-def rhs_correlation(f, g, angle, u) -> ComplexArray:
-    return (sqrt_j2pi() * _conj_spectrum_at(f, -u, angle)
-            * _spectrum_at(g, u, angle))
-
-
-def rhs_corr_shift_derived(f, g, angle, d, u, side) -> ComplexArray:
-    cot = angle.cot_phi
-    if side == "L":
-        phase = np.exp(1j * u * d + 0.5j * d * d * cot)
-        fs = _conj_spectrum_at(f, -u - d * cot, angle)
-        gs = _spectrum_at(g, u, angle)
-    else:
-        phase = np.exp(-1j * u * d + 0.5j * d * d * cot)
-        fs = _conj_spectrum_at(f, -u, angle)
-        gs = _spectrum_at(g, u - d * cot, angle)
-    return sqrt_j2pi() * phase * fs * gs
-
-
-def rhs_corr_shift_paper(f, g, angle, d, u, side) -> ComplexArray:
-    """Shifted correlation exactly as printed.
-
-    The general form matches the derived one; only the pi/2 special case
-    is printed with the opposite phase sign on the left-shift side.
-    """
-    if side == "L" and angle.phi == PI_HALF:
-        phase = np.exp(-1j * u * d)
-        return (sqrt_j2pi() * phase * _conj_spectrum_at(f, -u, angle)
-                * _spectrum_at(g, u, angle))
-    return rhs_corr_shift_derived(f, g, angle, d, u, side)
-
-
-def rhs_corr_modulation(f, g, angle, q, u, side) -> ComplexArray:
-    if side == "L":
-        fs = _conj_spectrum_at(f, -u - q, angle)
-        gs = _spectrum_at(g, u, angle)
-    else:
-        fs = _conj_spectrum_at(f, -u, angle)
-        gs = _spectrum_at(g, u - q, angle)
-    return sqrt_j2pi() * fs * gs
+def rhs_corr_shift_paper(f, g, angle, d, q, u) -> ComplexArray:
+    """Left-shifted correlation at pi/2 as printed, with the opposite
+    phase sign to the general form (which matches the derivation)."""
+    phase = np.exp(-1j * u * d)
+    return (sqrt_j2pi() * phase * smfrft_quadrature(f.conjugate(), -u, angle)
+            * smfrft_quadrature(g, u, angle))
 
 
 def rhs_corr_tfshift_derived(f, g, angle, d, q, u, side) -> ComplexArray:
@@ -319,76 +192,99 @@ def rhs_corr_tfshift_derived(f, g, angle, d, q, u, side) -> ComplexArray:
     cot = angle.cot_phi
     if side == "L":
         phase = np.exp(1j * (u + q) * d + 0.5j * d * d * cot)
-        fs = _conj_spectrum_at(f, -u - q - d * cot, angle)
-        gs = _spectrum_at(g, u, angle)
+        fs = smfrft_quadrature(f.conjugate(), -u - q - d * cot, angle)
+        gs = smfrft_quadrature(g, u, angle)
     else:
         phase = np.exp(-1j * (u - q) * d + 0.5j * d * d * cot)
-        fs = _conj_spectrum_at(f, -u, angle)
-        gs = _spectrum_at(g, u - q - d * cot, angle)
+        fs = smfrft_quadrature(f.conjugate(), -u, angle)
+        gs = smfrft_quadrature(g, u - q - d * cot, angle)
     return sqrt_j2pi() * phase * fs * gs
 
 
-def rhs_corr_tfshift_paper(f, g, angle, d, q, u, side) -> ComplexArray:
-    """Time-frequency-shifted correlation exactly as printed.
-
-    On the left side the printed phase is e^{-j(u-q)d + ...} and the
-    printed spectrum argument is u - q - d*cot, without the leading
-    negation the plain shifted form carries. The right side matches the
-    derivation.
-    """
-    if side == "L":
-        cot = angle.cot_phi
-        phase = np.exp(-1j * (u - q) * d + 0.5j * d * d * cot)
-        fs = _conj_spectrum_at(f, u - q - d * cot, angle)
-        gs = _spectrum_at(g, u, angle)
-        return sqrt_j2pi() * phase * fs * gs
-    return rhs_corr_tfshift_derived(f, g, angle, d, q, u, side)
+def rhs_corr_tfshift_paper(f, g, angle, d, q, u) -> ComplexArray:
+    """Left time-frequency-shifted correlation as printed: phase
+    e^{-j(u-q)d + ...} and spectrum argument u - q - d*cot, without the
+    leading negation the plain shifted form carries."""
+    cot = angle.cot_phi
+    phase = np.exp(-1j * (u - q) * d + 0.5j * d * d * cot)
+    fs = smfrft_quadrature(f.conjugate(), u - q - d * cot, angle)
+    gs = smfrft_quadrature(g, u, angle)
+    return sqrt_j2pi() * phase * fs * gs
 
 
-def _rhs_forms(identity: IdentityId, f, g, angle: Angle, d: float, q: float,
-               ugrid: UniformGrid):
-    """Return (paper_form, derived_form, forms_differ) on the u grid."""
-    u = ugrid.points()
-    if identity is IdentityId.CONV:
-        rhs = rhs_convolution(f, g, angle, u)
-        return rhs, rhs, False
-    if identity in (IdentityId.CONV_SHIFT_L, IdentityId.CONV_SHIFT_R):
-        side = "L" if identity is IdentityId.CONV_SHIFT_L else "R"
-        rhs = rhs_conv_shift(f, g, angle, d, u, side)
-        return rhs, rhs, False
-    if identity in (IdentityId.CONV_MOD_L, IdentityId.CONV_MOD_R):
-        side = "L" if identity is IdentityId.CONV_MOD_L else "R"
-        rhs = rhs_conv_modulation(f, g, angle, q, u, side)
-        return rhs, rhs, False
-    if identity in (IdentityId.CONV_TFSHIFT_L, IdentityId.CONV_TFSHIFT_R):
-        side = "L" if identity is IdentityId.CONV_TFSHIFT_L else "R"
-        rhs = rhs_conv_tfshift(f, g, angle, d, q, u, side)
-        return rhs, rhs, False
-    if identity is IdentityId.PROD:
-        rhs = rhs_product(f, g, angle, ugrid)
-        return rhs, rhs, False
-    if identity is IdentityId.CORR:
-        rhs = rhs_correlation(f, g, angle, u)
-        return rhs, rhs, False
-    if identity in (IdentityId.CORR_SHIFT_L, IdentityId.CORR_SHIFT_R):
-        side = "L" if identity is IdentityId.CORR_SHIFT_L else "R"
-        derived = rhs_corr_shift_derived(f, g, angle, d, u, side)
-        differ = side == "L" and angle.phi == PI_HALF and d != 0.0
-        paper = (rhs_corr_shift_paper(f, g, angle, d, u, side)
-                 if differ else derived)
-        return paper, derived, differ
-    if identity in (IdentityId.CORR_MOD_L, IdentityId.CORR_MOD_R):
-        side = "L" if identity is IdentityId.CORR_MOD_L else "R"
-        rhs = rhs_corr_modulation(f, g, angle, q, u, side)
-        return rhs, rhs, False
-    if identity in (IdentityId.CORR_TFSHIFT_L, IdentityId.CORR_TFSHIFT_R):
-        side = "L" if identity is IdentityId.CORR_TFSHIFT_L else "R"
-        derived = rhs_corr_tfshift_derived(f, g, angle, d, q, u, side)
-        if side == "L":
-            paper = rhs_corr_tfshift_paper(f, g, angle, d, q, u, side)
-            return paper, derived, True
-        return derived, derived, False
-    raise ValueError(f"unknown identity {identity!r}")
+# --------------------------------------------------------------------------
+# the catalogue
+
+@dataclass(frozen=True, slots=True)
+class _Family:
+    """One catalogue row: ``op`` is "conv", "corr" or "prod"; ``operand``
+    the slot ("L", "R" or None) that is shifted and modulated; ``sweeps``
+    the subset of "dq" the suite runs over. Where ``printed_differs(phi,
+    d, q)`` holds, ``printed_rhs(f, g, angle, d, q, u)`` is the printed
+    form, which departs from the derivation there."""
+
+    op: str
+    operand: str | None
+    sweeps: str
+    printed_differs: Callable[[float, float, float], bool] = (
+        lambda phi, d, q: False)
+    printed_rhs: Callable[..., ComplexArray] | None = None
+
+
+# the printed builders sit behind lambdas so that they, like every
+# evaluator, are looked up when a check runs
+_FAMILIES = {
+    IdentityId.CONV: _Family("conv", None, ""),
+    IdentityId.CONV_SHIFT_L: _Family("conv", "L", "d"),
+    IdentityId.CONV_SHIFT_R: _Family("conv", "R", "d"),
+    IdentityId.CONV_MOD_L: _Family("conv", "L", "q"),
+    IdentityId.CONV_MOD_R: _Family("conv", "R", "q"),
+    IdentityId.CONV_TFSHIFT_L: _Family("conv", "L", "dq"),
+    IdentityId.CONV_TFSHIFT_R: _Family("conv", "R", "dq"),
+    IdentityId.PROD: _Family("prod", None, ""),
+    IdentityId.CORR: _Family("corr", None, ""),
+    IdentityId.CORR_SHIFT_L: _Family(
+        "corr", "L", "d", lambda phi, d, q: phi == PI_HALF and d != 0.0,
+        lambda *args: rhs_corr_shift_paper(*args)),
+    IdentityId.CORR_SHIFT_R: _Family("corr", "R", "d"),
+    IdentityId.CORR_MOD_L: _Family("corr", "L", "q"),
+    IdentityId.CORR_MOD_R: _Family("corr", "R", "q"),
+    IdentityId.CORR_TFSHIFT_L: _Family(
+        "corr", "L", "dq", lambda phi, d, q: True,
+        lambda *args: rhs_corr_tfshift_paper(*args)),
+    IdentityId.CORR_TFSHIFT_R: _Family("corr", "R", "dq"),
+}
+
+
+def lhs_signal(identity: IdentityId, f: SampledSignal, g: SampledSignal,
+               angle: Angle, d: float, q: float) -> SampledSignal:
+    """Operator output whose transform is the left-hand side."""
+    family = _FAMILIES[identity]
+    operands = [f, g]
+    if family.operand is not None:
+        slot = "LR".index(family.operand)
+        if d != 0.0:
+            operands[slot] = shift_op(operands[slot], d)
+        if q != 0.0:
+            # modulation enters the integral on the conjugated copy of f
+            sign = -1.0 if family.op == "corr" and slot == 0 else 1.0
+            operands[slot] = modulate_op(operands[slot], sign * q)
+    operator = {"conv": frac_convolve, "corr": frac_correlate,
+                "prod": frac_product}[family.op]
+    return operator(*operands, angle)
+
+
+def rhs_values(identity: IdentityId, f: SampledSignal, g: SampledSignal,
+               angle: Angle, d: float, q: float,
+               ugrid: UniformGrid) -> ComplexArray:
+    """Derivation-consistent right-hand side on the u grid."""
+    family = _FAMILIES[identity]
+    if family.op == "prod":
+        return rhs_product(f, g, angle, ugrid)
+    builder = (rhs_conv_tfshift if family.op == "conv"
+               else rhs_corr_tfshift_derived)
+    # the plain families may take either side: both collapse at d = q = 0
+    return builder(f, g, angle, d, q, ugrid.points(), family.operand or "L")
 
 
 # --------------------------------------------------------------------------
@@ -404,97 +300,60 @@ def _residual(lhs: ComplexArray, rhs: ComplexArray) -> tuple[float, bool]:
     return diff / nrm, False
 
 
-def _inner_slice(count: int) -> slice:
-    # the product check trusts only the inner half of the u grid, where
-    # truncating the spectral-convolution integral leaks nothing
-    quarter = count // 4
-    return slice(quarter, count - quarter)
-
-
-def _check(identity: IdentityId, f: SampledSignal, g: SampledSignal,
-           angle: Angle, d: float, q: float, cfg: CheckConfig) -> IdentityReport:
-    u = cfg.ugrid.points()
+def _residuals(identity: IdentityId, f: SampledSignal, g: SampledSignal,
+               angle: Angle, d: float, q: float, ugrid: UniformGrid,
+               differs: bool) -> tuple[float, float, bool]:
+    """(paper residual, derived residual, both absolute) for one pair."""
+    family = _FAMILIES[identity]
+    u = ugrid.points()
     operator_out = lhs_signal(identity, f, g, angle, d, q)
-    paper, derived, differ = _rhs_forms(identity, f, g, angle, d, q, cfg.ugrid)
-    if identity is IdentityId.PROD:
-        sl = _inner_slice(cfg.ugrid.count)
-        lhs = smfrft_quadrature(operator_out, u[sl], angle)
-        paper = paper[sl]
-        derived = derived[sl]
-    else:
-        lhs = smfrft_quadrature(operator_out, u, angle)
-
+    derived = rhs_values(identity, f, g, angle, d, q, ugrid)
+    paper = family.printed_rhs(f, g, angle, d, q, u) if differs else derived
+    if family.op == "prod":
+        # the product check trusts only the inner half of the u grid,
+        # where truncating the spectral-convolution integral leaks nothing
+        quarter = ugrid.count // 4
+        inner = slice(quarter, ugrid.count - quarter)
+        u, paper, derived = u[inner], paper[inner], derived[inner]
+    lhs = smfrft_quadrature(operator_out, u, angle)
     r_paper, absolute = _residual(lhs, paper)
-    if differ:
-        r_derived, abs_d = _residual(lhs, derived)
-        absolute = absolute and abs_d
-    else:
-        r_derived = r_paper
-    tolerance = cfg.zero_floor if absolute else cfg.tolerance
-    passed = min(r_paper, r_derived) <= tolerance
-    if not differ:
-        chosen = "agree"
-    else:
-        chosen = "derived" if r_derived <= r_paper else "paper"
+    if not differs:
+        return r_paper, r_paper, absolute
+    r_derived, abs_d = _residual(lhs, derived)
+    return r_paper, r_derived, absolute and abs_d
+
+
+def _report(identity: IdentityId, phi: float, d: float, q: float, n: int,
+            per_pair: list[tuple[float, float, bool]], cfg: CheckConfig,
+            differs: bool) -> IdentityReport:
+    """Worst case over the operand pairs for one parameter combination."""
+    r_paper = max(p for p, _, _ in per_pair)
+    r_derived = max(r for _, r, _ in per_pair)
+    tolerance = max(cfg.zero_floor if absolute else cfg.tolerance
+                    for _, _, absolute in per_pair)
+    chosen = ("agree" if not differs
+              else "derived" if r_derived <= r_paper else "paper")
     return IdentityReport(
-        identity=identity, phi=angle.phi, d=d, q=q, n=f.grid.count,
+        identity=identity, phi=phi, d=d, q=q, n=n,
         residual_paper_form=r_paper, residual_derived_form=r_derived,
-        tolerance=tolerance, passed=passed, chosen_form=chosen,
+        tolerance=tolerance, passed=min(r_paper, r_derived) <= tolerance,
+        chosen_form=chosen,
     )
 
 
-# --------------------------------------------------------------------------
-# public per-identity checks
-
-def check_convolution(f, g, angle, cfg) -> IdentityReport:
-    """Transform of the weighted convolution vs sqrt(j*2*pi)*F*G."""
-    return _check(IdentityId.CONV, f, g, angle, 0.0, 0.0, cfg)
-
-
-def check_conv_shift(f, g, angle, d, side, cfg) -> IdentityReport:
-    identity = (IdentityId.CONV_SHIFT_L if side == "L"
-                else IdentityId.CONV_SHIFT_R)
-    return _check(identity, f, g, angle, d, 0.0, cfg)
-
-
-def check_conv_modulation(f, g, angle, q, side, cfg) -> IdentityReport:
-    identity = (IdentityId.CONV_MOD_L if side == "L"
-                else IdentityId.CONV_MOD_R)
-    return _check(identity, f, g, angle, 0.0, q, cfg)
-
-
-def check_conv_tfshift(f, g, angle, d, q, side, cfg) -> IdentityReport:
-    identity = (IdentityId.CONV_TFSHIFT_L if side == "L"
-                else IdentityId.CONV_TFSHIFT_R)
-    return _check(identity, f, g, angle, d, q, cfg)
-
-
-def check_product(f, g, angle, cfg) -> IdentityReport:
-    """Transform of the weighted product vs the truncated spectral
-    convolution, residual restricted to the inner half of the grid."""
-    return _check(IdentityId.PROD, f, g, angle, 0.0, 0.0, cfg)
-
-
-def check_correlation(f, g, angle, cfg) -> IdentityReport:
-    return _check(IdentityId.CORR, f, g, angle, 0.0, 0.0, cfg)
-
-
-def check_corr_shift(f, g, angle, d, side, cfg) -> IdentityReport:
-    identity = (IdentityId.CORR_SHIFT_L if side == "L"
-                else IdentityId.CORR_SHIFT_R)
-    return _check(identity, f, g, angle, d, 0.0, cfg)
-
-
-def check_corr_modulation(f, g, angle, q, side, cfg) -> IdentityReport:
-    identity = (IdentityId.CORR_MOD_L if side == "L"
-                else IdentityId.CORR_MOD_R)
-    return _check(identity, f, g, angle, 0.0, q, cfg)
-
-
-def check_corr_tfshift(f, g, angle, d, q, side, cfg) -> IdentityReport:
-    identity = (IdentityId.CORR_TFSHIFT_L if side == "L"
-                else IdentityId.CORR_TFSHIFT_R)
-    return _check(identity, f, g, angle, d, q, cfg)
+def check(identity: IdentityId, f: SampledSignal, g: SampledSignal,
+          angle: Angle, cfg: CheckConfig, d: float = 0.0,
+          q: float = 0.0) -> IdentityReport:
+    """Check one identity for one operand pair at delay d and carrier q;
+    a family takes only the parameters the suite sweeps for it."""
+    family = _FAMILIES[identity]
+    for name, value in (("d", d), ("q", q)):
+        if value != 0.0 and name not in family.sweeps:
+            raise InvalidParameterError(f"{identity.value} takes no {name}")
+    differs = family.printed_differs(angle.phi, d, q)
+    residuals = _residuals(identity, f, g, angle, d, q, cfg.ugrid, differs)
+    return _report(identity, angle.phi, d, q, f.grid.count, [residuals],
+                   cfg, differs)
 
 
 # --------------------------------------------------------------------------
@@ -555,8 +414,10 @@ class SuiteConfig:
         fails here with InvalidParameterError instead of deep in a check.
 
         Sequences become tuples and identity names become IdentityId.
-        Delays and the grid start must sit on the time lattice, because
-        the operators shift by whole samples.
+        Identities, angles, delays and carriers must be distinct, so that
+        each record is run and reported once. Delays and the grid start
+        must sit on the time lattice, because the operators shift by whole
+        samples.
         """
         n = _number("n", self.n, integral=True)
         if n < 2:
@@ -584,6 +445,11 @@ class SuiteConfig:
                 f"pair_indices: each must be in 0..{PAIR_COUNT - 1}, got {list(pairs)}")
         object.__setattr__(self, "pair_indices", pairs)
         object.__setattr__(self, "identities", _identities(self.identities))
+        for name in ("identities", "angles", "d_values", "q_values"):
+            values = getattr(self, name)   # 0.0 and -0.0 are duplicates
+            if len(set(values)) != len(values):
+                raise InvalidParameterError(
+                    f"{name}: duplicate entries in {list(values)!r}")
         for name in ("tolerance_fractional", "tolerance_pi_half",
                      "tolerance_product", "zero_floor"):
             if _number(name, getattr(self, name)) < 0:
@@ -600,79 +466,6 @@ class SuiteConfig:
         return self.tolerance_fractional
 
 
-def _params_for(kind: str, cfg: SuiteConfig):
-    if kind == "base":
-        return [(0.0, 0.0)]
-    if kind == "shift":
-        return [(d, 0.0) for d in cfg.d_values]
-    if kind == "mod":
-        return [(0.0, q) for q in cfg.q_values]
-    return [(d, q) for d in cfg.d_values for q in cfg.q_values]
-
-
-_BASE_OF = {
-    IdentityId.CONV_SHIFT_L: IdentityId.CONV,
-    IdentityId.CONV_SHIFT_R: IdentityId.CONV,
-    IdentityId.CONV_MOD_L: IdentityId.CONV,
-    IdentityId.CONV_MOD_R: IdentityId.CONV,
-    IdentityId.CORR_SHIFT_L: IdentityId.CORR,
-    IdentityId.CORR_SHIFT_R: IdentityId.CORR,
-    IdentityId.CORR_MOD_L: IdentityId.CORR,
-    IdentityId.CORR_MOD_R: IdentityId.CORR,
-}
-
-_TFSHIFT_COLLAPSE = {
-    IdentityId.CONV_TFSHIFT_L: (IdentityId.CONV, IdentityId.CONV_SHIFT_L,
-                                IdentityId.CONV_MOD_L),
-    IdentityId.CONV_TFSHIFT_R: (IdentityId.CONV, IdentityId.CONV_SHIFT_R,
-                                IdentityId.CONV_MOD_R),
-    IdentityId.CORR_TFSHIFT_R: (IdentityId.CORR, IdentityId.CORR_SHIFT_R,
-                                IdentityId.CORR_MOD_R),
-    # CORR_TFSHIFT_L is deliberately absent: its printed form differs from
-    # the derivation at every (d, q), so its adjudication is never shared.
-}
-
-
-def _canonical_check(identity: IdentityId, d: float,
-                     q: float) -> tuple[IdentityId, float, float]:
-    """Collapse zero-parameter variants onto the identity they equal.
-
-    The specialized right-hand sides coincide bitwise at d = 0 and/or
-    q = 0 (the specialization lattice), so the suite computes each
-    distinct check once and relabels the report.
-    """
-    if identity in _BASE_OF and d == 0.0 and q == 0.0:
-        return _BASE_OF[identity], 0.0, 0.0
-    if identity in _TFSHIFT_COLLAPSE:
-        base, shift, mod = _TFSHIFT_COLLAPSE[identity]
-        if d == 0.0 and q == 0.0:
-            return base, 0.0, 0.0
-        if q == 0.0:
-            return shift, d, 0.0
-        if d == 0.0:
-            return mod, 0.0, q
-    return identity, d, q
-
-
-def _merge_reports(reports: list[IdentityReport]) -> IdentityReport:
-    """Worst case over the corpus pairs for one parameter combination."""
-    first = reports[0]
-    r_paper = max(r.residual_paper_form for r in reports)
-    r_derived = max(r.residual_derived_form for r in reports)
-    tolerance = max(r.tolerance for r in reports)
-    differ = any(r.chosen_form != "agree" for r in reports)
-    if not differ:
-        chosen = "agree"
-    else:
-        chosen = "derived" if r_derived <= r_paper else "paper"
-    return IdentityReport(
-        identity=first.identity, phi=first.phi, d=first.d, q=first.q,
-        n=first.n, residual_paper_form=r_paper,
-        residual_derived_form=r_derived, tolerance=tolerance,
-        passed=min(r_paper, r_derived) <= tolerance, chosen_form=chosen,
-    )
-
-
 def run_suite(cfg: SuiteConfig = SuiteConfig()) -> list[IdentityReport]:
     """Run every configured identity over the parameter grid.
 
@@ -684,40 +477,38 @@ def run_suite(cfg: SuiteConfig = SuiteConfig()) -> list[IdentityReport]:
     ugrid = fast_ugrid(tgrid)
     pairs = default_pairs(tgrid)
     selected = [pairs[i] for i in cfg.pair_indices]
+    if not selected:
+        return []
     memo: dict = {}
     reports: list[IdentityReport] = []
     for identity in cfg.identities:
+        family = _FAMILIES[identity]
+        params = [(d, q)
+                  for d in (cfg.d_values if "d" in family.sweeps else (0.0,))
+                  for q in (cfg.q_values if "q" in family.sweeps else (0.0,))]
         for phi in cfg.angles:
             angle = make_angle(phi)
-            check_cfg = CheckConfig(
-                ugrid=ugrid,
-                tolerance=cfg.tolerance_for(identity, phi),
-                zero_floor=cfg.zero_floor,
-            )
-            for d, q in _params_for(_PARAM_KIND[identity], cfg):
-                canon = _canonical_check(identity, d, q)
-                try:
-                    per_pair = []
-                    for pair_idx, (f, g) in enumerate(selected):
-                        key = (pair_idx, phi, canon)
-                        if key not in memo:
-                            memo[key] = _check(canon[0], f, g, angle,
-                                               canon[1], canon[2], check_cfg)
-                        per_pair.append(memo[key])
-                except Exception as exc:
-                    raise RuntimeError(
-                        f"{identity.value} failed at phi={phi} d={d} q={q}"
-                    ) from exc
-                if per_pair:
-                    merged = _merge_reports(per_pair)
-                    reports.append(IdentityReport(
-                        identity=identity, phi=merged.phi, d=d, q=q,
-                        n=merged.n,
-                        residual_paper_form=merged.residual_paper_form,
-                        residual_derived_form=merged.residual_derived_form,
-                        tolerance=merged.tolerance, passed=merged.passed,
-                        chosen_form=merged.chosen_form,
-                    ))
+            check_cfg = CheckConfig(ugrid, cfg.tolerance_for(identity, phi),
+                                    cfg.zero_floor)
+            for d, q in params:
+                differs = family.printed_differs(phi, d, q)
+                # the general builders collapse onto the simpler families,
+                # so one check serves every record with the same operator,
+                # shifted operand (immaterial at d = q = 0) and (d, q),
+                # unless the record's printed form differs
+                key = ((identity, d, q) if differs else
+                       (family.op, family.operand if d or q else None, d, q))
+                if (phi, key) not in memo:
+                    try:
+                        memo[phi, key] = [
+                            _residuals(identity, f, g, angle, d, q, ugrid,
+                                       differs) for f, g in selected]
+                    except Exception as exc:
+                        raise RuntimeError(
+                            f"{identity.value} failed at phi={phi} d={d} q={q}"
+                        ) from exc
+                reports.append(_report(identity, phi, d, q, tgrid.count,
+                                       memo[phi, key], check_cfg, differs))
     return reports
 
 

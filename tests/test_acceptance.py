@@ -36,6 +36,7 @@ from smfrft.cli import cli
 from smfrft.corpus import acceptance_signals
 from smfrft.io_csv import read_signal_csv
 
+import closed_forms
 import dense_oracle
 
 PI = math.pi
@@ -192,20 +193,20 @@ def test_criterion_7_specialization_lattice():
         for side in ("L", "R"):
             conv_cases = [
                 (theorems.rhs_conv_tfshift(f, g, angle, 0.5, 0.0, u, side),
-                 theorems.rhs_conv_shift(f, g, angle, 0.5, u, side)),
+                 closed_forms.rhs_conv_shift(f, g, angle, 0.5, u, side)),
                 (theorems.rhs_conv_tfshift(f, g, angle, 0.0, 1.0, u, side),
-                 theorems.rhs_conv_modulation(f, g, angle, 1.0, u, side)),
+                 closed_forms.rhs_conv_modulation(f, g, angle, 1.0, u, side)),
                 (theorems.rhs_conv_tfshift(f, g, angle, 0.0, 0.0, u, side),
-                 theorems.rhs_convolution(f, g, angle, u)),
+                 closed_forms.rhs_convolution(f, g, angle, u)),
                 (theorems.rhs_corr_tfshift_derived(f, g, angle, 0.5, 0.0, u,
                                                    side),
-                 theorems.rhs_corr_shift_derived(f, g, angle, 0.5, u, side)),
+                 closed_forms.rhs_corr_shift_derived(f, g, angle, 0.5, u, side)),
                 (theorems.rhs_corr_tfshift_derived(f, g, angle, 0.0, 1.0, u,
                                                    side),
-                 theorems.rhs_corr_modulation(f, g, angle, 1.0, u, side)),
+                 closed_forms.rhs_corr_modulation(f, g, angle, 1.0, u, side)),
                 (theorems.rhs_corr_tfshift_derived(f, g, angle, 0.0, 0.0, u,
                                                    side),
-                 theorems.rhs_correlation(f, g, angle, u)),
+                 closed_forms.rhs_correlation(f, g, angle, u)),
             ]
             for specialized, simpler in conv_cases:
                 assert relative_l2_error(specialized, simpler) <= 1e-12

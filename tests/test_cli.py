@@ -8,7 +8,7 @@ from click.testing import CliRunner
 from smfrft.cli import cli
 from smfrft.io_csv import read_signal_csv, write_signal_csv
 from smfrft import gen_chirp, make_grid, relative_l2_error
-from smfrft import SampledSignal
+from smfrft import SampledSignal, SuiteConfig, reports_to_json, run_suite
 
 
 @pytest.fixture
@@ -274,6 +274,24 @@ class TestVerify:
                                      "--output", str(tmp_path / "r.json")])
         assert result.exit_code == 2, result.output
         assert "error:" in result.output
+        assert not (tmp_path / "r.json").exists()
+
+    def test_report_file_is_reports_to_json(self, runner, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(self.CFG))
+        report = tmp_path / "report.json"
+        result = runner.invoke(cli, ["verify", "--config", str(cfg),
+                                     "--output", str(report)])
+        assert result.exit_code == 0, result.output
+        expected = reports_to_json(run_suite(SuiteConfig(**self.CFG)))
+        assert report.read_text(encoding="ascii") == expected + "\n"
+
+    def test_duplicate_identities_exit_two(self, runner, tmp_path):
+        result = runner.invoke(cli, ["verify", "--identities", "CONV,CONV",
+                                     "--count", "256",
+                                     "--output", str(tmp_path / "r.json")])
+        assert result.exit_code == 2, result.output
+        assert "duplicate" in result.output
         assert not (tmp_path / "r.json").exists()
 
     def test_unknown_identity_exits_two(self, runner, tmp_path):

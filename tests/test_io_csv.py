@@ -4,6 +4,7 @@ import pytest
 from smfrft import (
     InvalidGridError,
     InvalidParameterError,
+    ShapeMismatchError,
     gen_chirp,
     gen_gaussian,
     make_grid,
@@ -44,6 +45,14 @@ def test_spectrum_round_trip(tmp_path):
     grid_back, values_back = read_spectrum_csv(path)
     assert grid_back == ugrid
     np.testing.assert_array_equal(values_back, values)
+
+
+@pytest.mark.parametrize("count", [3, 5])
+def test_spectrum_values_must_match_grid(tmp_path, count):
+    path = tmp_path / "spec.csv"
+    with pytest.raises(ShapeMismatchError, match=f"{count} values .* 4 points"):
+        write_spectrum_csv(path, make_grid(0.0, 1.0, 4), np.ones(count))
+    assert not path.exists()
 
 
 def test_header_is_canonical(tmp_path):

@@ -1,3 +1,4 @@
+import collections
 import json
 import math
 
@@ -11,15 +12,7 @@ from smfrft import (
     InvalidParameterError,
     SampledSignal,
     SuiteConfig,
-    check_conv_modulation,
-    check_conv_shift,
-    check_conv_tfshift,
-    check_convolution,
-    check_corr_modulation,
-    check_corr_shift,
-    check_corr_tfshift,
-    check_correlation,
-    check_product,
+    check,
     conj_transform,
     fast_ugrid,
     frac_correlate,
@@ -36,6 +29,7 @@ from smfrft import (
 )
 from smfrft.corpus import PAIR_COUNT, default_pairs
 
+import closed_forms
 import dense_oracle
 
 PI = math.pi
@@ -101,7 +95,7 @@ class TestConjTransform:
 class TestIndividualChecks:
     def test_convolution_passes(self, operands, theorem_cfg):
         f, g = operands
-        report = check_convolution(f, g, make_angle(PI / 3), theorem_cfg)
+        report = check(IdentityId.CONV, f, g, make_angle(PI / 3), theorem_cfg)
         assert report.passed
         assert report.residual_paper_form == report.residual_derived_form
         assert report.chosen_form == "agree"
@@ -111,7 +105,8 @@ class TestIndividualChecks:
         zero = SampledSignal(theorem_grid,
                              np.zeros(theorem_grid.count, complex))
         g = gen_gaussian(theorem_grid, 0.0, 1.0, 0.0)
-        report = check_convolution(zero, g, make_angle(PI / 3), theorem_cfg)
+        report = check(IdentityId.CONV, zero, g, make_angle(PI / 3),
+                       theorem_cfg)
         assert report.passed
         assert report.tolerance == theorem_cfg.zero_floor
         assert report.residual_paper_form <= 1e-14
@@ -119,8 +114,8 @@ class TestIndividualChecks:
     @pytest.mark.parametrize("side", ["L", "R"])
     def test_shift_convolution(self, operands, theorem_cfg, side):
         f, g = operands
-        report = check_conv_shift(f, g, make_angle(PI / 4), 0.5, side,
-                                  theorem_cfg)
+        report = check(IdentityId("CONV_SHIFT_" + side), f, g,
+                       make_angle(PI / 4), theorem_cfg, d=0.5)
         assert report.passed
         assert report.chosen_form == "agree"
 
@@ -128,29 +123,30 @@ class TestIndividualChecks:
                                                        theorem_cfg):
         f, g = operands
         angle = make_angle(PI / 3)
-        base = check_convolution(f, g, angle, theorem_cfg)
-        shifted = check_conv_shift(f, g, angle, 0.0, "L", theorem_cfg)
+        base = check(IdentityId.CONV, f, g, angle, theorem_cfg)
+        shifted = check(IdentityId.CONV_SHIFT_L, f, g, angle, theorem_cfg,
+                        d=0.0)
         assert shifted.residual_paper_form == pytest.approx(
             base.residual_paper_form, rel=1e-12)
 
     @pytest.mark.parametrize("side", ["L", "R"])
     def test_modulation_convolution(self, operands, theorem_cfg, side):
         f, g = operands
-        report = check_conv_modulation(f, g, make_angle(PI / 3), 1.0, side,
-                                       theorem_cfg)
+        report = check(IdentityId("CONV_MOD_" + side), f, g,
+                       make_angle(PI / 3), theorem_cfg, q=1.0)
         assert report.passed
 
     @pytest.mark.parametrize("side", ["L", "R"])
     def test_tfshift_convolution(self, operands, theorem_cfg, side):
         f, g = operands
-        report = check_conv_tfshift(f, g, make_angle(PI / 4), 0.5, 1.0, side,
-                                    theorem_cfg)
+        report = check(IdentityId("CONV_TFSHIFT_" + side), f, g,
+                       make_angle(PI / 4), theorem_cfg, d=0.5, q=1.0)
         assert report.passed
 
     def test_product(self, operands, theorem_grid):
         f, g = operands
         cfg = CheckConfig(ugrid=fast_ugrid(theorem_grid), tolerance=1e-3)
-        report = check_product(f, g, make_angle(PI / 3), cfg)
+        report = check(IdentityId.PROD, f, g, make_angle(PI / 3), cfg)
         assert report.passed
 
     def test_product_wide_second_factor(self):
@@ -159,24 +155,24 @@ class TestIndividualChecks:
         f = gen_gaussian(grid, 0.0, 1.0, 0.5)
         g = gen_gaussian(grid, 0.0, 8.0, 0.0)
         cfg = CheckConfig(ugrid=fast_ugrid(grid), tolerance=1e-3)
-        report = check_product(f, g, make_angle(PI / 3), cfg)
+        report = check(IdentityId.PROD, f, g, make_angle(PI / 3), cfg)
         assert report.passed
 
     def test_product_right_angle(self, operands, theorem_grid):
         f, g = operands
         cfg = CheckConfig(ugrid=fast_ugrid(theorem_grid), tolerance=1e-3)
-        assert check_product(f, g, make_angle(PI / 2), cfg).passed
+        assert check(IdentityId.PROD, f, g, make_angle(PI / 2), cfg).passed
 
     def test_correlation(self, operands, theorem_cfg):
         f, g = operands
-        report = check_correlation(f, g, make_angle(PI / 4), theorem_cfg)
+        report = check(IdentityId.CORR, f, g, make_angle(PI / 4), theorem_cfg)
         assert report.passed
 
     def test_correlation_real_autocorrelation(self, theorem_grid):
         f = gen_gaussian(theorem_grid, 0.0, 1.0, 0.0)
         cfg = CheckConfig(ugrid=fast_ugrid(theorem_grid), tolerance=1e-6)
         angle = make_angle(PI / 2)
-        report = check_correlation(f, f, angle, cfg)
+        report = check(IdentityId.CORR, f, f, angle, cfg)
         assert report.passed
         out = frac_correlate(f, f, angle)
         assert np.max(np.abs(out.samples.imag)) <= 1e-10
@@ -185,32 +181,45 @@ class TestIndividualChecks:
         f = gen_gaussian(theorem_grid, 0.0, 1.0, 0.0)
         zero = SampledSignal(theorem_grid,
                              np.zeros(theorem_grid.count, complex))
-        report = check_correlation(f, zero, make_angle(PI / 4), theorem_cfg)
+        report = check(IdentityId.CORR, f, zero, make_angle(PI / 4),
+                       theorem_cfg)
         assert report.passed
         assert report.residual_paper_form <= 1e-14
 
     @pytest.mark.parametrize("side", ["L", "R"])
     def test_shift_correlation(self, operands, theorem_cfg, side):
         f, g = operands
-        report = check_corr_shift(f, g, make_angle(PI / 4), 0.5, side,
-                                  theorem_cfg)
+        report = check(IdentityId("CORR_SHIFT_" + side), f, g,
+                       make_angle(PI / 4), theorem_cfg, d=0.5)
         assert report.passed
         assert report.chosen_form == "agree"
 
     @pytest.mark.parametrize("side", ["L", "R"])
     def test_modulation_correlation(self, operands, theorem_cfg, side):
         f, g = operands
-        report = check_corr_modulation(f, g, make_angle(PI / 3), 1.0, side,
-                                       theorem_cfg)
+        report = check(IdentityId("CORR_MOD_" + side), f, g,
+                       make_angle(PI / 3), theorem_cfg, q=1.0)
         assert report.passed
 
     def test_tfshift_correlation_right_side_agrees(self, operands,
                                                    theorem_cfg):
         f, g = operands
-        report = check_corr_tfshift(f, g, make_angle(PI / 4), 0.5, 1.0, "R",
-                                    theorem_cfg)
+        report = check(IdentityId.CORR_TFSHIFT_R, f, g, make_angle(PI / 4),
+                       theorem_cfg, d=0.5, q=1.0)
         assert report.passed
         assert report.chosen_form == "agree"
+
+
+    @pytest.mark.parametrize("identity, params", [
+        (IdentityId.CONV, {"d": 0.5}), (IdentityId.PROD, {"q": 1.0}),
+        (IdentityId.CONV_SHIFT_L, {"q": 1.0}),
+        (IdentityId.CORR_MOD_R, {"d": 0.5}),
+    ])
+    def test_unswept_parameter_rejected(self, operands, theorem_cfg,
+                                        identity, params):
+        f, g = operands
+        with pytest.raises(InvalidParameterError, match="takes no"):
+            check(identity, f, g, make_angle(PI / 4), theorem_cfg, **params)
 
 
 class TestAdjudication:
@@ -220,7 +229,8 @@ class TestAdjudication:
         # formula specialized to cot = 0 is the one that holds
         f, g = operands
         cfg = CheckConfig(ugrid=fast_ugrid(theorem_grid), tolerance=1e-6)
-        report = check_corr_shift(f, g, make_angle(PI / 2), 0.5, "L", cfg)
+        report = check(IdentityId.CORR_SHIFT_L, f, g, make_angle(PI / 2), cfg,
+                       d=0.5)
         assert report.passed
         assert report.chosen_form == "derived"
         assert report.residual_derived_form <= 1e-6
@@ -229,8 +239,8 @@ class TestAdjudication:
     def test_shifted_correlation_fractional_angles_agree(self, operands,
                                                          theorem_cfg):
         f, g = operands
-        report = check_corr_shift(f, g, make_angle(PI / 3), 0.5, "L",
-                                  theorem_cfg)
+        report = check(IdentityId.CORR_SHIFT_L, f, g, make_angle(PI / 3),
+                       theorem_cfg, d=0.5)
         assert report.chosen_form == "agree"
 
     @pytest.mark.parametrize("d,q", [(0.5, 1.0), (0.5, 0.0), (0.0, 1.0),
@@ -240,8 +250,8 @@ class TestAdjudication:
         # carries a different phase pattern; the derivation-consistent
         # form wins at every parameter set for non-even operands
         f, g = operands
-        report = check_corr_tfshift(f, g, make_angle(PI / 4), d, q, "L",
-                                    theorem_cfg)
+        report = check(IdentityId.CORR_TFSHIFT_L, f, g, make_angle(PI / 4),
+                       theorem_cfg, d=d, q=q)
         assert report.passed
         assert report.chosen_form == "derived"
         assert report.residual_derived_form <= 1e-4
@@ -256,13 +266,13 @@ class TestSpecializationLattice:
         u = fast_ugrid(theorem_grid).points()
         for side in ("L", "R"):
             tf = theorems.rhs_conv_tfshift(f, g, angle, 0.5, 0.0, u, side)
-            sh = theorems.rhs_conv_shift(f, g, angle, 0.5, u, side)
+            sh = closed_forms.rhs_conv_shift(f, g, angle, 0.5, u, side)
             assert relative_l2_error(tf, sh) <= 1e-12
             tf = theorems.rhs_conv_tfshift(f, g, angle, 0.0, 1.0, u, side)
-            mod = theorems.rhs_conv_modulation(f, g, angle, 1.0, u, side)
+            mod = closed_forms.rhs_conv_modulation(f, g, angle, 1.0, u, side)
             assert relative_l2_error(tf, mod) <= 1e-12
             tf = theorems.rhs_conv_tfshift(f, g, angle, 0.0, 0.0, u, side)
-            base = theorems.rhs_convolution(f, g, angle, u)
+            base = closed_forms.rhs_convolution(f, g, angle, u)
             assert relative_l2_error(tf, base) <= 1e-12
 
     def test_corr_tfshift_specializes(self, operands, theorem_grid):
@@ -272,15 +282,15 @@ class TestSpecializationLattice:
         for side in ("L", "R"):
             tf = theorems.rhs_corr_tfshift_derived(f, g, angle, 0.5, 0.0, u,
                                                    side)
-            sh = theorems.rhs_corr_shift_derived(f, g, angle, 0.5, u, side)
+            sh = closed_forms.rhs_corr_shift_derived(f, g, angle, 0.5, u, side)
             assert relative_l2_error(tf, sh) <= 1e-12
             tf = theorems.rhs_corr_tfshift_derived(f, g, angle, 0.0, 1.0, u,
                                                    side)
-            mod = theorems.rhs_corr_modulation(f, g, angle, 1.0, u, side)
+            mod = closed_forms.rhs_corr_modulation(f, g, angle, 1.0, u, side)
             assert relative_l2_error(tf, mod) <= 1e-12
             tf = theorems.rhs_corr_tfshift_derived(f, g, angle, 0.0, 0.0, u,
                                                    side)
-            base = theorems.rhs_correlation(f, g, angle, u)
+            base = closed_forms.rhs_correlation(f, g, angle, u)
             assert relative_l2_error(tf, base) <= 1e-12
 
 
@@ -292,7 +302,8 @@ class TestIndependence:
         # of the operators whose outputs they are checked against
         f, g = operands
         angle = make_angle(PI / 4)
-        u = fast_ugrid(theorem_grid).points()
+        ugrid = fast_ugrid(theorem_grid)
+        u = ugrid.points()
 
         def boom(*args, **kwargs):
             raise AssertionError("RHS builder invoked a time-domain operator")
@@ -300,11 +311,10 @@ class TestIndependence:
         monkeypatch.setattr(theorems, "frac_convolve", boom)
         monkeypatch.setattr(theorems, "frac_correlate", boom)
         monkeypatch.setattr(theorems, "frac_product", boom)
-        theorems.rhs_convolution(f, g, angle, u)
-        theorems.rhs_conv_tfshift(f, g, angle, 0.5, 1.0, u, "L")
-        theorems.rhs_product(f, g, angle, fast_ugrid(theorem_grid))
-        theorems.rhs_correlation(f, g, angle, u)
-        theorems.rhs_corr_tfshift_derived(f, g, angle, 0.5, 1.0, u, "L")
+        for identity in IdentityId:
+            theorems.rhs_values(identity, f, g, angle, 0.5, 1.0, ugrid)
+        theorems.rhs_corr_shift_paper(f, g, angle, 0.5, 0.0, u)
+        theorems.rhs_corr_tfshift_paper(f, g, angle, 0.5, 1.0, u)
         with pytest.raises(AssertionError):
             theorems.lhs_signal(IdentityId.CONV, f, g, angle, 0.0, 0.0)
 
@@ -328,6 +338,20 @@ class TestSuite:
         per_angle = 3 * 1 + 4 * 2 + 4 * 2 + 4 * 4
         assert len(reports) == 2 * per_angle
         assert {r.identity for r in reports} == set(IdentityId)
+
+    def test_shared_checks_do_the_same_work(self, monkeypatch):
+        # records share one computed check where the general builders
+        # collapse onto a simpler family; these counts pin that sharing
+        counts = collections.Counter()
+        for name in ("smfrft_quadrature", "frac_convolve", "frac_correlate",
+                     "frac_product"):
+            def counted(*args, _name=name, _fn=getattr(theorems, name)):
+                counts[_name] += 1
+                return _fn(*args)
+            monkeypatch.setattr(theorems, name, counted)
+        run_suite(self.small_config())
+        assert counts == {"smfrft_quadrature": 126, "frac_convolve": 14,
+                          "frac_correlate": 20, "frac_product": 2}
 
     def test_empty_corpus_is_vacuous(self):
         reports = run_suite(self.small_config(pair_indices=()))
@@ -368,7 +392,7 @@ class TestSuite:
         def boom(*args, **kwargs):
             raise ValueError("synthetic")
 
-        monkeypatch.setattr(theorems, "rhs_correlation", boom)
+        monkeypatch.setattr(theorems, "rhs_corr_tfshift_derived", boom)
         with pytest.raises(RuntimeError, match="CORR .*phi=0.785"):
             run_suite(cfg)
 
@@ -389,6 +413,11 @@ class TestSuiteConfigValidation:
         {"identities": ["NOPE"]}, {"identities": "CONV"},
         {"d_values": [0.3]}, {"d_values": [32.0]}, {"start": -16.01},
         {"tolerance_fractional": -1.0}, {"zero_floor": float("inf")},
+        {"identities": ["CONV", "CONV"]},
+        {"identities": ["CONV", IdentityId.CONV]},
+        {"angles": [PI / 4, PI / 4]}, {"d_values": [0.0, -0.0]},
+        {"d_values": [0.5, 0.0, 0.5]}, {"q_values": [1.0, 1.0]},
+        {"q_values": [-0.0, 0.0]},
     ])
     def test_bad_fields_rejected(self, overrides):
         with pytest.raises(InvalidParameterError):
@@ -402,13 +431,15 @@ class TestDenseCrossCheck:
         # chirp-z and FFT evaluators and require the same verdicts
         cfg = SuiteConfig(n=1024, angles=(PI / 3, PI / 2))
         fft_rows = report_rows(run_suite(cfg))
-        monkeypatch.setattr(theorems, "smfrft_quadrature",
-                            dense_oracle.smfrft_quadrature)
-        monkeypatch.setattr(theorems, "frac_convolve",
-                            dense_oracle.frac_convolve)
-        monkeypatch.setattr(theorems, "frac_correlate",
-                            dense_oracle.frac_correlate)
+        calls = collections.Counter()
+        for name in ("smfrft_quadrature", "frac_convolve", "frac_correlate"):
+            def dense(*args, _name=name, _fn=getattr(dense_oracle, name)):
+                calls[_name] += 1
+                return _fn(*args)
+            monkeypatch.setattr(theorems, name, dense)
         dense_rows = report_rows(run_suite(cfg))
+        assert set(calls) == {"smfrft_quadrature", "frac_convolve",
+                              "frac_correlate"}
         assert len(fft_rows) == len(dense_rows) == 70
         for fast, dense in zip(fft_rows, dense_rows):
             for key in ("identity", "phi", "d", "q", "pass", "chosen_form"):

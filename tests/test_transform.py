@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from smfrft import (
     AngleMismatchError,
@@ -204,6 +206,19 @@ class TestInverse:
             x = random_signal(grid, rng)
             back = ismfrft_fast(smfrft_fast(x, angle), angle)
             assert relative_l2_error(back.samples, x.samples) <= 1e-10
+
+    @given(log2n=st.integers(1, 12), start=st.floats(-100.0, 100.0),
+           step=st.floats(1e-3, 10.0),
+           phi=st.floats(0.01, PI - 0.01, exclude_min=True, exclude_max=True),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_fast_round_trip_random_grids(self, log2n, start, step, phi,
+                                          seed):
+        grid = make_grid(start, step, 2 ** log2n)
+        angle = make_angle(phi)
+        x = random_signal(grid, np.random.default_rng(seed))
+        back = ismfrft_fast(smfrft_fast(x, angle), angle)
+        assert relative_l2_error(back.samples, x.samples) <= 1e-12
 
     def test_fast_round_trip_other_composition(self, rng):
         grid = make_grid(-16.0, 32.0 / 256, 256)
