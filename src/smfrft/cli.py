@@ -269,6 +269,14 @@ def _suite_config_from(config_path, tolerance, identities, count) -> SuiteConfig
     return SuiteConfig(**overrides)
 
 
+def _headroom(residual: float, tolerance: float) -> float:
+    """residual / tolerance: a record passes at 1 or below. A zero
+    tolerance gives 0 for a zero residual and inf otherwise."""
+    if tolerance > 0:
+        return residual / tolerance
+    return 0.0 if residual == 0 else math.inf
+
+
 @cli.command()
 @click.option("--output", type=click.Path(), default="verify_report.json",
               show_default=True, help="Identity-report JSON path.")
@@ -287,12 +295,13 @@ def verify(output, config_path, tolerance, identities, count):
     reports = run_suite(cfg)
     Path(output).write_text(reports_to_json(reports) + "\n", encoding="ascii")
     click.echo(f"{'identity':<16} {'phi':>9} {'d':>5} {'q':>5} "
-               f"{'residual':>12}  pass")
+               f"{'residual':>12} {'headroom':>9}  pass")
     for r in reports:
         residual = min(r.residual_paper_form, r.residual_derived_form)
         click.echo(
             f"{r.identity.value:<16} {r.phi:>9.6f} {r.d:>5.2f} {r.q:>5.2f} "
-            f"{residual:>12.3e}  {'ok' if r.passed else 'FAIL'}"
+            f"{residual:>12.3e} {_headroom(residual, r.tolerance):>9.2f}  "
+            f"{'ok' if r.passed else 'FAIL'}"
         )
     adjudicated = [r for r in reports if r.chosen_form != "agree"]
     if adjudicated:

@@ -19,10 +19,16 @@ composes to the identity. Angles with cot(phi) undefined (phi a multiple
 of pi) are rejected at Angle construction; the delta-kernel branches of
 the conventional transform have no sampled representation and are out of
 scope.
+
+The chirp e^{(j/2) cot t^2} on a sampling grid, which the quadrature
+transforms and every operator weight apply, has one evaluator,
+``time_chirp``, cached per (grid, angle): the identity suite asks for
+the same few chirps hundreds of times.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -83,6 +89,19 @@ def make_angle(phi: float) -> Angle:
             f"degenerate angle: phi={phi!r} has |sin(phi)| < {SIN_PHI_FLOOR}"
         )
     return Angle(phi=phi, order=2.0 * phi / math.pi, cot_phi=math.cos(phi) / s)
+
+
+@functools.lru_cache(maxsize=16)
+def time_chirp(grid, angle: Angle) -> np.ndarray:
+    """exp((j/2) cot(phi) t^2) at the points of a ``UniformGrid``.
+
+    Cached per (grid, angle), so equal keys share one array; it is
+    read-only.
+    """
+    t = grid.points()
+    chirp = np.exp(0.5j * angle.cot_phi * t * t)
+    chirp.setflags(write=False)
+    return chirp
 
 
 def smfrft_kernel(t, u, angle: Angle):

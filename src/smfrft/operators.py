@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import AlignmentError, InvalidParameterError, ShapeMismatchError
 from .grid import SampledSignal
-from .kernel import Angle
+from .kernel import Angle, time_chirp
 from .transform import linear_convolve
 
 _ALIGN_RTOL = 1e-9
@@ -82,8 +82,7 @@ def frac_product(f: SampledSignal, g: SampledSignal,
                  angle: Angle) -> SampledSignal:
     """Pointwise product times the chirp weight e^{(j/2) t^2 cot(phi)}."""
     _require_common_grid(f, g)
-    t = f.grid.points()
-    weight = np.exp(0.5j * angle.cot_phi * t * t)
+    weight = time_chirp(f.grid, angle)
     return SampledSignal(f.grid, f.samples * g.samples * weight)
 
 
@@ -118,8 +117,7 @@ def frac_convolve(f: SampledSignal, g: SampledSignal,
     """
     _require_common_grid(f, g)
     origin = _origin_index(g)
-    t = f.grid.points()
-    chirp = np.exp(0.5j * angle.cot_phi * t * t)
+    chirp = time_chirp(f.grid, angle)
     full = linear_convolve(f.samples * chirp, g.samples * chirp)
     return _post_chirped(f.grid, full, -origin, chirp)
 
@@ -137,7 +135,6 @@ def frac_correlate(f: SampledSignal, g: SampledSignal,
     _require_common_grid(f, g)
     origin = _origin_index(g)
     n = f.grid.count
-    t = f.grid.points()
-    chirp = np.exp(0.5j * angle.cot_phi * t * t)
+    chirp = time_chirp(f.grid, angle)
     full = linear_convolve((np.conj(f.samples) * chirp)[::-1], g.samples * chirp)
     return _post_chirped(f.grid, full, origin + n - 1, chirp)

@@ -13,8 +13,16 @@ check computes its two sides from the row by disjoint routes:
 * RHS: ``rhs_conv_tfshift`` for every convolution family,
   ``rhs_corr_tfshift_derived`` for every correlation family and
   ``rhs_product`` for the product, with every spectrum at shifted or
-  negated abscissae a fresh quadrature at those exact points. Nothing
-  is interpolated, and no RHS ever calls a time-domain operator.
+  negated abscissae a quadrature at those exact points. Nothing is
+  interpolated, and no RHS ever calls a time-domain operator.
+
+Within ``run_suite`` many right-hand sides need the same operand spectrum
+at the same points (F(u), G(u), the overline F(-u)). The suite runs angle
+by angle and pair by pair, and for one (angle, pair) ``_spectrum``
+computes each such spectrum once and hands the same values to every
+builder that asks; the memo is dropped when that (angle, pair) ends.
+Left-hand transforms, and every call made outside ``run_suite``, are
+computed afresh.
 
 The rows hold no evaluator; each is looked up in this module when a
 check runs, so the test suite can re-run the whole certificate with the
@@ -38,6 +46,7 @@ multiplying the already-conjugated operand inside the integral. With the
 
 from __future__ import annotations
 
+import contextvars
 import json
 import math
 import numbers
@@ -142,15 +151,41 @@ def conj_transform(f: SampledSignal, angle: Angle,
 # builders collapse onto the plain, shifted and modulated forms. The
 # correlation forms take the overline spectrum of f (see conj_transform).
 
+# While run_suite computes one (angle, pair), the RHS spectra it has
+# already computed, keyed by (id(operand), conj, angle, u); each value
+# holds its operand, so no id is reused while the memo lives. None
+# everywhere else (other threads included): nothing else is memoized.
+_rhs_memo: contextvars.ContextVar[dict | None] = contextvars.ContextVar(
+    "_rhs_memo", default=None)
+
+
+def _spectrum(x: SampledSignal, u: np.ndarray, angle: Angle,
+              conj: bool = False) -> ComplexArray:
+    """Quadrature spectrum of ``x`` (of its conjugate with ``conj``, the
+    overline spectrum) at the evenly spaced points ``u``.
+
+    The quadrature reads only u[0], u[-1] and len(u), so those, to the
+    bit, name the points in the memo key.
+    """
+    memo = _rhs_memo.get()
+    if memo is None:
+        return smfrft_quadrature(x.conjugate() if conj else x, u, angle)
+    key = (id(x), conj, angle, len(u), u[[0, -1]].tobytes())
+    if key not in memo:
+        memo[key] = (x, smfrft_quadrature(x.conjugate() if conj else x, u,
+                                          angle))
+    return memo[key][1]
+
+
 def rhs_conv_tfshift(f, g, angle, d, q, u, side) -> ComplexArray:
     cot = angle.cot_phi
     phase = np.exp(-1j * (u - q) * d + 0.5j * d * d * cot)
     if side == "L":
-        fs = smfrft_quadrature(f, u - q - d * cot, angle)
-        gs = smfrft_quadrature(g, u, angle)
+        fs = _spectrum(f, u - q - d * cot, angle)
+        gs = _spectrum(g, u, angle)
     else:
-        fs = smfrft_quadrature(f, u, angle)
-        gs = smfrft_quadrature(g, u - q - d * cot, angle)
+        fs = _spectrum(f, u, angle)
+        gs = _spectrum(g, u - q - d * cot, angle)
     return sqrt_j2pi() * phase * fs * gs
 
 
@@ -169,8 +204,8 @@ def rhs_product(f, g, angle, ugrid: UniformGrid) -> ComplexArray:
         raise GridCompatibilityError(
             "product check needs a u grid whose start is a multiple of du"
         )
-    fs = smfrft_quadrature(f, u, angle)
-    gs = smfrft_quadrature(g, u, angle)
+    fs = _spectrum(f, u, angle)
+    gs = _spectrum(g, u, angle)
     full = linear_convolve(fs, gs)
     take = np.arange(ugrid.count) - r_u
     valid = (take >= 0) & (take < full.shape[0])
@@ -183,8 +218,8 @@ def rhs_corr_shift_paper(f, g, angle, d, q, u) -> ComplexArray:
     """Left-shifted correlation at pi/2 as printed, with the opposite
     phase sign to the general form (which matches the derivation)."""
     phase = np.exp(-1j * u * d)
-    return (sqrt_j2pi() * phase * smfrft_quadrature(f.conjugate(), -u, angle)
-            * smfrft_quadrature(g, u, angle))
+    return (sqrt_j2pi() * phase * _spectrum(f, -u, angle, conj=True)
+            * _spectrum(g, u, angle))
 
 
 def rhs_corr_tfshift_derived(f, g, angle, d, q, u, side) -> ComplexArray:
@@ -192,12 +227,12 @@ def rhs_corr_tfshift_derived(f, g, angle, d, q, u, side) -> ComplexArray:
     cot = angle.cot_phi
     if side == "L":
         phase = np.exp(1j * (u + q) * d + 0.5j * d * d * cot)
-        fs = smfrft_quadrature(f.conjugate(), -u - q - d * cot, angle)
-        gs = smfrft_quadrature(g, u, angle)
+        fs = _spectrum(f, -u - q - d * cot, angle, conj=True)
+        gs = _spectrum(g, u, angle)
     else:
         phase = np.exp(-1j * (u - q) * d + 0.5j * d * d * cot)
-        fs = smfrft_quadrature(f.conjugate(), -u, angle)
-        gs = smfrft_quadrature(g, u - q - d * cot, angle)
+        fs = _spectrum(f, -u, angle, conj=True)
+        gs = _spectrum(g, u - q - d * cot, angle)
     return sqrt_j2pi() * phase * fs * gs
 
 
@@ -207,8 +242,8 @@ def rhs_corr_tfshift_paper(f, g, angle, d, q, u) -> ComplexArray:
     leading negation the plain shifted form carries."""
     cot = angle.cot_phi
     phase = np.exp(-1j * (u - q) * d + 0.5j * d * d * cot)
-    fs = smfrft_quadrature(f.conjugate(), u - q - d * cot, angle)
-    gs = smfrft_quadrature(g, u, angle)
+    fs = _spectrum(f, u - q - d * cot, angle, conj=True)
+    gs = _spectrum(g, u, angle)
     return sqrt_j2pi() * phase * fs * gs
 
 
@@ -414,10 +449,10 @@ class SuiteConfig:
         fails here with InvalidParameterError instead of deep in a check.
 
         Sequences become tuples and identity names become IdentityId.
-        Identities, angles, delays and carriers must be distinct, so that
-        each record is run and reported once. Delays and the grid start
-        must sit on the time lattice, because the operators shift by whole
-        samples.
+        Identities, angles, delays, carriers and pair indices must be
+        distinct, so that each record and each pair is run once. Delays
+        and the grid start must sit on the time lattice, because the
+        operators shift by whole samples.
         """
         n = _number("n", self.n, integral=True)
         if n < 2:
@@ -445,7 +480,8 @@ class SuiteConfig:
                 f"pair_indices: each must be in 0..{PAIR_COUNT - 1}, got {list(pairs)}")
         object.__setattr__(self, "pair_indices", pairs)
         object.__setattr__(self, "identities", _identities(self.identities))
-        for name in ("identities", "angles", "d_values", "q_values"):
+        for name in ("identities", "angles", "d_values", "q_values",
+                     "pair_indices"):
             values = getattr(self, name)   # 0.0 and -0.0 are duplicates
             if len(set(values)) != len(values):
                 raise InvalidParameterError(
@@ -472,6 +508,10 @@ def run_suite(cfg: SuiteConfig = SuiteConfig()) -> list[IdentityReport]:
     One report per (identity, phi, d, q), aggregating the worst residual
     over the corpus pairs. Order follows the configuration. Any failure
     inside a check aborts with the identity and parameters in context.
+
+    Checks run angle by angle and pair by pair; while one (angle, pair)
+    runs, the right-hand sides reuse the operand spectra they have
+    already computed (``_spectrum``). Left-hand sides never do.
     """
     tgrid = cfg.time_grid()
     ugrid = fast_ugrid(tgrid)
@@ -479,37 +519,44 @@ def run_suite(cfg: SuiteConfig = SuiteConfig()) -> list[IdentityReport]:
     selected = [pairs[i] for i in cfg.pair_indices]
     if not selected:
         return []
-    memo: dict = {}
-    reports: list[IdentityReport] = []
+    # the general builders collapse onto the simpler families, so one check
+    # serves every record with the same angle, operator, shifted operand
+    # (immaterial at d = q = 0) and (d, q), unless its printed form differs
+    records = []   # (identity, phi, d, q, differs, check key), config order
+    checks = {}    # check key -> (identity, d, q, differs) of its first record
     for identity in cfg.identities:
         family = _FAMILIES[identity]
-        params = [(d, q)
-                  for d in (cfg.d_values if "d" in family.sweeps else (0.0,))
-                  for q in (cfg.q_values if "q" in family.sweeps else (0.0,))]
         for phi in cfg.angles:
-            angle = make_angle(phi)
-            check_cfg = CheckConfig(ugrid, cfg.tolerance_for(identity, phi),
-                                    cfg.zero_floor)
-            for d, q in params:
-                differs = family.printed_differs(phi, d, q)
-                # the general builders collapse onto the simpler families,
-                # so one check serves every record with the same operator,
-                # shifted operand (immaterial at d = q = 0) and (d, q),
-                # unless the record's printed form differs
-                key = ((identity, d, q) if differs else
-                       (family.op, family.operand if d or q else None, d, q))
-                if (phi, key) not in memo:
+            for d in (cfg.d_values if "d" in family.sweeps else (0.0,)):
+                for q in (cfg.q_values if "q" in family.sweeps else (0.0,)):
+                    differs = family.printed_differs(phi, d, q)
+                    key = ((phi, identity, d, q) if differs else
+                           (phi, family.op,
+                            family.operand if d or q else None, d, q))
+                    records.append((identity, phi, d, q, differs, key))
+                    checks.setdefault(key, (identity, d, q, differs))
+    per_pair: dict = {key: [] for key in checks}
+    for phi in cfg.angles:
+        angle = make_angle(phi)
+        for f, g in selected:
+            token = _rhs_memo.set({})
+            try:
+                for key, (identity, d, q, differs) in checks.items():
+                    if key[0] != phi:
+                        continue
                     try:
-                        memo[phi, key] = [
-                            _residuals(identity, f, g, angle, d, q, ugrid,
-                                       differs) for f, g in selected]
+                        per_pair[key].append(_residuals(
+                            identity, f, g, angle, d, q, ugrid, differs))
                     except Exception as exc:
                         raise RuntimeError(
                             f"{identity.value} failed at phi={phi} d={d} q={q}"
                         ) from exc
-                reports.append(_report(identity, phi, d, q, tgrid.count,
-                                       memo[phi, key], check_cfg, differs))
-    return reports
+            finally:
+                _rhs_memo.reset(token)
+    return [_report(identity, phi, d, q, tgrid.count, per_pair[key],
+                    CheckConfig(ugrid, cfg.tolerance_for(identity, phi),
+                                cfg.zero_floor), differs)
+            for identity, phi, d, q, differs, key in records]
 
 
 def suite_passed(reports: list[IdentityReport]) -> bool:

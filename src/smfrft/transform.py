@@ -20,17 +20,26 @@ The fast inverse refuses any spectrum whose grids do not satisfy
 du * N * dt = 2*pi exactly (to 1e-9 relative): on that reciprocal pairing
 the discrete chain is an exact inverse DFT, and interpolating anything
 else would contaminate downstream residuals.
+
+Two things the quadrature recomputes are cached, because the identity
+suite makes hundreds of calls on a handful of geometries: the FFT of
+Bluestein's lag chirp, per (N, count, rate) (``_lag_chirp_fft``), and
+the input chirp e^{(j/2) cot t^2}, per (grid, angle) (``kernel.time_chirp``).
+Both are read-only, and a cached call gives the same bits as a cold
+one. The fast pair ``smfrft_fast`` /
+``ismfrft_fast`` keeps its own inline chirps (see the comments there).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
 
 from .errors import AngleMismatchError, FftSizeError, GridCompatibilityError
 from .grid import ComplexArray, SampledSignal, Spectrum, UniformGrid
-from .kernel import Angle, sqrt_j2pi, sqrt_j_over_2pi
+from .kernel import Angle, sqrt_j2pi, sqrt_j_over_2pi, time_chirp
 
 # relative slack on du*N*dt == 2*pi for the fast inverse pairing
 _RECIPROCAL_RTOL = 1e-9
@@ -49,6 +58,19 @@ def linear_convolve(a: np.ndarray, b: np.ndarray) -> ComplexArray:
     length = a.shape[0] + b.shape[0] - 1
     size = _fft_size(length)
     return np.fft.ifft(np.fft.fft(a, size) * np.fft.fft(b, size))[:length]
+
+
+@functools.lru_cache(maxsize=16)
+def _lag_chirp_fft(n: int, count: int, rate: float) -> ComplexArray:
+    """FFT of the lag chirp exp(-(j/2) rate l^2) over the lags of an
+    N-input, count-output chirp-z transform, zero-padded to the transform
+    size (its length). Read-only; the identity suite needs ~3 geometries."""
+    mid_n, mid_k = (n - 1) // 2, (count - 1) // 2
+    lags = np.arange(-(n - 1), count, dtype=np.float64) - (mid_k - mid_n)
+    spectrum = np.fft.fft(np.exp(-0.5j * rate * lags * lags),
+                          _fft_size(lags.shape[0]))
+    spectrum.setflags(write=False)
+    return spectrum
 
 
 def _chirp_z(values: np.ndarray, x0: float, dx: float, y0: float, dy: float,
@@ -70,10 +92,8 @@ def _chirp_z(values: np.ndarray, x0: float, dx: float, y0: float, dy: float,
     yc = y0 + mid_k * dy
     i = np.arange(n, dtype=np.float64) - mid_n
     pre = values * np.exp(1j * (sign * yc * dx * i + 0.5 * rate * i * i))
-    lags = np.arange(-(n - 1), count, dtype=np.float64) - (mid_k - mid_n)
-    size = _fft_size(lags.shape[0])
-    sums = np.fft.ifft(np.fft.fft(pre, size)
-                       * np.fft.fft(np.exp(-0.5j * rate * lags * lags), size))
+    lag_fft = _lag_chirp_fft(n, count, rate)
+    sums = np.fft.ifft(np.fft.fft(pre, lag_fft.shape[0]) * lag_fft)
     k = np.arange(count, dtype=np.float64) - mid_k
     post = np.exp(1j * (sign * (yc + k * dy) * xc + 0.5 * rate * k * k))
     return post * sums[n - 1:n - 1 + count]
@@ -122,8 +142,7 @@ def smfrft_quadrature(x: SampledSignal, u_points, angle: Angle) -> ComplexArray:
         return np.zeros(0, dtype=np.complex128)
     u0, du = _even_spacing(u)
     grid = x.grid
-    t = grid.points()
-    chirped = x.samples * np.exp(0.5j * angle.cot_phi * t * t)
+    chirped = x.samples * time_chirp(grid, angle)
     sums = _chirp_z(chirped, grid.start, grid.step, u0, du, u.shape[0], -1)
     return (grid.step / sqrt_j2pi()) * sums
 
@@ -149,6 +168,10 @@ def smfrft_fast(x: SampledSignal, angle: Angle) -> Spectrum:
     if n & (n - 1):
         raise FftSizeError(f"fast path requires a power-of-two length, got {n}")
     t = x.grid.points()
+    # not kernel.time_chirp: from 256 KiB on, numpy computes this product
+    # in the exp temporary's buffer with the operands swapped, and the
+    # fused multiply-add rounds that order differently; the CLI's CSV
+    # bytes rest on this order
     chirped = x.samples * np.exp(0.5j * angle.cot_phi * t * t)
     bins = np.fft.fftshift(np.fft.fft(chirped))
     ugrid = fast_ugrid(x.grid)
@@ -210,6 +233,9 @@ def ismfrft_fast(spectrum: Spectrum, angle: Angle) -> SampledSignal:
     referenced = spectrum.values * np.exp(1j * tgrid.start * u)
     sums = n * np.fft.ifft(np.fft.ifftshift(referenced))
     t = tgrid.points()
+    # inline, not cached, like the forward chirp in smfrft_fast: the CLI's
+    # CSV bytes rest on the rounding of this exact expression (temporary
+    # elision and fused multiply-add operand order)
     post = sqrt_j_over_2pi() * np.exp(-0.5j * angle.cot_phi * t * t)
     return SampledSignal(tgrid, post * spectrum.ugrid.step * sums)
 
@@ -226,10 +252,8 @@ def frft_direct(x: SampledSignal, ugrid: UniformGrid, angle: Angle) -> Spectrum:
     csc = 1.0 / math.sin(angle.phi)
     amp = np.sqrt((1.0 - 1j * cot) / (2.0 * math.pi))
     grid = x.grid
-    t = grid.points()
-    u = ugrid.points()
-    chirped = x.samples * np.exp(0.5j * cot * t * t)
+    chirped = x.samples * time_chirp(grid, angle)
     sums = _chirp_z(chirped, grid.start, grid.step, csc * ugrid.start,
                     csc * ugrid.step, ugrid.count, -1)
-    values = (grid.step * amp) * np.exp(0.5j * cot * u * u) * sums
+    values = (grid.step * amp) * time_chirp(ugrid, angle) * sums
     return Spectrum(ugrid, values, angle, tgrid=x.grid)

@@ -240,6 +240,28 @@ class TestVerify:
                                      "--output", str(tmp_path / "r.json")])
         assert result.exit_code == 1
 
+    @pytest.mark.parametrize("tolerance, verdict, headroom", [
+        (None, "ok", None), ("0", "FAIL", "inf")])
+    def test_headroom_column(self, runner, tmp_path, tolerance, verdict,
+                             headroom):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**self.CFG, "identities": ["CONV"]}))
+        report = tmp_path / "r.json"
+        args = ["verify", "--config", str(cfg), "--output", str(report)]
+        result = runner.invoke(cli, args + (["--tolerance", tolerance]
+                                            if tolerance else []))
+        lines = result.output.splitlines()
+        assert lines[0].split() == ["identity", "phi", "d", "q", "residual",
+                                    "headroom", "pass"]
+        rows = json.loads(report.read_text())
+        assert len(rows) == 2
+        for row, line in zip(rows, lines[1:3]):
+            fields = line.split()
+            residual = min(row["residual_paper_form"],
+                           row["residual_derived_form"])
+            expected = headroom or f"{residual / row['tolerance']:.2f}"
+            assert fields[5:] == [expected, verdict]
+
     def test_identities_flag_filters(self, runner, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({**self.CFG, "identities": None} | {
@@ -265,7 +287,8 @@ class TestVerify:
         result = runner.invoke(cli, ["verify", "--config", str(cfg)])
         assert result.exit_code == 2
 
-    @pytest.mark.parametrize("bad", [{"pair_indices": [5]}, {"n": "abc"}])
+    @pytest.mark.parametrize("bad", [{"pair_indices": [5]}, {"n": "abc"},
+                                     {"pair_indices": [0, 0]}])
     def test_invalid_config_value_exits_two(self, runner, tmp_path, bad):
         # a bad value is a usage error, never a reported identity failure
         cfg = tmp_path / "cfg.json"

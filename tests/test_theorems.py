@@ -341,7 +341,8 @@ class TestSuite:
 
     def test_shared_checks_do_the_same_work(self, monkeypatch):
         # records share one computed check where the general builders
-        # collapse onto a simpler family; these counts pin that sharing
+        # collapse onto a simpler family, and the right-hand sides of one
+        # (angle, pair) share their operand spectra; these counts pin both
         counts = collections.Counter()
         for name in ("smfrft_quadrature", "frac_convolve", "frac_correlate",
                      "frac_product"):
@@ -350,8 +351,47 @@ class TestSuite:
                 return _fn(*args)
             monkeypatch.setattr(theorems, name, counted)
         run_suite(self.small_config())
-        assert counts == {"smfrft_quadrature": 126, "frac_convolve": 14,
+        assert counts == {"smfrft_quadrature": 60, "frac_convolve": 14,
                           "frac_correlate": 20, "frac_product": 2}
+
+    def test_reuse_changes_no_number(self):
+        # every record equals, bit for bit, the check that computes its
+        # spectra afresh (check never memoizes)
+        cfg = self.small_config()
+        tgrid = cfg.time_grid()
+        f, g = default_pairs(tgrid)[0]
+        ugrid = fast_ugrid(tgrid)
+        reports = run_suite(cfg)
+        assert len(reports) == 70
+        for r in reports:
+            check_cfg = CheckConfig(ugrid, cfg.tolerance_for(r.identity, r.phi),
+                                    cfg.zero_floor)
+            fresh = check(r.identity, f, g, make_angle(r.phi), check_cfg,
+                          d=r.d, q=r.q)
+            assert repr(r) == repr(fresh)
+        assert theorems._rhs_memo.get() is None
+
+    def test_spectrum_memo_tells_inputs_apart(self, operands, theorem_grid):
+        # points with the same start and length but another step, the
+        # conjugate, another angle and another operand are all misses
+        f, g = operands
+        u = fast_ugrid(theorem_grid).points()
+        calls = [(f, u, PI / 4, False), (f, u, PI / 4, True),
+                 (f, u[0] + 2 * (u - u[0]), PI / 4, False),
+                 (f, u, PI / 3, False), (g, u, PI / 4, False),
+                 (f, u, PI / 4, False)]
+        memo = {}
+        token = theorems._rhs_memo.set(memo)
+        try:
+            for x, points, phi, conj in calls:
+                angle = make_angle(phi)
+                fresh = smfrft_quadrature(x.conjugate() if conj else x,
+                                          points, angle)
+                got = theorems._spectrum(x, points, angle, conj=conj)
+                assert got.tobytes() == fresh.tobytes()
+        finally:
+            theorems._rhs_memo.reset(token)
+        assert len(memo) == 5
 
     def test_empty_corpus_is_vacuous(self):
         reports = run_suite(self.small_config(pair_indices=()))
@@ -417,7 +457,7 @@ class TestSuiteConfigValidation:
         {"identities": ["CONV", IdentityId.CONV]},
         {"angles": [PI / 4, PI / 4]}, {"d_values": [0.0, -0.0]},
         {"d_values": [0.5, 0.0, 0.5]}, {"q_values": [1.0, 1.0]},
-        {"q_values": [-0.0, 0.0]},
+        {"q_values": [-0.0, 0.0]}, {"pair_indices": [0, 0]},
     ])
     def test_bad_fields_rejected(self, overrides):
         with pytest.raises(InvalidParameterError):

@@ -28,6 +28,8 @@ from smfrft import (
     smfrft_kernel,
     smfrft_quadrature,
 )
+from smfrft import transform
+from smfrft.kernel import time_chirp
 
 import dense_oracle
 
@@ -288,6 +290,47 @@ class TestDeterminism:
                    lambda: frac_convolve(x, y, angle).samples,
                    lambda: frac_correlate(x, y, angle).samples):
             assert np.array_equal(op(), op())
+
+
+class TestCaches:
+    CACHES = (transform._lag_chirp_fft, time_chirp)
+
+    def test_cached_arrays_are_read_only(self, std_grid, quarter_angle):
+        lag = transform._lag_chirp_fft(512, 256, 0.01)
+        chirp = time_chirp(std_grid, quarter_angle)
+        for cached in (lag, chirp):
+            with pytest.raises(ValueError):
+                cached[0] = 0.0
+
+    def test_cold_and_warm_calls_are_bitwise_equal(self, std_grid, rng):
+        x = random_signal(std_grid, rng)
+        y = random_signal(std_grid, rng)
+        angle = make_angle(0.9)
+        ugrid = fast_ugrid(std_grid)
+        u = ugrid.points() - 0.7
+        spectrum = smfrft_direct(x, ugrid, angle)
+        for op in (lambda: smfrft_quadrature(x, u, angle),
+                   lambda: smfrft_quadrature(x, -u[::-1][:100], angle),
+                   lambda: ismfrft_direct(spectrum, std_grid, angle).samples,
+                   lambda: frft_direct(x, ugrid, angle).values,
+                   lambda: frac_convolve(x, y, angle).samples,
+                   lambda: frac_correlate(x, y, angle).samples):
+            for cache in self.CACHES:
+                cache.cache_clear()
+            cold = op()
+            warm = op()
+            assert cold.tobytes() == warm.tobytes()
+
+    def test_caches_stay_bounded(self, rng):
+        for k in range(50):
+            grid = make_grid(-2.0, 0.125, 32 + k)
+            x = random_signal(grid, rng)
+            angle = make_angle(0.3 + 0.05 * k)
+            smfrft_quadrature(x, fast_ugrid(grid).points(), angle)
+            frac_convolve(x, x, angle)
+        for cache in self.CACHES:
+            info = cache.cache_info()
+            assert info.currsize <= info.maxsize
 
 
 class TestLinearity:
