@@ -100,6 +100,8 @@ def _parse_band(spec: str) -> tuple[float, float]:
         lo, hi = float(parts[0]), float(parts[1])
     except ValueError as exc:
         raise click.UsageError(f"--passband: {exc}") from None
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise click.UsageError(f"--passband: bounds must be finite, got {lo}:{hi}")
     if lo >= hi:
         raise click.UsageError(f"--passband: need lo < hi, got {lo}:{hi}")
     return lo, hi
@@ -293,6 +295,9 @@ def verify(output, config_path, tolerance, identities, count):
     """Run the identity suite and write the residual report."""
     cfg = _suite_config_from(config_path, tolerance, identities, count)
     reports = run_suite(cfg)
+    if not reports:
+        raise InvalidParameterError(
+            "the configuration selects no identity records to verify")
     Path(output).write_text(reports_to_json(reports) + "\n", encoding="ascii")
     click.echo(f"{'identity':<16} {'phi':>9} {'d':>5} {'q':>5} "
                f"{'residual':>12} {'headroom':>9}  pass")
@@ -300,7 +305,7 @@ def verify(output, config_path, tolerance, identities, count):
         residual = min(r.residual_paper_form, r.residual_derived_form)
         click.echo(
             f"{r.identity.value:<16} {r.phi:>9.6f} {r.d:>5.2f} {r.q:>5.2f} "
-            f"{residual:>12.3e} {_headroom(residual, r.tolerance):>9.2f}  "
+            f"{residual:>12.3e} {_headroom(residual, r.tolerance):>9.2e}  "
             f"{'ok' if r.passed else 'FAIL'}"
         )
     adjudicated = [r for r in reports if r.chosen_form != "agree"]

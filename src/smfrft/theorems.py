@@ -449,10 +449,11 @@ class SuiteConfig:
         fails here with InvalidParameterError instead of deep in a check.
 
         Sequences become tuples and identity names become IdentityId.
-        Identities, angles, delays, carriers and pair indices must be
-        distinct, so that each record and each pair is run once. Delays
-        and the grid start must sit on the time lattice, because the
-        operators shift by whole samples.
+        Identities, angles, delays and carriers must be non-empty: an empty
+        one drops records without a trace. Pair indices may be empty (no
+        records at all). All five must be distinct, so that each record
+        and each pair is run once. Delays and the grid start must sit on
+        the time lattice, because the operators shift by whole samples.
         """
         n = _number("n", self.n, integral=True)
         if n < 2:
@@ -480,6 +481,9 @@ class SuiteConfig:
                 f"pair_indices: each must be in 0..{PAIR_COUNT - 1}, got {list(pairs)}")
         object.__setattr__(self, "pair_indices", pairs)
         object.__setattr__(self, "identities", _identities(self.identities))
+        for name in ("identities", "angles", "d_values", "q_values"):
+            if not getattr(self, name):
+                raise InvalidParameterError(f"{name}: must not be empty")
         for name in ("identities", "angles", "d_values", "q_values",
                      "pair_indices"):
             values = getattr(self, name)   # 0.0 and -0.0 are duplicates

@@ -21,13 +21,22 @@ du * N * dt = 2*pi exactly (to 1e-9 relative): on that reciprocal pairing
 the discrete chain is an exact inverse DFT, and interpolating anything
 else would contaminate downstream residuals.
 
-Two things the quadrature recomputes are cached, because the identity
-suite makes hundreds of calls on a handful of geometries: the FFT of
-Bluestein's lag chirp, per (N, count, rate) (``_lag_chirp_fft``), and
-the input chirp e^{(j/2) cot t^2}, per (grid, angle) (``kernel.time_chirp``).
-Both are read-only, and a cached call gives the same bits as a cold
-one. The fast pair ``smfrft_fast`` /
-``ismfrft_fast`` keeps its own inline chirps (see the comments there).
+What the quadrature would otherwise recompute is cached, because the
+identity suite makes hundreds of calls on a handful of geometries (180
+calls on 9 geometries at N = 1024 with two angles):
+
+* per chirp-z geometry (N, x0, dx, y0, dy, count, sign), its input and
+  output chirps (``_chirp_z_plan``);
+* per (N, count, rate), the FFT of Bluestein's lag chirp
+  (``_lag_chirp_fft``), shared by every geometry of that rate rather
+  than copied into each plan;
+* per (grid, angle), the kernel chirp e^{(j/2) cot t^2}
+  (``kernel.time_chirp``).
+
+All are read-only and bounded, and a cached call gives the same bits as
+a cold one. The fast pair ``smfrft_fast`` / ``ismfrft_fast`` caches
+nothing: the CLI calls it once per process, and its CSV bytes rest on
+the rounding of its inline chirps (see the comments there).
 """
 
 from __future__ import annotations
@@ -73,6 +82,25 @@ def _lag_chirp_fft(n: int, count: int, rate: float) -> ComplexArray:
     return spectrum
 
 
+@functools.lru_cache(maxsize=16)
+def _chirp_z_plan(n: int, x0: float, dx: float, y0: float, dy: float,
+                  count: int, sign: int) -> tuple[ComplexArray, ComplexArray]:
+    """The input and output chirps of one chirp-z geometry (see
+    ``_chirp_z``), both read-only. Keys that differ only in the sign of a
+    zero give the same bits, since exp(1j * -0.0) is exp(1j * 0.0)."""
+    mid_n, mid_k = (n - 1) // 2, (count - 1) // 2
+    rate = sign * dx * dy
+    xc = x0 + mid_n * dx
+    yc = y0 + mid_k * dy
+    i = np.arange(n, dtype=np.float64) - mid_n
+    pre = np.exp(1j * (sign * yc * dx * i + 0.5 * rate * i * i))
+    k = np.arange(count, dtype=np.float64) - mid_k
+    post = np.exp(1j * (sign * (yc + k * dy) * xc + 0.5 * rate * k * k))
+    pre.setflags(write=False)
+    post.setflags(write=False)
+    return pre, post
+
+
 def _chirp_z(values: np.ndarray, x0: float, dx: float, y0: float, dy: float,
              count: int, sign: int) -> ComplexArray:
     """out[k] = sum_n values[n] * exp(sign*j*(y0 + k*dy)*(x0 + n*dx)), k < count.
@@ -83,19 +111,13 @@ def _chirp_z(values: np.ndarray, x0: float, dx: float, y0: float, dy: float,
     lags k' - n', and a chirp on the output. Output k is entry k + N - 1
     of that convolution, which a circular FFT convolution of size
     >= N + count - 1 already holds exactly. Centring the indices keeps the
-    phases, and so their rounding, small.
+    phases, and so their rounding, small. The two end chirps come from
+    ``_chirp_z_plan`` and the lag chirp's FFT from ``_lag_chirp_fft``.
     """
     n = values.shape[0]
-    mid_n, mid_k = (n - 1) // 2, (count - 1) // 2
-    rate = sign * dx * dy
-    xc = x0 + mid_n * dx
-    yc = y0 + mid_k * dy
-    i = np.arange(n, dtype=np.float64) - mid_n
-    pre = values * np.exp(1j * (sign * yc * dx * i + 0.5 * rate * i * i))
-    lag_fft = _lag_chirp_fft(n, count, rate)
-    sums = np.fft.ifft(np.fft.fft(pre, lag_fft.shape[0]) * lag_fft)
-    k = np.arange(count, dtype=np.float64) - mid_k
-    post = np.exp(1j * (sign * (yc + k * dy) * xc + 0.5 * rate * k * k))
+    pre, post = _chirp_z_plan(n, x0, dx, y0, dy, count, sign)
+    lag_fft = _lag_chirp_fft(n, count, sign * dx * dy)
+    sums = np.fft.ifft(np.fft.fft(values * pre, lag_fft.shape[0]) * lag_fft)
     return post * sums[n - 1:n - 1 + count]
 
 

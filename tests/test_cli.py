@@ -118,6 +118,19 @@ class TestTransformInvert:
         assert "parseval" in result.stderr
         assert "parseval" not in result.stdout
 
+    @pytest.mark.parametrize("command", ["transform", "invert", "filter"])
+    def test_non_ascii_input_exits_two(self, runner, tmp_path, command):
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"\xff\xfe")
+        out = tmp_path / "out.csv"
+        extra = ["--passband", "-1:1"] if command == "filter" else []
+        result = runner.invoke(cli, [command, "--input", str(bad),
+                                     "--output", str(out), "--order", "1",
+                                     *extra])
+        assert result.exit_code == 2, result.output
+        assert f"error: {bad}: not ASCII text" in result.output
+        assert not out.exists()
+
     def test_inputs_never_mutated(self, runner, tmp_path):
         sig = tmp_path / "sig.csv"
         invoke(runner, "generate", *SMALL, "--output", sig)
@@ -155,6 +168,18 @@ class TestFilter:
                                      "--output", str(tmp_path / "f.csv"),
                                      "--order", "0.5", "--passband", "2:1"])
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize("band", ["nan:1", "0:nan", "-inf:1", "0:inf"])
+    def test_non_finite_band_rejected(self, runner, tmp_path, band):
+        sig = tmp_path / "sig.csv"
+        out = tmp_path / "f.csv"
+        invoke(runner, "generate", *SMALL, "--output", sig)
+        result = runner.invoke(cli, ["filter", "--input", str(sig),
+                                     "--output", str(out), "--order", "0.5",
+                                     "--passband", band])
+        assert result.exit_code == 2, result.output
+        assert "finite" in result.output
+        assert not out.exists()
 
     def test_chirp_extraction_demo(self, runner, tmp_path):
         # chirp matched to cot(phi) compacts near u = 0; an interfering
@@ -259,7 +284,7 @@ class TestVerify:
             fields = line.split()
             residual = min(row["residual_paper_form"],
                            row["residual_derived_form"])
-            expected = headroom or f"{residual / row['tolerance']:.2f}"
+            expected = headroom or f"{residual / row['tolerance']:.2e}"
             assert fields[5:] == [expected, verdict]
 
     def test_identities_flag_filters(self, runner, tmp_path):
@@ -288,7 +313,10 @@ class TestVerify:
         assert result.exit_code == 2
 
     @pytest.mark.parametrize("bad", [{"pair_indices": [5]}, {"n": "abc"},
-                                     {"pair_indices": [0, 0]}])
+                                     {"pair_indices": [0, 0]},
+                                     {"pair_indices": []}, {"angles": []},
+                                     {"identities": []}, {"d_values": []},
+                                     {"q_values": []}])
     def test_invalid_config_value_exits_two(self, runner, tmp_path, bad):
         # a bad value is a usage error, never a reported identity failure
         cfg = tmp_path / "cfg.json"
@@ -315,6 +343,16 @@ class TestVerify:
                                      "--output", str(tmp_path / "r.json")])
         assert result.exit_code == 2, result.output
         assert "duplicate" in result.output
+        assert not (tmp_path / "r.json").exists()
+
+    def test_empty_identities_flag_exits_two(self, runner, tmp_path):
+        # no certificate of nothing: "0/0 records passed" is refused
+        result = runner.invoke(cli, ["verify", "--identities", "",
+                                     "--count", "256",
+                                     "--output", str(tmp_path / "r.json")])
+        assert result.exit_code == 2, result.output
+        assert "error:" in result.output
+        assert "0/0" not in result.output
         assert not (tmp_path / "r.json").exists()
 
     def test_unknown_identity_exits_two(self, runner, tmp_path):

@@ -15,6 +15,7 @@ from smfrft.io_csv import (
     write_signal_csv,
     write_spectrum_csv,
 )
+from smfrft.transform import fast_ugrid
 
 
 def test_signal_round_trip(tmp_path):
@@ -47,6 +48,18 @@ def test_spectrum_round_trip(tmp_path):
     np.testing.assert_array_equal(values_back, values)
 
 
+@pytest.mark.parametrize("count", [256, 4096])
+@pytest.mark.parametrize("dt", [0.01, 0.3, 1 / 64])
+def test_fft_bin_grid_reads_back_exactly(tmp_path, count, dt):
+    # du = 2*pi/(N*dt) is not dyadic: the median of the written axis's
+    # differences misses it by up to ~1e-13, the endpoints do not
+    ugrid = fast_ugrid(make_grid(-(count // 2) * dt, dt, count))
+    path = tmp_path / "spec.csv"
+    write_spectrum_csv(path, ugrid, np.ones(count))
+    grid_back, _ = read_spectrum_csv(path)
+    assert grid_back == ugrid
+
+
 @pytest.mark.parametrize("count", [3, 5])
 def test_spectrum_values_must_match_grid(tmp_path, count):
     path = tmp_path / "spec.csv"
@@ -66,6 +79,13 @@ def test_wrong_header_rejected(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("time,re,im\n0.0,1.0,0.0\n1.0,1.0,0.0\n")
     with pytest.raises(InvalidParameterError, match="header"):
+        read_signal_csv(path)
+
+
+def test_non_ascii_file_is_named(tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_bytes(b"t,re,im\n0.0,\xff,0.0\n")
+    with pytest.raises(InvalidParameterError, match=f"{path}: not ASCII text"):
         read_signal_csv(path)
 
 

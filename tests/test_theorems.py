@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import smfrft.theorems as theorems
+import smfrft.transform as transform
 from smfrft import (
     CheckConfig,
     IdentityId,
@@ -354,6 +355,16 @@ class TestSuite:
         assert counts == {"smfrft_quadrature": 60, "frac_convolve": 14,
                           "frac_correlate": 20, "frac_product": 2}
 
+    def test_second_run_builds_no_chirp_z_plan(self):
+        # the small config's chirp-z geometries fit the plan cache, so a
+        # repeated run finds every input and output chirp already built
+        run_suite(self.small_config())
+        before = transform._chirp_z_plan.cache_info()
+        run_suite(self.small_config())
+        after = transform._chirp_z_plan.cache_info()
+        assert after.misses == before.misses
+        assert after.hits > before.hits
+
     def test_reuse_changes_no_number(self):
         # every record equals, bit for bit, the check that computes its
         # spectra afresh (check never memoizes)
@@ -458,6 +469,8 @@ class TestSuiteConfigValidation:
         {"angles": [PI / 4, PI / 4]}, {"d_values": [0.0, -0.0]},
         {"d_values": [0.5, 0.0, 0.5]}, {"q_values": [1.0, 1.0]},
         {"q_values": [-0.0, 0.0]}, {"pair_indices": [0, 0]},
+        {"identities": []}, {"angles": ()}, {"d_values": []},
+        {"q_values": ()},
     ])
     def test_bad_fields_rejected(self, overrides):
         with pytest.raises(InvalidParameterError):
