@@ -9,14 +9,13 @@ independently computed sides.
 
 from .errors import (
     AlignmentError,
-    AngleMismatchError,
     DegenerateAngleError,
-    DegenerateReferenceError,
     FftSizeError,
     GridCompatibilityError,
     InvalidGridError,
     InvalidParameterError,
     ShapeMismatchError,
+    SmfrftError,
 )
 from .grid import (
     SampledSignal,
@@ -25,13 +24,10 @@ from .grid import (
     gen_chirp,
     gen_gaussian,
     make_grid,
-    relative_l2_error,
 )
 from .kernel import (
     Angle,
-    frft_kernel,
     make_angle,
-    smfrft_kernel,
     sqrt_j2pi,
     sqrt_j_over_2pi,
 )
@@ -48,7 +44,6 @@ from .theorems import (
     IdentityReport,
     SuiteConfig,
     check,
-    conj_transform,
     report_rows,
     reports_to_json,
     run_suite,
@@ -56,7 +51,6 @@ from .theorems import (
 )
 from .transform import (
     fast_ugrid,
-    frft_direct,
     ismfrft_direct,
     ismfrft_fast,
     smfrft_direct,

@@ -20,17 +20,7 @@ import click
 import numpy as np
 
 from . import io_csv
-from .errors import (
-    AlignmentError,
-    AngleMismatchError,
-    DegenerateAngleError,
-    DegenerateReferenceError,
-    FftSizeError,
-    GridCompatibilityError,
-    InvalidGridError,
-    InvalidParameterError,
-    ShapeMismatchError,
-)
+from .errors import InvalidParameterError, SmfrftError
 from .grid import Spectrum, UniformGrid, gen_chirp, gen_gaussian, make_grid
 from .kernel import Angle, make_angle
 from .theorems import (
@@ -41,18 +31,7 @@ from .theorems import (
 )
 from .transform import fast_ugrid, ismfrft_direct, ismfrft_fast, smfrft_direct, smfrft_fast
 
-_DOMAIN_ERRORS = (
-    AlignmentError,
-    AngleMismatchError,
-    DegenerateAngleError,
-    DegenerateReferenceError,
-    FftSizeError,
-    GridCompatibilityError,
-    InvalidGridError,
-    InvalidParameterError,
-    ShapeMismatchError,
-    OSError,
-)
+_DOMAIN_ERRORS = (SmfrftError, OSError)
 
 
 def _exit2_on_domain_error(fn):
@@ -153,10 +132,12 @@ def generate(kind, start, step, count, center, width, carrier, rate, output):
 def transform(input_, output, method, ugrid, angle, order_):
     """Forward transform of a signal CSV to a spectrum CSV.
 
-    Prints the discrete energy balance (Parseval check) to stderr.
+    Prints the discrete energy balance (Parseval check) to stderr. An
+    energy that overflows a double exits 2 before anything is written.
     """
     ang = _resolve_angle(angle, order_)
     signal = io_csv.read_signal_csv(input_)
+    e_time = signal.energy()
     if method == "fast":
         if ugrid is not None:
             raise click.UsageError("--ugrid is only valid with --method direct")
@@ -164,9 +145,8 @@ def transform(input_, output, method, ugrid, angle, order_):
     else:
         out_grid = _parse_ugrid(ugrid) if ugrid else fast_ugrid(signal.grid)
         spectrum = smfrft_direct(signal, out_grid, ang)
-    io_csv.write_spectrum_csv(output, spectrum.ugrid, spectrum.values)
-    e_time = signal.energy()
     e_spec = spectrum.energy()
+    io_csv.write_spectrum_csv(output, spectrum.ugrid, spectrum.values)
     rel = abs(e_spec - e_time) / e_time if e_time else 0.0
     click.echo(
         f"parseval: dt*sum|x|^2 = {e_time!r}  du*sum|X|^2 = {e_spec!r}  "
@@ -198,7 +178,7 @@ def invert(input_, output, method, start, step, count, angle, order_):
         t_start = -(n // 2) * dt if start is None else start
         tgrid = make_grid(t_start, dt, n)
         spectrum = Spectrum(ugrid, values, ang, tgrid=tgrid)
-        signal = ismfrft_fast(spectrum, ang)
+        signal = ismfrft_fast(spectrum)
     else:
         if step is None or count is None:
             raise click.UsageError(
@@ -207,7 +187,7 @@ def invert(input_, output, method, start, step, count, angle, order_):
         t_start = -(count // 2) * step if start is None else start
         tgrid = make_grid(t_start, step, count)
         spectrum = Spectrum(ugrid, values, ang)
-        signal = ismfrft_direct(spectrum, tgrid, ang)
+        signal = ismfrft_direct(spectrum, tgrid)
     io_csv.write_signal_csv(output, signal)
 
 
@@ -224,20 +204,21 @@ def filter_cmd(input_, output, passband, angle, order_):
     passband, and inverts. A chirp whose rate matches cot(phi) is
     compact near u = 0 at that angle, so a narrow passband there
     separates it from broadband interference. Prints the fraction of the
-    input energy that the output keeps to stderr.
+    input energy that the output keeps to stderr; an energy that
+    overflows a double exits 2 before anything is written.
     """
     ang = _resolve_angle(angle, order_)
     lo, hi = _parse_band(passband)
     signal = io_csv.read_signal_csv(input_)
+    e_in = signal.energy()
     spectrum = smfrft_fast(signal, ang)
     u = spectrum.ugrid.points()
     mask = (u >= lo) & (u <= hi)
     filtered = Spectrum(spectrum.ugrid, np.where(mask, spectrum.values, 0.0),
                         ang, tgrid=spectrum.tgrid)
-    result = ismfrft_fast(filtered, ang)
-    io_csv.write_signal_csv(output, result)
-    e_in = signal.energy()
+    result = ismfrft_fast(filtered)
     e_out = result.energy()
+    io_csv.write_signal_csv(output, result)
     kept = e_out / e_in if e_in else 0.0
     click.echo(
         f"energy kept: dt*sum|x|^2 = {e_in!r}  dt*sum|y|^2 = {e_out!r}  "

@@ -1,41 +1,38 @@
 """Typed errors raised across the library.
 
-All are ValueError subclasses so generic callers may catch broadly while
-tests and the CLI can distinguish the failure modes.
+All derive from ``SmfrftError``, a ValueError, so generic callers and the
+CLI catch them with one class while tests can distinguish the failure
+modes.
 """
 
 
-class InvalidGridError(ValueError):
+class SmfrftError(ValueError):
+    """Base class of every error the library raises on bad input."""
+
+
+class InvalidGridError(SmfrftError):
     """Grid construction violated step > 0 or count >= 2."""
 
 
-class InvalidParameterError(ValueError):
+class InvalidParameterError(SmfrftError):
     """A generator or operator parameter is outside its domain."""
 
 
-class ShapeMismatchError(ValueError):
+class ShapeMismatchError(SmfrftError):
     """Two arrays or signals that must share a shape/grid do not."""
 
 
-class DegenerateReferenceError(ValueError):
-    """Relative error requested against a zero-norm reference."""
-
-
-class DegenerateAngleError(ValueError):
+class DegenerateAngleError(SmfrftError):
     """Rotation angle too close to a multiple of pi; cot(phi) undefined."""
 
 
-class AngleMismatchError(ValueError):
-    """A spectrum was produced at a different angle than requested."""
-
-
-class AlignmentError(ValueError):
+class AlignmentError(SmfrftError):
     """A time offset does not land on the sampling lattice."""
 
 
-class GridCompatibilityError(ValueError):
+class GridCompatibilityError(SmfrftError):
     """Spectrum and time grids do not form an exact transform pair."""
 
 
-class FftSizeError(ValueError):
+class FftSizeError(SmfrftError):
     """The fast transform path only accepts power-of-two lengths."""

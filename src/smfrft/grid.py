@@ -1,4 +1,4 @@
-"""Sampled-data value types, test-signal generators, and the residual norm.
+"""Sampled-data value types and test-signal generators.
 
 All types are immutable after construction and every operation is a pure
 function, so everything here is safe to share across workers. Signals are
@@ -13,12 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 import numpy.typing as npt
 
-from .errors import (
-    InvalidGridError,
-    InvalidParameterError,
-    ShapeMismatchError,
-    DegenerateReferenceError,
-)
+from .errors import InvalidGridError, InvalidParameterError, ShapeMismatchError
 from .kernel import Angle
 
 ComplexArray = npt.NDArray[np.complex128]
@@ -56,6 +51,16 @@ class UniformGrid:
         return np.arange(self.count, dtype=np.float64) * self.step + self.start
 
 
+def _energy(step: float, values: np.ndarray) -> float:
+    """Discrete L2 energy, step * sum(|v|^2); InvalidParameterError when
+    it overflows a double, rather than an inf that turns ratios into nan."""
+    with np.errstate(over="ignore"):
+        energy = float(step * np.sum(np.abs(values) ** 2))
+    if energy == np.inf:
+        raise InvalidParameterError("energy step * sum|v|^2 overflows a double")
+    return energy
+
+
 def make_grid(start: float, step: float, count: int) -> UniformGrid:
     """Construct a UniformGrid, rejecting non-positive step or count < 2."""
     return UniformGrid(start, step, count)
@@ -89,7 +94,7 @@ class SampledSignal:
 
     def energy(self) -> float:
         """Discrete L2 energy, step * sum(|x|^2)."""
-        return float(self.grid.step * np.sum(np.abs(self.samples) ** 2))
+        return _energy(self.grid.step, self.samples)
 
 
 @dataclass(frozen=True, slots=True)
@@ -119,7 +124,7 @@ class Spectrum:
 
     def energy(self) -> float:
         """Discrete L2 energy, step * sum(|X|^2)."""
-        return float(self.ugrid.step * np.sum(np.abs(self.values) ** 2))
+        return _energy(self.ugrid.step, self.values)
 
 
 def gen_gaussian(grid: UniformGrid, center: float, width: float,
@@ -152,15 +157,3 @@ def gen_chirp(grid: UniformGrid, rate: float,
     t = grid.points()
     envelope = np.exp(-(t * t) / (2.0 * envelope_width * envelope_width))
     return SampledSignal(grid, envelope * np.exp(-0.5j * rate * t * t))
-
-
-def relative_l2_error(a, b) -> float:
-    """|| a - b ||_2 / || b ||_2 for equal-length complex arrays."""
-    a = np.asarray(a, dtype=np.complex128)
-    b = np.asarray(b, dtype=np.complex128)
-    if a.shape != b.shape:
-        raise ShapeMismatchError(f"shape mismatch: {a.shape} vs {b.shape}")
-    nb = float(np.linalg.norm(b))
-    if nb == 0.0:
-        raise DegenerateReferenceError("reference vector has zero norm")
-    return float(np.linalg.norm(a - b)) / nb

@@ -1,4 +1,4 @@
-"""Transform kernels, the rotation-angle value type, and branch constants.
+"""Rotation-angle value type, kernel chirp and branch constants.
 
 The simplified fractional kernel is
 
@@ -18,7 +18,9 @@ which makes the forward/inverse constants exact reciprocals
 composes to the identity. Angles with cot(phi) undefined (phi a multiple
 of pi) are rejected at Angle construction; the delta-kernel branches of
 the conventional transform have no sampled representation and are out of
-scope.
+scope. Neither kernel is evaluated pointwise here: the library sums the
+simplified one by FFT, and the scalar forms of both (the conventional one
+is only the paper's point of comparison) live in the test suite's oracle.
 
 The chirp e^{(j/2) cot t^2} on a sampling grid, which the quadrature
 transforms and every operator weight apply, has one evaluator,
@@ -44,7 +46,6 @@ _SQRT_J_2PI = complex(math.sqrt(2.0 * math.pi) * math.cos(math.pi / 4),
                       math.sqrt(2.0 * math.pi) * math.sin(math.pi / 4))
 _SQRT_J_OVER_2PI = complex(math.cos(math.pi / 4) / math.sqrt(2.0 * math.pi),
                            math.sin(math.pi / 4) / math.sqrt(2.0 * math.pi))
-_INV_SQRT_J_2PI = 1.0 / _SQRT_J_2PI
 
 
 def sqrt_j2pi() -> complex:
@@ -102,25 +103,3 @@ def time_chirp(grid, angle: Angle) -> np.ndarray:
     chirp = np.exp(0.5j * angle.cot_phi * t * t)
     chirp.setflags(write=False)
     return chirp
-
-
-def smfrft_kernel(t, u, angle: Angle):
-    """Simplified fractional kernel, broadcast over t and u.
-
-    Unimodular chirp factors times the constant 1/sqrt(j*2*pi); the
-    magnitude is 1/sqrt(2*pi) everywhere.
-    """
-    return _INV_SQRT_J_2PI * np.exp(1j * (0.5 * angle.cot_phi * t * t - t * u))
-
-
-def frft_kernel(t, u, angle: Angle):
-    """Conventional fractional kernel, broadcast over t and u.
-
-    The amplitude sqrt((1 - j*cot(phi))/(2*pi)) is evaluated on the
-    principal branch; its real part is always positive so the branch cut
-    is never crossed.
-    """
-    cot = angle.cot_phi
-    csc = 1.0 / math.sin(angle.phi)
-    amp = np.sqrt((1.0 - 1j * cot) / (2.0 * math.pi))
-    return amp * np.exp(1j * (0.5 * (u * u + t * t) * cot - u * t * csc))

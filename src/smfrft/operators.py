@@ -90,18 +90,6 @@ def _origin_index(signal: SampledSignal) -> int:
     return _lattice_index(signal.grid.start, signal.grid.step, "grid start")
 
 
-def _post_chirped(grid, full: np.ndarray, offset: int,
-                  chirp: np.ndarray) -> SampledSignal:
-    """out[n] = dt * conj(chirp[n]) * full[n + offset], zero where the
-    index leaves the linear convolution (the zero-extension of g)."""
-    n = grid.count
-    idx = np.arange(n) + offset
-    valid = (idx >= 0) & (idx < full.shape[0])
-    taken = np.zeros(n, dtype=np.complex128)
-    taken[valid] = full[idx[valid]]
-    return SampledSignal(grid, grid.step * np.conj(chirp) * taken)
-
-
 def frac_convolve(f: SampledSignal, g: SampledSignal,
                   angle: Angle) -> SampledSignal:
     """Weighted convolution on a common grid.
@@ -117,9 +105,10 @@ def frac_convolve(f: SampledSignal, g: SampledSignal,
     """
     _require_common_grid(f, g)
     origin = _origin_index(g)
+    n = f.grid.count
     chirp = time_chirp(f.grid, angle)
-    full = linear_convolve(f.samples * chirp, g.samples * chirp)
-    return _post_chirped(f.grid, full, -origin, chirp)
+    window = linear_convolve(f.samples * chirp, g.samples * chirp, -origin, n)
+    return SampledSignal(f.grid, f.grid.step * np.conj(chirp) * window)
 
 
 def frac_correlate(f: SampledSignal, g: SampledSignal,
@@ -136,5 +125,6 @@ def frac_correlate(f: SampledSignal, g: SampledSignal,
     origin = _origin_index(g)
     n = f.grid.count
     chirp = time_chirp(f.grid, angle)
-    full = linear_convolve((np.conj(f.samples) * chirp)[::-1], g.samples * chirp)
-    return _post_chirped(f.grid, full, origin + n - 1, chirp)
+    window = linear_convolve((np.conj(f.samples) * chirp)[::-1],
+                             g.samples * chirp, origin + n - 1, n)
+    return SampledSignal(f.grid, f.grid.step * np.conj(chirp) * window)

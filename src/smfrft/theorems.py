@@ -57,11 +57,10 @@ from typing import Callable
 import numpy as np
 
 from .corpus import PAIR_COUNT, default_pairs
-from .errors import AlignmentError, GridCompatibilityError, InvalidParameterError
+from .errors import AlignmentError, InvalidParameterError
 from .grid import (
     ComplexArray,
     SampledSignal,
-    Spectrum,
     UniformGrid,
     make_grid,
 )
@@ -77,7 +76,6 @@ from .operators import (
 from .transform import (
     fast_ugrid,
     linear_convolve,
-    smfrft_direct,
     smfrft_quadrature,
 )
 
@@ -135,21 +133,10 @@ class CheckConfig:
     zero_floor: float = 1e-14
 
 
-def conj_transform(f: SampledSignal, angle: Angle,
-                   ugrid: UniformGrid) -> Spectrum:
-    """Overline-operator spectrum of ``f`` on a uniform grid.
-
-    The overline operator transforms the conjugated signal. That is
-    distinct from conjugating the transform, which would also conjugate
-    the kernel chirp.
-    """
-    return smfrft_direct(f.conjugate(), ugrid, angle)
-
-
 # --------------------------------------------------------------------------
 # RHS: closed-form spectral expressions. At d = 0 and/or q = 0 the general
 # builders collapse onto the plain, shifted and modulated forms. The
-# correlation forms take the overline spectrum of f (see conj_transform).
+# correlation forms take the overline spectrum of f (see _spectrum).
 
 # While run_suite computes one (angle, pair), the RHS spectra it has
 # already computed, keyed by (id(operand), conj, angle, u); each value
@@ -163,6 +150,10 @@ def _spectrum(x: SampledSignal, u: np.ndarray, angle: Angle,
               conj: bool = False) -> ComplexArray:
     """Quadrature spectrum of ``x`` (of its conjugate with ``conj``, the
     overline spectrum) at the evenly spaced points ``u``.
+
+    The overline operator transforms the conjugated signal. That is
+    distinct from conjugating the transform, which would also conjugate
+    the kernel chirp.
 
     The quadrature reads only u[0], u[-1] and len(u), so those, to the
     bit, name the points in the memo key.
@@ -197,21 +188,12 @@ def rhs_product(f, g, angle, ugrid: UniformGrid) -> ComplexArray:
     grid, where the truncation leakage of decaying spectra is negligible;
     the check restricts the residual accordingly.
     """
+    origin = _lattice_index(ugrid.start, ugrid.step, "product u grid start")
     u = ugrid.points()
-    origin = ugrid.start / ugrid.step
-    r_u = round(origin)
-    if abs(origin - r_u) > 1e-9 * max(1.0, abs(origin)):
-        raise GridCompatibilityError(
-            "product check needs a u grid whose start is a multiple of du"
-        )
     fs = _spectrum(f, u, angle)
     gs = _spectrum(g, u, angle)
-    full = linear_convolve(fs, gs)
-    take = np.arange(ugrid.count) - r_u
-    valid = (take >= 0) & (take < full.shape[0])
-    out = np.zeros(ugrid.count, dtype=np.complex128)
-    out[valid] = full[take[valid]]
-    return sqrt_j_over_2pi() * ugrid.step * out
+    window = linear_convolve(fs, gs, -origin, ugrid.count)
+    return sqrt_j_over_2pi() * ugrid.step * window
 
 
 def rhs_corr_shift_paper(f, g, angle, d, q, u) -> ComplexArray:

@@ -42,11 +42,10 @@ the rounding of its inline chirps (see the comments there).
 from __future__ import annotations
 
 import functools
-import math
 
 import numpy as np
 
-from .errors import AngleMismatchError, FftSizeError, GridCompatibilityError
+from .errors import FftSizeError, GridCompatibilityError
 from .grid import ComplexArray, SampledSignal, Spectrum, UniformGrid
 from .kernel import Angle, sqrt_j2pi, sqrt_j_over_2pi, time_chirp
 
@@ -61,12 +60,20 @@ def _fft_size(length: int) -> int:
     return 1 << max(0, length - 1).bit_length()
 
 
-def linear_convolve(a: np.ndarray, b: np.ndarray) -> ComplexArray:
-    """Full linear convolution of two 1-D arrays (zero-extended, never
-    circular) by one zero-padded FFT product; len(a) + len(b) - 1 values."""
+def linear_convolve(a: np.ndarray, b: np.ndarray, offset: int,
+                    count: int) -> ComplexArray:
+    """out[k] = (a * b)[k + offset] for k < count, where a * b is the full
+    linear convolution of two 1-D arrays (zero-extended, never circular,
+    len(a) + len(b) - 1 values) by one zero-padded FFT product; zero where
+    k + offset leaves it."""
     length = a.shape[0] + b.shape[0] - 1
     size = _fft_size(length)
-    return np.fft.ifft(np.fft.fft(a, size) * np.fft.fft(b, size))[:length]
+    full = np.fft.ifft(np.fft.fft(a, size) * np.fft.fft(b, size))
+    out = np.zeros(count, dtype=np.complex128)
+    lo, hi = max(0, -offset), min(count, length - offset)
+    if lo < hi:
+        out[lo:hi] = full[lo + offset:hi + offset]
+    return out
 
 
 @functools.lru_cache(maxsize=16)
@@ -202,39 +209,29 @@ def smfrft_fast(x: SampledSignal, angle: Angle) -> Spectrum:
     return Spectrum(ugrid, values, angle, tgrid=x.grid)
 
 
-def ismfrft_direct(spectrum: Spectrum, tgrid: UniformGrid,
-                   angle: Angle) -> SampledSignal:
-    """Quadrature inverse: post-chirped rectangle rule over the u grid,
-    onto any uniform time grid (a chirp-z transform).
+def ismfrft_direct(spectrum: Spectrum, tgrid: UniformGrid) -> SampledSignal:
+    """Quadrature inverse at the spectrum's angle: post-chirped rectangle
+    rule over the u grid, onto any uniform time grid (a chirp-z transform).
 
     samples[n] = sqrt(j/(2*pi)) * exp(-(j/2) t_n^2 cot)
                  * du * sum_k exp(j u_k t_n) * X[k]
     """
-    if spectrum.angle != angle:
-        raise AngleMismatchError(
-            f"spectrum was computed at phi={spectrum.angle.phi!r}, "
-            f"inverse requested at phi={angle.phi!r}"
-        )
     ugrid = spectrum.ugrid
     fourier = _chirp_z(spectrum.values, ugrid.start, ugrid.step,
                        tgrid.start, tgrid.step, tgrid.count, +1)
     t = tgrid.points()
-    post = sqrt_j_over_2pi() * np.exp(-0.5j * angle.cot_phi * t * t)
+    post = sqrt_j_over_2pi() * np.exp(-0.5j * spectrum.angle.cot_phi * t * t)
     return SampledSignal(tgrid, post * ugrid.step * fourier)
 
 
-def ismfrft_fast(spectrum: Spectrum, angle: Angle) -> SampledSignal:
-    """Fast inverse: inverse FFT plus post-chirp, exact on reciprocal grids.
+def ismfrft_fast(spectrum: Spectrum) -> SampledSignal:
+    """Fast inverse at the spectrum's angle: inverse FFT plus post-chirp,
+    exact on reciprocal grids.
 
     The spectrum must carry the originating time grid and satisfy
     du * N * dt = 2*pi; then the composition with ``smfrft_fast`` is the
     identity up to floating point.
     """
-    if spectrum.angle != angle:
-        raise AngleMismatchError(
-            f"spectrum was computed at phi={spectrum.angle.phi!r}, "
-            f"inverse requested at phi={angle.phi!r}"
-        )
     tgrid = spectrum.tgrid
     if tgrid is None:
         raise GridCompatibilityError(
@@ -258,24 +255,5 @@ def ismfrft_fast(spectrum: Spectrum, angle: Angle) -> SampledSignal:
     # inline, not cached, like the forward chirp in smfrft_fast: the CLI's
     # CSV bytes rest on the rounding of this exact expression (temporary
     # elision and fused multiply-add operand order)
-    post = sqrt_j_over_2pi() * np.exp(-0.5j * angle.cot_phi * t * t)
+    post = sqrt_j_over_2pi() * np.exp(-0.5j * spectrum.angle.cot_phi * t * t)
     return SampledSignal(tgrid, post * spectrum.ugrid.step * sums)
-
-
-def frft_direct(x: SampledSignal, ugrid: UniformGrid, angle: Angle) -> Spectrum:
-    """Conventional fractional transform by rectangle-rule quadrature.
-
-    Reference implementation only; at phi = pi/2 it equals sqrt(j) times
-    the simplified transform pointwise (the kernels differ by exactly
-    that constant when cot(phi) = 0). The cross term e^{-j csc u t} is a
-    chirp-z transform onto the scaled grid csc*u.
-    """
-    cot = angle.cot_phi
-    csc = 1.0 / math.sin(angle.phi)
-    amp = np.sqrt((1.0 - 1j * cot) / (2.0 * math.pi))
-    grid = x.grid
-    chirped = x.samples * time_chirp(grid, angle)
-    sums = _chirp_z(chirped, grid.start, grid.step, csc * ugrid.start,
-                    csc * ugrid.step, ugrid.count, -1)
-    values = (grid.step * amp) * time_chirp(ugrid, angle) * sums
-    return Spectrum(ugrid, values, angle, tgrid=x.grid)

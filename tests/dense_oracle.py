@@ -8,6 +8,10 @@ a matrix-vector product. It shares no code with the FFT evaluators beyond
 the value types and kernel constants, so agreement at rounding level is
 evidence for both. The functions mirror the library's signatures, which
 lets a test patch them in where the library's own are called.
+
+It also holds what only the tests evaluate: the scalar simplified and
+conventional kernels, the conventional transform the paper compares
+against, and the relative-L2 norm the tests measure residuals with.
 """
 
 from __future__ import annotations
@@ -28,6 +32,41 @@ from smfrft import (
 from smfrft.operators import _origin_index
 
 BLOCK_ROWS = 256
+
+
+def relative_l2_error(a, b) -> float:
+    """|| a - b ||_2 / || b ||_2 for equal-length complex arrays; ValueError
+    on a zero reference."""
+    a = np.asarray(a, dtype=np.complex128)
+    b = np.asarray(b, dtype=np.complex128)
+    if a.shape != b.shape:
+        raise ShapeMismatchError(f"shape mismatch: {a.shape} vs {b.shape}")
+    nb = float(np.linalg.norm(b))
+    if nb == 0.0:
+        raise ValueError("reference vector has zero norm")
+    return float(np.linalg.norm(a - b)) / nb
+
+
+def smfrft_kernel(t, u, angle: Angle):
+    """Simplified fractional kernel, broadcast over t and u.
+
+    Unimodular chirp factors times the constant 1/sqrt(j*2*pi); the
+    magnitude is 1/sqrt(2*pi) everywhere.
+    """
+    return (1.0 / sqrt_j2pi()) * np.exp(1j * (0.5 * angle.cot_phi * t * t - t * u))
+
+
+def frft_kernel(t, u, angle: Angle):
+    """Conventional fractional kernel, broadcast over t and u.
+
+    The amplitude sqrt((1 - j*cot(phi))/(2*pi)) is evaluated on the
+    principal branch; its real part is always positive so the branch cut
+    is never crossed.
+    """
+    cot = angle.cot_phi
+    csc = 1.0 / math.sin(angle.phi)
+    amp = np.sqrt((1.0 - 1j * cot) / (2.0 * math.pi))
+    return amp * np.exp(1j * (0.5 * (u * u + t * t) * cot - u * t * csc))
 
 
 def unit_phasor(phase: np.ndarray) -> np.ndarray:
@@ -62,13 +101,14 @@ def smfrft_quadrature(x: SampledSignal, u_points, angle: Angle) -> np.ndarray:
     return (x.grid.step / sqrt_j2pi()) * phase_matvec(-u, t, chirped)
 
 
-def ismfrft_direct(spectrum: Spectrum, tgrid: UniformGrid,
-                   angle: Angle) -> np.ndarray:
-    """Post-chirped rectangle-rule inverse over the u grid."""
+def ismfrft_direct(spectrum: Spectrum, tgrid: UniformGrid) -> np.ndarray:
+    """Post-chirped rectangle-rule inverse over the u grid, at the
+    spectrum's angle."""
     t = tgrid.points()
     u = spectrum.ugrid.points()
     fourier = phase_matvec(t, u, spectrum.values)
-    post = sqrt_j_over_2pi() * np.exp(-0.5j * angle.cot_phi * t * t)
+    cot = spectrum.angle.cot_phi
+    post = sqrt_j_over_2pi() * np.exp(-0.5j * cot * t * t)
     return post * spectrum.ugrid.step * fourier
 
 

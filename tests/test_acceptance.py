@@ -19,13 +19,11 @@ from smfrft import (
     IdentityId,
     SuiteConfig,
     fast_ugrid,
-    frft_direct,
     gen_chirp,
     gen_gaussian,
     ismfrft_fast,
     make_angle,
     make_grid,
-    relative_l2_error,
     report_rows,
     run_suite,
     smfrft_direct,
@@ -38,6 +36,7 @@ from smfrft.io_csv import read_signal_csv
 
 import closed_forms
 import dense_oracle
+from dense_oracle import relative_l2_error
 
 PI = math.pi
 ANGLES = (PI / 6, PI / 4, PI / 3, PI / 2 - 0.1, PI / 2)
@@ -93,7 +92,7 @@ def test_criterion_2_round_trip(corpus_1024):
     for x in signals:
         for phi in ANGLES:
             angle = make_angle(phi)
-            back = ismfrft_fast(smfrft_fast(x, angle), angle)
+            back = ismfrft_fast(smfrft_fast(x, angle))
             worst = max(worst, relative_l2_error(back.samples, x.samples))
     elapsed = time.perf_counter() - start
     assert worst <= 1e-10
@@ -132,10 +131,10 @@ def test_criterion_4_right_angle_reduction(corpus_1024):
                      * np.fft.fftshift(np.fft.fft(x.samples)))
         worst_dft = max(worst_dft,
                         relative_l2_error(spec.values, reference))
-        conventional = frft_direct(x, ugrid, angle)
+        conventional = dense_oracle.frft_direct(x, ugrid, angle)
         simplified = smfrft_direct(x, ugrid, angle)
         worst_frft = max(worst_frft,
-                         relative_l2_error(conventional.values,
+                         relative_l2_error(conventional,
                                            sqrt_j * simplified.values))
     elapsed = time.perf_counter() - start
     assert worst_dft <= 1e-12

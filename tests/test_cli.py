@@ -5,10 +5,13 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from smfrft import cli as cli_module, errors
 from smfrft.cli import cli
 from smfrft.io_csv import read_signal_csv, write_signal_csv
-from smfrft import gen_chirp, make_grid, relative_l2_error
+from smfrft import gen_chirp, make_grid
 from smfrft import SampledSignal, SuiteConfig, reports_to_json, run_suite
+
+from dense_oracle import relative_l2_error
 
 
 @pytest.fixture
@@ -129,6 +132,25 @@ class TestTransformInvert:
                                      *extra])
         assert result.exit_code == 2, result.output
         assert f"error: {bad}: not ASCII text" in result.output
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["transform", "filter"])
+    def test_overflowing_energy_exits_two(self, runner, tmp_path, command):
+        # one sample of 1e308: dt*sum|x|^2 overflows, and the energy line
+        # would print inf and nan
+        signal = gen_chirp(make_grid(-8.0, 16 / 256, 256), 1.0, 1.0)
+        samples = signal.samples.copy()
+        samples[100] = 1e308
+        sig = tmp_path / "sig.csv"
+        write_signal_csv(sig, SampledSignal(signal.grid, samples))
+        out = tmp_path / "out.csv"
+        extra = ["--passband=-2:2"] if command == "filter" else []
+        result = runner.invoke(cli, [command, "--input", str(sig),
+                                     "--output", str(out), "--order", "0.5",
+                                     *extra])
+        assert result.exit_code == 2, result.output
+        assert "error: energy" in result.stderr
+        assert "overflows" in result.stderr
         assert not out.exists()
 
     def test_inputs_never_mutated(self, runner, tmp_path):
@@ -359,3 +381,15 @@ class TestVerify:
         result = runner.invoke(cli, ["verify", "--identities", "NOPE",
                                      "--output", str(tmp_path / "r.json")])
         assert result.exit_code == 2
+
+
+class TestDomainErrors:
+    def test_every_library_error_is_a_smfrft_error(self):
+        # the CLI turns exactly these into exit 2; an error outside the
+        # base class would escape as a traceback
+        defined = [obj for obj in vars(errors).values()
+                   if isinstance(obj, type) and obj.__module__ == errors.__name__]
+        assert errors.SmfrftError in defined and len(defined) > 1
+        for cls in defined:
+            assert issubclass(cls, errors.SmfrftError), cls
+        assert cli_module._DOMAIN_ERRORS == (errors.SmfrftError, OSError)

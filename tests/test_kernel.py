@@ -7,12 +7,12 @@ from hypothesis import strategies as st
 
 from smfrft import (
     DegenerateAngleError,
-    frft_kernel,
     make_angle,
-    smfrft_kernel,
     sqrt_j2pi,
     sqrt_j_over_2pi,
 )
+
+from dense_oracle import frft_kernel, smfrft_kernel
 
 INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 

@@ -18,9 +18,10 @@ from smfrft import (
     make_angle,
     make_grid,
     modulate_op,
-    relative_l2_error,
     shift_op,
 )
+
+from dense_oracle import relative_l2_error
 
 PI = math.pi
 

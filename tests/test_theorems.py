@@ -8,19 +8,18 @@ import pytest
 import smfrft.theorems as theorems
 import smfrft.transform as transform
 from smfrft import (
+    AlignmentError,
     CheckConfig,
     IdentityId,
     InvalidParameterError,
     SampledSignal,
     SuiteConfig,
     check,
-    conj_transform,
     fast_ugrid,
     frac_correlate,
     gen_gaussian,
     make_angle,
     make_grid,
-    relative_l2_error,
     report_rows,
     reports_to_json,
     run_suite,
@@ -32,6 +31,7 @@ from smfrft.corpus import PAIR_COUNT, default_pairs
 
 import closed_forms
 import dense_oracle
+from dense_oracle import relative_l2_error
 
 PI = math.pi
 
@@ -54,25 +54,26 @@ def operands(theorem_grid):
 
 
 class TestConjTransform:
+    # the overline spectrum the certificate uses: _spectrum with conj
     def test_real_signal_equals_plain_transform(self, theorem_grid):
         f = gen_gaussian(theorem_grid, 0.3, 1.0, 0.0)
         ugrid = fast_ugrid(theorem_grid)
         angle = make_angle(PI / 3)
-        overline = conj_transform(f, angle, ugrid)
+        overline = theorems._spectrum(f, ugrid.points(), angle, conj=True)
         plain = smfrft_direct(f, ugrid, angle)
-        np.testing.assert_array_equal(overline.values, plain.values)
+        np.testing.assert_array_equal(overline, plain.values)
 
     def test_pure_imaginary_signal(self, theorem_grid):
         g = gen_gaussian(theorem_grid, 0.0, 1.0, 0.0)
         jf = SampledSignal(theorem_grid, 1j * g.samples)
         ugrid = fast_ugrid(theorem_grid)
         angle = make_angle(PI / 3)
-        overline = conj_transform(jf, angle, ugrid)
+        overline = theorems._spectrum(jf, ugrid.points(), angle, conj=True)
         plain = smfrft_direct(g, ugrid, angle)
         # rounding level against the spectrum's scale: entries in the
         # ~1e-16 tails carry rounding of the whole FFT sum
         scale = np.max(np.abs(plain.values))
-        np.testing.assert_allclose(overline.values, -1j * plain.values,
+        np.testing.assert_allclose(overline, -1j * plain.values,
                                    rtol=1e-15, atol=1e-15 * scale)
 
     def test_naive_conjugate_reading_fails(self, theorem_grid):
@@ -163,6 +164,15 @@ class TestIndividualChecks:
         f, g = operands
         cfg = CheckConfig(ugrid=fast_ugrid(theorem_grid), tolerance=1e-3)
         assert check(IdentityId.PROD, f, g, make_angle(PI / 2), cfg).passed
+
+    def test_product_u_grid_off_lattice_rejected(self, operands, theorem_grid):
+        # the spectral convolution is read at lattice index k - start/du
+        f, g = operands
+        ugrid = fast_ugrid(theorem_grid)
+        off = make_grid(ugrid.start + 0.5 * ugrid.step, ugrid.step, ugrid.count)
+        cfg = CheckConfig(ugrid=off, tolerance=1e-3)
+        with pytest.raises(AlignmentError):
+            check(IdentityId.PROD, f, g, make_angle(PI / 3), cfg)
 
     def test_correlation(self, operands, theorem_cfg):
         f, g = operands
