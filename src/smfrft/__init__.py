@@ -10,7 +10,6 @@ independently computed sides.
 from .errors import (
     AlignmentError,
     DegenerateAngleError,
-    FftSizeError,
     GridCompatibilityError,
     InvalidGridError,
     InvalidParameterError,

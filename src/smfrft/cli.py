@@ -29,7 +29,7 @@ from .theorems import (
     run_suite,
     suite_passed,
 )
-from .transform import fast_ugrid, ismfrft_direct, ismfrft_fast, smfrft_direct, smfrft_fast
+from .transform import ismfrft_direct, ismfrft_fast, smfrft_direct, smfrft_fast
 
 _DOMAIN_ERRORS = (SmfrftError, OSError)
 
@@ -123,27 +123,25 @@ def generate(kind, start, step, count, center, width, carrier, rate, output):
 @cli.command()
 @click.option("--input", "input_", type=click.Path(), required=True)
 @click.option("--output", type=click.Path(), required=True)
-@click.option("--method", type=click.Choice(["fast", "direct"]),
-              default="fast", show_default=True)
 @click.option("--ugrid", default=None,
-              help="start:step:count output grid (direct method only).")
+              help="start:step:count output grid; selects the quadrature.")
 @_angle_options
 @_exit2_on_domain_error
-def transform(input_, output, method, ugrid, angle, order_):
+def transform(input_, output, ugrid, angle, order_):
     """Forward transform of a signal CSV to a spectrum CSV.
 
-    Prints the discrete energy balance (Parseval check) to stderr. An
-    energy that overflows a double exits 2 before anything is written.
+    With --ugrid, by quadrature onto that grid; without, by chirp + FFT
+    onto the FFT-bin grid. Prints the discrete energy balance (Parseval
+    check) to stderr. An energy that overflows a double exits 2 before
+    anything is written.
     """
     ang = _resolve_angle(angle, order_)
+    out_grid = None if ugrid is None else _parse_ugrid(ugrid)
     signal = io_csv.read_signal_csv(input_)
     e_time = signal.energy()
-    if method == "fast":
-        if ugrid is not None:
-            raise click.UsageError("--ugrid is only valid with --method direct")
+    if out_grid is None:
         spectrum = smfrft_fast(signal, ang)
     else:
-        out_grid = _parse_ugrid(ugrid) if ugrid else fast_ugrid(signal.grid)
         spectrum = smfrft_direct(signal, out_grid, ang)
     e_spec = spectrum.energy()
     io_csv.write_spectrum_csv(output, spectrum.ugrid, spectrum.values)
@@ -158,36 +156,34 @@ def transform(input_, output, method, ugrid, angle, order_):
 @cli.command()
 @click.option("--input", "input_", type=click.Path(), required=True)
 @click.option("--output", type=click.Path(), required=True)
-@click.option("--method", type=click.Choice(["fast", "direct"]),
-              default="fast", show_default=True)
 @click.option("--start", type=float, default=None,
               help="Time-grid start; default centers the grid.")
 @click.option("--step", type=float, default=None,
-              help="Time-grid step (direct method).")
+              help="Time-grid step; with --count, selects the quadrature.")
 @click.option("--count", type=int, default=None,
-              help="Time-grid count (direct method).")
+              help="Time-grid count; with --step, selects the quadrature.")
 @_angle_options
 @_exit2_on_domain_error
-def invert(input_, output, method, start, step, count, angle, order_):
-    """Inverse transform of a spectrum CSV back to a signal CSV."""
+def invert(input_, output, start, step, count, angle, order_):
+    """Inverse transform of a spectrum CSV back to a signal CSV.
+
+    With --step and --count, by quadrature onto that time grid; with
+    neither, by FFT onto the grid reciprocal to the spectrum's.
+    """
     ang = _resolve_angle(angle, order_)
+    if (step is None) != (count is None):
+        raise click.UsageError("--step and --count go together: give both or neither")
     ugrid, values = io_csv.read_spectrum_csv(input_)
-    if method == "fast":
-        n = ugrid.count
-        dt = 2.0 * math.pi / (n * ugrid.step)
-        t_start = -(n // 2) * dt if start is None else start
-        tgrid = make_grid(t_start, dt, n)
-        spectrum = Spectrum(ugrid, values, ang, tgrid=tgrid)
-        signal = ismfrft_fast(spectrum)
+    fast = step is None
+    if fast:
+        count = ugrid.count
+        step = 2.0 * math.pi / (count * ugrid.step)
+    t_start = -(count // 2) * step if start is None else start
+    tgrid = make_grid(t_start, step, count)
+    if fast:
+        signal = ismfrft_fast(Spectrum(ugrid, values, ang, tgrid=tgrid))
     else:
-        if step is None or count is None:
-            raise click.UsageError(
-                "--method direct requires --step and --count"
-            )
-        t_start = -(count // 2) * step if start is None else start
-        tgrid = make_grid(t_start, step, count)
-        spectrum = Spectrum(ugrid, values, ang)
-        signal = ismfrft_direct(spectrum, tgrid)
+        signal = ismfrft_direct(Spectrum(ugrid, values, ang), tgrid)
     io_csv.write_signal_csv(output, signal)
 
 

@@ -1,4 +1,4 @@
-"""Deterministic test-signal corpora for the harness and acceptance runs.
+"""Deterministic operand pairs for the identity suite.
 
 Two of the three theorem pairs are broadband chirp pairs whose envelopes
 reach toward the span edges. Their support-window leakage terms oscillate
@@ -47,37 +47,8 @@ def default_pairs(grid: UniformGrid) -> list[tuple[SampledSignal, SampledSignal]
     ]
 
 
-def _mix(a: SampledSignal, b: SampledSignal) -> SampledSignal:
-    return SampledSignal(a.grid, a.samples + b.samples)
-
-
 def modulated_chirp(grid: UniformGrid, rate: float, envelope_width: float,
                     carrier: float) -> SampledSignal:
     """Chirp with an extra linear carrier, for off-center spectra."""
     base = gen_chirp(grid, rate, envelope_width)
     return SampledSignal(grid, base.samples * np.exp(1j * carrier * grid.points()))
-
-
-def acceptance_signals(grid: UniformGrid) -> list[SampledSignal]:
-    """Twelve signals exercising the transform paths.
-
-    Gaussians with and without carriers, chirps over a range of rates,
-    and complex mixtures; all decay far inside the default span.
-    """
-    return [
-        gen_gaussian(grid, center=0.0, width=1.0, carrier=0.0),
-        gen_gaussian(grid, center=0.5, width=0.8, carrier=2.0),
-        gen_gaussian(grid, center=-1.0, width=1.5, carrier=-3.0),
-        gen_gaussian(grid, center=0.0, width=0.5, carrier=5.0),
-        gen_chirp(grid, rate=1.0, envelope_width=1.5),
-        gen_chirp(grid, rate=-2.0, envelope_width=1.0),
-        gen_chirp(grid, rate=5.0, envelope_width=2.0),
-        gen_chirp(grid, rate=12.0, envelope_width=2.0),
-        _mix(gen_gaussian(grid, 0.0, 1.0, 0.0),
-             gen_gaussian(grid, 1.0, 0.7, 4.0)),
-        _mix(gen_gaussian(grid, -0.5, 1.2, -2.0),
-             gen_chirp(grid, rate=3.0, envelope_width=1.5)),
-        _mix(gen_chirp(grid, rate=2.0, envelope_width=1.0),
-             gen_chirp(grid, rate=-4.0, envelope_width=1.2)),
-        modulated_chirp(grid, rate=6.0, envelope_width=1.5, carrier=3.0),
-    ]

@@ -32,7 +32,3 @@ class AlignmentError(SmfrftError):
 
 class GridCompatibilityError(SmfrftError):
     """Spectrum and time grids do not form an exact transform pair."""
-
-
-class FftSizeError(SmfrftError):
-    """The fast transform path only accepts power-of-two lengths."""

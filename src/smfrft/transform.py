@@ -7,7 +7,8 @@ Two routes compute the same simplified fractional transform:
   (shifted, negated, a sub-range, or a single point). The sum is a
   chirp-z transform (Bluestein): one linear FFT convolution, O((N+M) log).
 * ``smfrft_fast`` realizes the three-step chirp-multiply -> FFT ->
-  constant-scale factorization on the FFT-bin output grid, O(N log N).
+  constant-scale factorization on the FFT-bin output grid, O(N log N)
+  at any N.
 
 On the FFT-bin grid the two are algebraically the same finite sum, so
 their agreement is a rounding-level cross-check, not a discretization
@@ -45,7 +46,7 @@ import functools
 
 import numpy as np
 
-from .errors import FftSizeError, GridCompatibilityError
+from .errors import GridCompatibilityError
 from .grid import ComplexArray, SampledSignal, Spectrum, UniformGrid
 from .kernel import Angle, sqrt_j2pi, sqrt_j_over_2pi, time_chirp
 
@@ -190,12 +191,7 @@ def smfrft_fast(x: SampledSignal, angle: Angle) -> Spectrum:
 
         values[k] = (dt / sqrt(j*2*pi))
                     * sum_n (x[n] * exp((j/2) t_n^2 cot)) * exp(-j t_n u_k)
-
-    Requires a power-of-two length.
     """
-    n = x.grid.count
-    if n & (n - 1):
-        raise FftSizeError(f"fast path requires a power-of-two length, got {n}")
     t = x.grid.points()
     # not kernel.time_chirp: from 256 KiB on, numpy computes this product
     # in the exp temporary's buffer with the operands swapped, and the

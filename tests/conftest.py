@@ -15,7 +15,7 @@ def small_grid():
 @pytest.fixture
 def std_grid():
     # the harness's default span at reduced resolution, fast enough for
-    # unit tests, still a power of two
+    # unit tests
     return make_grid(-16.0, 32.0 / 512, 512)
 
 

@@ -17,6 +17,7 @@ from click.testing import CliRunner
 import smfrft.theorems as theorems
 from smfrft import (
     IdentityId,
+    SampledSignal,
     SuiteConfig,
     fast_ugrid,
     gen_chirp,
@@ -31,7 +32,7 @@ from smfrft import (
     suite_passed,
 )
 from smfrft.cli import cli
-from smfrft.corpus import acceptance_signals
+from smfrft.corpus import modulated_chirp
 from smfrft.io_csv import read_signal_csv
 
 import closed_forms
@@ -40,6 +41,35 @@ from dense_oracle import relative_l2_error
 
 PI = math.pi
 ANGLES = (PI / 6, PI / 4, PI / 3, PI / 2 - 0.1, PI / 2)
+
+
+def _mix(a, b):
+    return SampledSignal(a.grid, a.samples + b.samples)
+
+
+def acceptance_signals(grid):
+    """Twelve signals exercising the transform paths.
+
+    Gaussians with and without carriers, chirps over a range of rates,
+    and complex mixtures; all decay far inside the default span.
+    """
+    return [
+        gen_gaussian(grid, center=0.0, width=1.0, carrier=0.0),
+        gen_gaussian(grid, center=0.5, width=0.8, carrier=2.0),
+        gen_gaussian(grid, center=-1.0, width=1.5, carrier=-3.0),
+        gen_gaussian(grid, center=0.0, width=0.5, carrier=5.0),
+        gen_chirp(grid, rate=1.0, envelope_width=1.5),
+        gen_chirp(grid, rate=-2.0, envelope_width=1.0),
+        gen_chirp(grid, rate=5.0, envelope_width=2.0),
+        gen_chirp(grid, rate=12.0, envelope_width=2.0),
+        _mix(gen_gaussian(grid, 0.0, 1.0, 0.0),
+             gen_gaussian(grid, 1.0, 0.7, 4.0)),
+        _mix(gen_gaussian(grid, -0.5, 1.2, -2.0),
+             gen_chirp(grid, rate=3.0, envelope_width=1.5)),
+        _mix(gen_chirp(grid, rate=2.0, envelope_width=1.0),
+             gen_chirp(grid, rate=-4.0, envelope_width=1.2)),
+        modulated_chirp(grid, rate=6.0, envelope_width=1.5, carrier=3.0),
+    ]
 
 
 def announce(number, label, elapsed=None):

@@ -7,9 +7,20 @@ from click.testing import CliRunner
 
 from smfrft import cli as cli_module, errors
 from smfrft.cli import cli
-from smfrft.io_csv import read_signal_csv, write_signal_csv
-from smfrft import gen_chirp, make_grid
-from smfrft import SampledSignal, SuiteConfig, reports_to_json, run_suite
+from smfrft.io_csv import read_signal_csv, read_spectrum_csv, write_signal_csv
+from smfrft import (
+    SampledSignal,
+    Spectrum,
+    SuiteConfig,
+    fast_ugrid,
+    gen_chirp,
+    ismfrft_direct,
+    make_angle,
+    make_grid,
+    reports_to_json,
+    run_suite,
+    smfrft_direct,
+)
 
 from dense_oracle import relative_l2_error
 
@@ -96,20 +107,92 @@ class TestTransformInvert:
         invoke(runner, "generate", *SMALL, "--output", sig)
         invoke(runner, "transform", "--input", sig, "--output", fast,
                "--angle", str(math.pi / 3))
-        invoke(runner, "transform", "--input", sig, "--output", direct,
-               "--angle", str(math.pi / 3), "--method", "direct")
-        from smfrft.io_csv import read_spectrum_csv
-        _, fast_vals = read_spectrum_csv(fast)
-        _, direct_vals = read_spectrum_csv(direct)
+        # --ugrid selects the quadrature; on the FFT-bin grid it is the
+        # same finite sum as chirp + FFT
+        ugrid = fast_ugrid(read_signal_csv(sig).grid)
+        r = invoke(runner, "transform", "--input", sig, "--output", direct,
+                   "--angle", str(math.pi / 3),
+                   "--ugrid", f"{ugrid.start!r}:{ugrid.step!r}:{ugrid.count}")
+        assert r.exit_code == 0
+        direct_grid, direct_vals = read_spectrum_csv(direct)
+        fast_grid, fast_vals = read_spectrum_csv(fast)
+        assert direct_grid == fast_grid
         assert relative_l2_error(direct_vals, fast_vals) <= 1e-9
 
-    def test_ugrid_with_fast_method_rejected(self, runner, tmp_path):
+    def test_ugrid_selects_quadrature(self, runner, tmp_path):
         sig = tmp_path / "sig.csv"
+        spec = tmp_path / "s.csv"
         invoke(runner, "generate", *SMALL, "--output", sig)
-        result = runner.invoke(cli, ["transform", "--input", str(sig),
-                                     "--output", str(tmp_path / "s.csv"),
-                                     "--order", "1", "--ugrid", "0:1:4"])
-        assert result.exit_code == 2
+        r = invoke(runner, "transform", "--input", sig, "--output", spec,
+                   "--order", "1", "--ugrid", "0:1:4")
+        assert r.exit_code == 0, r.output
+        ugrid, values = read_spectrum_csv(spec)
+        assert ugrid == make_grid(0.0, 1.0, 4)
+        expected = smfrft_direct(read_signal_csv(sig), ugrid,
+                                 make_angle(math.pi / 2))
+        np.testing.assert_array_equal(values, expected.values)
+
+    def test_invert_step_count_selects_quadrature(self, runner, tmp_path):
+        # the time grid the user asks for, not the spectrum's reciprocal one
+        sig = tmp_path / "sig.csv"
+        spec = tmp_path / "spec.csv"
+        back = tmp_path / "back.csv"
+        invoke(runner, "generate", *SMALL, "--output", sig)
+        invoke(runner, "transform", "--input", sig, "--output", spec,
+               "--order", "0.5")
+        r = invoke(runner, "invert", "--input", spec, "--output", back,
+                   "--order", "0.5", "--step", "0.1", "--count", "100")
+        assert r.exit_code == 0, r.output
+        assert len(back.read_text().splitlines()) == 101
+        recovered = read_signal_csv(back)
+        tgrid = make_grid(-5.0, 0.1, 100)
+        np.testing.assert_allclose(recovered.grid.points(), tgrid.points(),
+                                   rtol=0, atol=1e-12)
+        ugrid, values = read_spectrum_csv(spec)
+        expected = ismfrft_direct(
+            Spectrum(ugrid, values, make_angle(math.pi / 4)), tgrid)
+        assert relative_l2_error(recovered.samples, expected.samples) <= 1e-12
+
+    @pytest.mark.parametrize("extra", [["--step", "0.1"], ["--count", "100"]])
+    def test_invert_step_or_count_alone_exits_two(self, runner, tmp_path,
+                                                  extra):
+        sig = tmp_path / "sig.csv"
+        spec = tmp_path / "spec.csv"
+        out = tmp_path / "back.csv"
+        invoke(runner, "generate", *SMALL, "--output", sig)
+        invoke(runner, "transform", "--input", sig, "--output", spec,
+               "--order", "0.5")
+        result = runner.invoke(cli, ["invert", "--input", str(spec),
+                                     "--output", str(out), "--order", "0.5",
+                                     *extra])
+        assert result.exit_code == 2, result.output
+        assert "--step and --count" in result.output
+        assert not out.exists()
+
+    @pytest.mark.parametrize("count", [1000, 1021])
+    def test_pipeline_at_any_length(self, runner, tmp_path, count):
+        # no power of two: generate -> transform -> filter -> invert
+        sig = tmp_path / "sig.csv"
+        spec = tmp_path / "spec.csv"
+        filtered = tmp_path / "filtered.csv"
+        back = tmp_path / "back.csv"
+        for args in (
+                ["generate", "--kind", "chirp", "--rate", "1", "--width", "2",
+                 "--start", "-16", "--step", 32 / count, "--count", count,
+                 "--output", sig],
+                ["transform", "--input", sig, "--output", spec,
+                 "--order", "0.5"],
+                ["filter", "--input", sig, "--output", filtered,
+                 "--order", "0.5", "--passband=-1e9:1e9"],
+                ["invert", "--input", spec, "--output", back,
+                 "--order", "0.5", "--start", "-16"]):
+            result = invoke(runner, *args)
+            assert result.exit_code == 0, (args[0], result.output)
+        original = read_signal_csv(sig)
+        for out in (back, filtered):
+            recovered = read_signal_csv(out)
+            assert recovered.grid.count == count
+            assert np.max(np.abs(recovered.samples - original.samples)) <= 1e-12
 
     def test_parseval_goes_to_stderr(self, runner, tmp_path):
         sig = tmp_path / "sig.csv"

@@ -1,8 +1,9 @@
 """Fast evaluators against the dense oracle, at rounding level.
 
-The quadrature (chirp-z) and the weighted operators (chirp-factorized FFT
-convolutions) must reproduce the dense sums of ``dense_oracle`` within
-1e-12 relative on random signals, angles and grids at N <= 1024.
+The fast pair (chirp + FFT), the quadrature (chirp-z) and the weighted
+operators (chirp-factorized FFT convolutions) must reproduce the dense
+sums of ``dense_oracle`` within 1e-12 relative on random signals, angles
+and grids at N <= 1024, powers of two or not.
 """
 
 import math
@@ -18,10 +19,12 @@ from smfrft import (
     frac_convolve,
     frac_correlate,
     ismfrft_direct,
+    ismfrft_fast,
     make_angle,
     make_grid,
     modulate_op,
     shift_op,
+    smfrft_fast,
     smfrft_quadrature,
 )
 
@@ -88,6 +91,27 @@ def operand_grids(draw):
     step = 32.0 / n
     origin = draw(st.integers(-n, n // 4))
     return make_grid(origin * step, step, n)
+
+
+@given(grid=operand_grids(), seed=st.integers(0, 2**32 - 1), angle=angles)
+@settings(max_examples=40, deadline=None)
+def test_fast_matches_dense(grid, seed, angle):
+    x = random_signal(grid, seed)
+    fast = smfrft_fast(x, angle)
+    assert fast.ugrid == fast_ugrid(grid)
+    dense = dense_oracle.smfrft_quadrature(x, fast.ugrid.points(), angle)
+    assert relative_l2_error(fast.values, dense) <= GATE
+
+
+@given(grid=operand_grids(), seed=st.integers(0, 2**32 - 1), angle=angles)
+@settings(max_examples=40, deadline=None)
+def test_fast_inverse_matches_dense(grid, seed, angle):
+    spectrum = Spectrum(fast_ugrid(grid), random_signal(grid, seed).samples,
+                        angle, tgrid=grid)
+    back = ismfrft_fast(spectrum)
+    assert back.grid == grid
+    assert relative_l2_error(
+        back.samples, dense_oracle.ismfrft_direct(spectrum, grid)) <= GATE
 
 
 @given(grid=operand_grids(), seeds=st.tuples(st.integers(0, 2**32 - 1),

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from smfrft import (
-    FftSizeError,
     GridCompatibilityError,
     SampledSignal,
     Spectrum,
@@ -113,11 +112,14 @@ class TestFastPath:
         direct = smfrft_direct(x, fast.ugrid, angle)
         assert relative_l2_error(fast.values, direct.values) <= 1e-9
 
-    def test_rejects_non_power_of_two(self):
-        grid = make_grid(-8.0, 16.0 / 100, 100)
-        x = gen_gaussian(grid, 0.0, 1.0, 0.0)
-        with pytest.raises(FftSizeError):
-            smfrft_fast(x, make_angle(PI / 4))
+    @pytest.mark.parametrize("n", [100, 257])
+    def test_round_trip_any_length(self, n, rng):
+        # chirp + FFT needs no power of two: even and odd N invert exactly
+        grid = make_grid(-(n // 2) * (16.0 / n), 16.0 / n, n)
+        x = random_signal(grid, rng)
+        back = ismfrft_fast(smfrft_fast(x, make_angle(PI / 4)))
+        assert back.grid == grid
+        assert relative_l2_error(back.samples, x.samples) <= 1e-12
 
     def test_chirp_compaction(self, quarter_angle):
         # chirp at the kernel's own rate loses its quadratic phase in the
