@@ -227,7 +227,8 @@ def _suite_config_from(config_path, tolerance, identities, count) -> SuiteConfig
     overrides: dict = {}
     if config_path is not None:
         try:
-            raw = json.loads(click.open_file(config_path).read())
+            with click.open_file(config_path) as handle:
+                raw = json.loads(handle.read())
         except (OSError, json.JSONDecodeError) as exc:
             raise click.UsageError(f"--config: {exc}") from None
         if not isinstance(raw, dict):

@@ -1,11 +1,13 @@
+import errno
 import json
 import math
+import os
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from smfrft import cli as cli_module, errors
+from smfrft import cli as cli_module, errors, io_csv
 from smfrft.cli import cli
 from smfrft.io_csv import read_signal_csv, read_spectrum_csv, write_signal_csv
 from smfrft import (
@@ -243,6 +245,51 @@ class TestTransformInvert:
         invoke(runner, "transform", "--input", sig,
                "--output", tmp_path / "s.csv", "--order", "1")
         assert sig.read_bytes() == before
+
+
+class TestSplitIO:
+    def test_default_pipeline_never_forks(self, runner, tmp_path,
+                                          monkeypatch):
+        # the crossover measured in io_csv: a split needs two parts of
+        # _MIN_PART_ROWS, so the CLI default of 2048 rows stays in one
+        # process
+        assert io_csv._MIN_PART_ROWS == 8192
+        forks = []
+
+        def fork():
+            forks.append(True)
+            raise AssertionError("forked")
+
+        monkeypatch.setattr(os, "fork", fork)
+        sig, spec = tmp_path / "sig.csv", tmp_path / "spec.csv"
+        for args in (["generate", "--output", sig],
+                     ["transform", "--input", sig, "--output", spec,
+                      "--order", "0.5"],
+                     ["filter", "--input", sig, "--output", tmp_path / "f.csv",
+                      "--order", "0.5", "--passband=-2:2"],
+                     ["invert", "--input", spec, "--output", tmp_path / "i.csv",
+                      "--order", "0.5"]):
+            assert invoke(runner, *args).exit_code == 0
+        assert forks == []
+
+    def test_failed_write_exits_two_with_no_file(self, runner, tmp_path,
+                                                 monkeypatch):
+        # the worker's part fails, and so does the caller's retry of it:
+        # the caller's part alone would read back as a shorter signal
+        real = io_csv._write_rows
+
+        def full_disk(handle, columns, part):
+            if part.start:
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            real(handle, columns, part)
+
+        monkeypatch.setattr(io_csv, "_workers", lambda rows: 2)
+        monkeypatch.setattr(io_csv, "_write_rows", full_disk)
+        out = tmp_path / "sig.csv"
+        result = runner.invoke(cli, ["generate", *SMALL, "--output", str(out)])
+        assert result.exit_code == 2, result.output
+        assert "No space left on device" in result.stderr
+        assert not out.exists()
 
 
 class TestFilter:

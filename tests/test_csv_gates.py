@@ -4,10 +4,14 @@
 ``smfrft.io_csv`` replaced. On random grids and random doubles the files
 must be byte-identical, the parsed doubles bitwise equal, and any error
 the same message naming the same row. Lengths cross the block size, so
-every property is exercised across block boundaries.
+every property is exercised across block boundaries. The split tests
+force 2 and 3 parts, so they also cross part boundaries and run the
+forked workers.
 """
 
 import math
+import os
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -141,3 +145,82 @@ def test_outcome_matches_reference_on_hand_written_files(tmp_path_factory, n,
     axis, values = io_csv._parse(path, "t,re,im")
     assert_bitwise_equal(axis, expected[0])
     assert_bitwise_equal(values, expected[1])
+
+
+BAD_ROWS = ["", "1.0,2.0", "1.0,2.0,3.0,4.0", "0.5,nan,1.0", "x,1.0,2.0"]
+split_lengths = st.one_of(st.integers(3, 40),
+                          st.integers(BLOCK - 3, 3 * BLOCK + 3))
+
+
+@contextmanager
+def forced_split(workers: int):
+    """Split every file into ``workers`` parts, whatever its length and
+    the number of CPUs."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(io_csv, "_workers", lambda rows: workers)
+        yield
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+@given(n=split_lengths, seed=seeds, start=st.floats(-1e6, 1e6),
+       step=st.floats(1e-9, 1e3))
+@settings(max_examples=15, deadline=None)
+def test_split_bytes_and_doubles_match_reference(tmp_path_factory, workers, n,
+                                                 seed, start, step):
+    tmp = tmp_path_factory.mktemp("csv")
+    grid = make_grid(start, step, n)
+    values = random_values(np.random.default_rng(seed), n)
+    ours, ref = tmp / "ours.csv", tmp / "ref.csv"
+    with forced_split(workers):
+        write_spectrum_csv(ours, grid, values)
+        axis, parsed = io_csv._parse(ours, "u,re,im")
+    csv_reference.write(ref, "u,re,im", grid.points(), values)
+    assert ours.read_bytes() == ref.read_bytes()
+    ref_axis, ref_parsed = csv_reference.parse(ours, "u,re,im")
+    assert_bitwise_equal(axis, ref_axis)
+    assert_bitwise_equal(parsed, ref_parsed)
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+@pytest.mark.parametrize("where", ["parent", "child", "both"])
+@given(n=split_lengths, data=st.data())
+@settings(max_examples=10, deadline=None)
+def test_split_error_matches_reference(tmp_path_factory, workers, where, n,
+                                       data):
+    """A bad row in the caller's part (part 0), in a worker's part, or in
+    both: the same message, naming the same row, as the row-by-row reader
+    and as one process."""
+    lines = [f"{k * 0.5!r},{k!r},{-k!r}" for k in range(n)]
+    child = data.draw(st.integers(1, workers - 1))
+    parts = {"parent": [0], "child": [child], "both": [0, child]}[where]
+    for part in parts:
+        row = data.draw(st.integers(n * part // workers,
+                                    n * (part + 1) // workers - 1))
+        # a blank last row is a trailing blank line, which is not an error
+        lines[row] = data.draw(st.sampled_from(
+            BAD_ROWS[1:] if row == n - 1 else BAD_ROWS))
+    path = tmp_path_factory.mktemp("csv") / "bad.csv"
+    path.write_text("t,re,im\n" + "\n".join(lines) + "\n")
+    with pytest.raises(InvalidParameterError) as expected:
+        csv_reference.parse(path, "t,re,im")
+    with pytest.raises(InvalidParameterError) as single:
+        with forced_split(1):
+            io_csv._parse(path, "t,re,im")
+    with pytest.raises(InvalidParameterError) as split:
+        with forced_split(workers):
+            io_csv._parse(path, "t,re,im")
+    assert str(split.value) == str(single.value) == str(expected.value)
+
+
+def test_no_fork_means_one_part(tmp_path, monkeypatch):
+    n = 2 * io_csv._MIN_PART_ROWS + 5
+    grid = make_grid(-1.0, 2.0 / n, n)
+    values = random_values(np.random.default_rng(7), n)
+    monkeypatch.delattr(os, "fork")
+    assert io_csv._workers(n) == 1
+    ours, ref = tmp_path / "ours.csv", tmp_path / "ref.csv"
+    write_spectrum_csv(ours, grid, values)
+    csv_reference.write(ref, "u,re,im", grid.points(), values)
+    assert ours.read_bytes() == ref.read_bytes()
+    axis, parsed = io_csv._parse(ours, "u,re,im")
+    assert_bitwise_equal(parsed, values)

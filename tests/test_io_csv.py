@@ -1,3 +1,7 @@
+import errno
+import os
+import tempfile
+
 import numpy as np
 import pytest
 
@@ -9,6 +13,7 @@ from smfrft import (
     gen_gaussian,
     make_grid,
 )
+from smfrft import io_csv
 from smfrft.io_csv import (
     read_signal_csv,
     read_spectrum_csv,
@@ -180,3 +185,127 @@ def test_error_names_row_in_later_block(tmp_path, edits, message):
     with pytest.raises(InvalidParameterError) as err:
         read_signal_csv(path)
     assert str(err.value) == f"{path}: {message}"
+
+
+# split I/O: process hygiene and the partial-file rule
+
+SPLIT_ROWS = 3 * io_csv._BLOCK_ROWS + 1
+
+
+def split_signal():
+    grid = make_grid(-8.0, 16.0 / SPLIT_ROWS, SPLIT_ROWS)
+    return gen_chirp(grid, 1.5, 2.0)
+
+
+def assert_no_children():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def full_disk_from(row: int):
+    """A ``_write_rows`` that writes the rows before ``row`` and then fails
+    as a full disk does, in every process."""
+    real = io_csv._write_rows
+
+    def write_rows(handle, columns, part):
+        if part.stop <= row:
+            return real(handle, columns, part)
+        real(handle, columns, range(part.start, max(part.start, row)))
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    return write_rows
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_split_leaves_no_process_or_file(tmp_path, monkeypatch, workers):
+    spills = tmp_path / "spills"
+    spills.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(spills))
+    monkeypatch.setattr(io_csv, "_workers", lambda rows: workers)
+    pid = os.getpid()
+    x = split_signal()
+    good, bad = tmp_path / "good.csv", tmp_path / "bad.csv"
+    write_signal_csv(good, x)
+    np.testing.assert_array_equal(read_signal_csv(good).samples, x.samples)
+    for row in (3, SPLIT_ROWS):  # in the caller's part, the last worker's
+        lines = good.read_text().splitlines()
+        lines[row - 1] = "1.0,2.0"
+        bad.write_text("\n".join(lines) + "\n")
+        with pytest.raises(InvalidParameterError, match=f"row {row}:"):
+            read_signal_csv(bad)
+    monkeypatch.setattr(io_csv, "_write_rows", full_disk_from(SPLIT_ROWS - 5))
+    with pytest.raises(OSError):
+        write_signal_csv(tmp_path / "full.csv", x)
+    assert os.getpid() == pid
+    assert_no_children()
+    assert list(spills.iterdir()) == []
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "bad.csv", "good.csv", "spills"]
+
+
+@pytest.mark.parametrize("workers,row", [
+    (1, io_csv._BLOCK_ROWS + 5),   # one process, after a block hit the disk
+    (2, 5),                        # in the caller's part
+    (2, SPLIT_ROWS - 5),           # in the worker's part
+    (3, SPLIT_ROWS // 2),          # in the middle worker's part
+])
+def test_failed_write_leaves_no_file(tmp_path, monkeypatch, workers, row):
+    # the rows before the failure end on a row boundary: left behind, they
+    # would read back as a valid, shorter signal
+    monkeypatch.setattr(io_csv, "_workers", lambda rows: workers)
+    monkeypatch.setattr(io_csv, "_write_rows", full_disk_from(row))
+    path = tmp_path / "out.csv"
+    path.write_text("an earlier file\n")
+    with pytest.raises(OSError) as err:
+        write_signal_csv(path, split_signal())
+    assert err.value.errno == errno.ENOSPC
+    assert not path.exists()
+    assert_no_children()
+
+
+def test_failed_write_keeps_a_symlinked_output(tmp_path, monkeypatch):
+    # the output name may be a link such as /dev/stdout: only a regular
+    # file is removed
+    target, link = tmp_path / "target.csv", tmp_path / "link.csv"
+    target.write_text("")
+    link.symlink_to(target)
+    monkeypatch.setattr(io_csv, "_write_rows", full_disk_from(5))
+    with pytest.raises(OSError):
+        write_signal_csv(link, split_signal())
+    assert link.is_symlink() and target.exists()
+
+
+def _fail_in_workers(monkeypatch, name):
+    parent, real = os.getpid(), getattr(io_csv, name)
+
+    def only_here(*args):
+        if os.getpid() != parent:
+            raise MemoryError
+        return real(*args)
+
+    monkeypatch.setattr(io_csv, name, only_here)
+
+
+def _no_process():
+    raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+
+@pytest.mark.parametrize("failure", ["worker dies", "fork fails"])
+def test_caller_does_a_failed_workers_part(tmp_path, monkeypatch, failure):
+    """A worker that dies for a reason of its own, or that could not be
+    forked: the caller does its part, with the same bytes and doubles."""
+    x = split_signal()
+    expected = tmp_path / "expected.csv"
+    write_signal_csv(expected, x)
+    monkeypatch.setattr(io_csv, "_workers", lambda rows: 3)
+    if failure == "fork fails":
+        monkeypatch.setattr(os, "fork", _no_process)
+    else:
+        _fail_in_workers(monkeypatch, "_write_rows")
+        _fail_in_workers(monkeypatch, "_parse_block")
+    path = tmp_path / "out.csv"
+    write_signal_csv(path, x)
+    assert path.read_bytes() == expected.read_bytes()
+    back = read_signal_csv(path)
+    assert back.samples.tobytes() == x.samples.tobytes()
+    assert_no_children()
