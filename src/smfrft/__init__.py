@@ -22,13 +22,12 @@ from .grid import (
     UniformGrid,
     gen_chirp,
     gen_gaussian,
-    make_grid,
 )
 from .kernel import (
+    SQRT_J2PI,
+    SQRT_J_OVER_2PI,
     Angle,
     make_angle,
-    sqrt_j2pi,
-    sqrt_j_over_2pi,
 )
 from .operators import (
     frac_convolve,

@@ -18,10 +18,11 @@ from pathlib import Path
 
 import click
 import numpy as np
+from click.core import ParameterSource
 
 from . import io_csv
 from .errors import InvalidParameterError, SmfrftError
-from .grid import Spectrum, UniformGrid, gen_chirp, gen_gaussian, make_grid
+from .grid import Spectrum, UniformGrid, gen_chirp, gen_gaussian
 from .kernel import Angle, make_angle
 from .theorems import (
     SuiteConfig,
@@ -66,7 +67,7 @@ def _parse_ugrid(spec: str) -> UniformGrid:
     if len(parts) != 3:
         raise click.UsageError("--ugrid must be start:step:count")
     try:
-        return make_grid(float(parts[0]), float(parts[1]), int(parts[2]))
+        return UniformGrid(float(parts[0]), float(parts[1]), int(parts[2]))
     except ValueError as exc:
         raise click.UsageError(f"--ugrid: {exc}") from None
 
@@ -112,7 +113,11 @@ def cli():
 @_exit2_on_domain_error
 def generate(kind, start, step, count, center, width, carrier, rate, output):
     """Write a generated test signal as CSV."""
-    grid = make_grid(start, step, count)
+    ctx = click.get_current_context()
+    for name in ("center", "carrier") if kind == "chirp" else ("rate",):
+        if ctx.get_parameter_source(name) is not ParameterSource.DEFAULT:
+            raise click.UsageError(f"--{name} does not apply to --kind {kind}")
+    grid = UniformGrid(start, step, count)
     if kind == "gaussian":
         signal = gen_gaussian(grid, center, width, carrier)
     else:
@@ -179,7 +184,7 @@ def invert(input_, output, start, step, count, angle, order_):
         count = ugrid.count
         step = 2.0 * math.pi / (count * ugrid.step)
     t_start = -(count // 2) * step if start is None else start
-    tgrid = make_grid(t_start, step, count)
+    tgrid = UniformGrid(t_start, step, count)
     if fast:
         signal = ismfrft_fast(Spectrum(ugrid, values, ang, tgrid=tgrid))
     else:

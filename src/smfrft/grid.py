@@ -61,9 +61,20 @@ def _energy(step: float, values: np.ndarray) -> float:
     return energy
 
 
-def make_grid(start: float, step: float, count: int) -> UniformGrid:
-    """Construct a UniformGrid, rejecting non-positive step or count < 2."""
-    return UniformGrid(start, step, count)
+def _freeze(obj, field: str, count: int, noun: str) -> None:
+    """Check that ``obj.<field>`` holds ``count`` finite numbers and put a
+    read-only complex128 copy in its place; ``noun`` names the owner in
+    the error message."""
+    values = np.asarray(getattr(obj, field), dtype=np.complex128)
+    if values.ndim != 1 or values.shape[0] != count:
+        raise ShapeMismatchError(
+            f"expected {count} {field}, got shape {values.shape}"
+        )
+    if not np.all(np.isfinite(values.view(np.float64))):
+        raise InvalidParameterError(f"{noun} {field} must all be finite")
+    values = values.copy()
+    values.setflags(write=False)
+    object.__setattr__(obj, field, values)
 
 
 @dataclass(frozen=True, slots=True)
@@ -78,16 +89,7 @@ class SampledSignal:
     samples: ComplexArray
 
     def __post_init__(self):
-        samples = np.asarray(self.samples, dtype=np.complex128)
-        if samples.ndim != 1 or samples.shape[0] != self.grid.count:
-            raise ShapeMismatchError(
-                f"expected {self.grid.count} samples, got shape {samples.shape}"
-            )
-        if not np.all(np.isfinite(samples.view(np.float64))):
-            raise InvalidParameterError("signal samples must all be finite")
-        samples = samples.copy()
-        samples.setflags(write=False)
-        object.__setattr__(self, "samples", samples)
+        _freeze(self, "samples", self.grid.count, "signal")
 
     def conjugate(self) -> "SampledSignal":
         return SampledSignal(self.grid, np.conj(self.samples))
@@ -111,16 +113,7 @@ class Spectrum:
     tgrid: UniformGrid | None = None
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=np.complex128)
-        if values.ndim != 1 or values.shape[0] != self.ugrid.count:
-            raise ShapeMismatchError(
-                f"expected {self.ugrid.count} values, got shape {values.shape}"
-            )
-        if not np.all(np.isfinite(values.view(np.float64))):
-            raise InvalidParameterError("spectrum values must all be finite")
-        values = values.copy()
-        values.setflags(write=False)
-        object.__setattr__(self, "values", values)
+        _freeze(self, "values", self.ugrid.count, "spectrum")
 
     def energy(self) -> float:
         """Discrete L2 energy, step * sum(|X|^2)."""

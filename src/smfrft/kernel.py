@@ -42,36 +42,25 @@ from .errors import DegenerateAngleError
 # chirp aliases catastrophically on any desk-scale grid.
 SIN_PHI_FLOOR = 1e-12
 
-_SQRT_J_2PI = complex(math.sqrt(2.0 * math.pi) * math.cos(math.pi / 4),
-                      math.sqrt(2.0 * math.pi) * math.sin(math.pi / 4))
-_SQRT_J_OVER_2PI = complex(math.cos(math.pi / 4) / math.sqrt(2.0 * math.pi),
-                           math.sin(math.pi / 4) / math.sqrt(2.0 * math.pi))
-
-
-def sqrt_j2pi() -> complex:
-    """Principal-branch sqrt(j*2*pi) = sqrt(2*pi)*exp(j*pi/4)."""
-    return _SQRT_J_2PI
-
-
-def sqrt_j_over_2pi() -> complex:
-    """Principal-branch sqrt(j/(2*pi)) = exp(j*pi/4)/sqrt(2*pi)."""
-    return _SQRT_J_OVER_2PI
+# sqrt(j*2*pi) and sqrt(j/(2*pi)), both on the principal branch
+SQRT_J2PI = complex(math.sqrt(2.0 * math.pi) * math.cos(math.pi / 4),
+                    math.sqrt(2.0 * math.pi) * math.sin(math.pi / 4))
+SQRT_J_OVER_2PI = complex(math.cos(math.pi / 4) / math.sqrt(2.0 * math.pi),
+                          math.sin(math.pi / 4) / math.sqrt(2.0 * math.pi))
 
 
 @dataclass(frozen=True, slots=True)
 class Angle:
-    """Validated rotation angle with its fractional order and cached cot.
+    """Validated rotation angle with its cached cot.
 
     Fields
     ------
     phi : rotation angle in radians, phi mod pi != 0
-    order : fractional order, 2*phi/pi
     cot_phi : cos(phi)/sin(phi), cached because every kernel and every
         operator weight uses it
     """
 
     phi: float
-    order: float
     cot_phi: float
 
 
@@ -89,7 +78,7 @@ def make_angle(phi: float) -> Angle:
         raise DegenerateAngleError(
             f"degenerate angle: phi={phi!r} has |sin(phi)| < {SIN_PHI_FLOOR}"
         )
-    return Angle(phi=phi, order=2.0 * phi / math.pi, cot_phi=math.cos(phi) / s)
+    return Angle(phi=phi, cot_phi=math.cos(phi) / s)
 
 
 @functools.lru_cache(maxsize=16)

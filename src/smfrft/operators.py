@@ -86,10 +86,6 @@ def frac_product(f: SampledSignal, g: SampledSignal,
     return SampledSignal(f.grid, f.samples * g.samples * weight)
 
 
-def _origin_index(signal: SampledSignal) -> int:
-    return _lattice_index(signal.grid.start, signal.grid.step, "grid start")
-
-
 def frac_convolve(f: SampledSignal, g: SampledSignal,
                   angle: Angle) -> SampledSignal:
     """Weighted convolution on a common grid.
@@ -104,7 +100,7 @@ def frac_convolve(f: SampledSignal, g: SampledSignal,
     roles exchanged.
     """
     _require_common_grid(f, g)
-    origin = _origin_index(g)
+    origin = _lattice_index(g.grid.start, g.grid.step, "grid start")
     n = f.grid.count
     chirp = time_chirp(f.grid, angle)
     window = linear_convolve(f.samples * chirp, g.samples * chirp, -origin, n)
@@ -122,7 +118,7 @@ def frac_correlate(f: SampledSignal, g: SampledSignal,
     operand reversed), read at lattice index n + origin.
     """
     _require_common_grid(f, g)
-    origin = _origin_index(g)
+    origin = _lattice_index(g.grid.start, g.grid.step, "grid start")
     n = f.grid.count
     chirp = time_chirp(f.grid, angle)
     window = linear_convolve((np.conj(f.samples) * chirp)[::-1],

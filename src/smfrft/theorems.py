@@ -10,11 +10,12 @@ check computes its two sides from the row by disjoint routes:
 * LHS: shift and modulate the row's operand, run the time-domain
   operator (a chirp-factorized FFT convolution), then push the result
   through the quadrature transform (a chirp-z transform).
-* RHS: ``rhs_conv_tfshift`` for every convolution family,
-  ``rhs_corr_tfshift_derived`` for every correlation family and
-  ``rhs_product`` for the product, with every spectrum at shifted or
-  negated abscissae a quadrature at those exact points. Nothing is
-  interpolated, and no RHS ever calls a time-domain operator.
+* RHS: ``rhs_tfshift`` for every convolution and correlation family, its
+  shifted and modulated operand's spectrum given by the transform's
+  time-frequency-shift property (``_tf_shifted``), and ``rhs_product``
+  for the product, with every spectrum at shifted or negated abscissae a
+  quadrature at those exact points. Nothing is interpolated, and no RHS
+  ever calls a time-domain operator.
 
 Within ``run_suite`` many right-hand sides need the same operand spectrum
 at the same points (F(u), G(u), the overline F(-u)). The suite runs angle
@@ -58,13 +59,8 @@ import numpy as np
 
 from .corpus import PAIR_COUNT, default_pairs
 from .errors import AlignmentError, InvalidParameterError
-from .grid import (
-    ComplexArray,
-    SampledSignal,
-    UniformGrid,
-    make_grid,
-)
-from .kernel import Angle, make_angle, sqrt_j2pi, sqrt_j_over_2pi
+from .grid import ComplexArray, SampledSignal, UniformGrid
+from .kernel import SQRT_J2PI, SQRT_J_OVER_2PI, Angle, make_angle
 from .operators import (
     _lattice_index,
     frac_convolve,
@@ -135,7 +131,7 @@ class CheckConfig:
 
 # --------------------------------------------------------------------------
 # RHS: closed-form spectral expressions. At d = 0 and/or q = 0 the general
-# builders collapse onto the plain, shifted and modulated forms. The
+# builder collapses onto the plain, shifted and modulated forms. The
 # correlation forms take the overline spectrum of f (see _spectrum).
 
 # While run_suite computes one (angle, pair), the RHS spectra it has
@@ -168,16 +164,37 @@ def _spectrum(x: SampledSignal, u: np.ndarray, angle: Angle,
     return memo[key][1]
 
 
-def rhs_conv_tfshift(f, g, angle, d, q, u, side) -> ComplexArray:
+def _tf_shifted(x: SampledSignal, angle: Angle, d: float, q: float,
+                v: np.ndarray, conj: bool = False
+                ) -> tuple[ComplexArray, ComplexArray]:
+    """(phase, spectrum) whose product is the transform, at the points
+    ``v``, of x(t - d) e^{jqt} (of conj(x)(t - d) e^{jqt} with ``conj``):
+    the time-frequency-shift property
+
+        e^{-j(v-q)d + (j/2) d^2 cot} X(v - q - d cot).
+    """
     cot = angle.cot_phi
-    phase = np.exp(-1j * (u - q) * d + 0.5j * d * d * cot)
+    phase = np.exp(-1j * (v - q) * d + 0.5j * d * d * cot)
+    return phase, _spectrum(x, v - q - d * cot, angle, conj)
+
+
+def rhs_tfshift(f, g, angle, d, q, u, op, side, negate=True) -> ComplexArray:
+    """Time-frequency-shifted convolution (``op`` "conv") or correlation
+    ("corr"), with the operand in slot ``side`` shifted and modulated.
+
+    The correlation takes the overline spectrum of f at -u, as the
+    derivation gives; ``negate=False`` takes it at +u, the printed left
+    form.
+    """
+    corr = op == "corr"
+    fv = -u if corr and negate else u
     if side == "L":
-        fs = _spectrum(f, u - q - d * cot, angle)
+        phase, fs = _tf_shifted(f, angle, d, q, fv, corr)
         gs = _spectrum(g, u, angle)
     else:
-        fs = _spectrum(f, u, angle)
-        gs = _spectrum(g, u - q - d * cot, angle)
-    return sqrt_j2pi() * phase * fs * gs
+        fs = _spectrum(f, fv, angle, corr)
+        phase, gs = _tf_shifted(g, angle, d, q, u)
+    return SQRT_J2PI * phase * fs * gs
 
 
 def rhs_product(f, g, angle, ugrid: UniformGrid) -> ComplexArray:
@@ -193,40 +210,15 @@ def rhs_product(f, g, angle, ugrid: UniformGrid) -> ComplexArray:
     fs = _spectrum(f, u, angle)
     gs = _spectrum(g, u, angle)
     window = linear_convolve(fs, gs, -origin, ugrid.count)
-    return sqrt_j_over_2pi() * ugrid.step * window
+    return SQRT_J_OVER_2PI * ugrid.step * window
 
 
 def rhs_corr_shift_paper(f, g, angle, d, q, u) -> ComplexArray:
     """Left-shifted correlation at pi/2 as printed, with the opposite
     phase sign to the general form (which matches the derivation)."""
     phase = np.exp(-1j * u * d)
-    return (sqrt_j2pi() * phase * _spectrum(f, -u, angle, conj=True)
+    return (SQRT_J2PI * phase * _spectrum(f, -u, angle, conj=True)
             * _spectrum(g, u, angle))
-
-
-def rhs_corr_tfshift_derived(f, g, angle, d, q, u, side) -> ComplexArray:
-    """Time-frequency-shifted correlation from the derivation chain."""
-    cot = angle.cot_phi
-    if side == "L":
-        phase = np.exp(1j * (u + q) * d + 0.5j * d * d * cot)
-        fs = _spectrum(f, -u - q - d * cot, angle, conj=True)
-        gs = _spectrum(g, u, angle)
-    else:
-        phase = np.exp(-1j * (u - q) * d + 0.5j * d * d * cot)
-        fs = _spectrum(f, -u, angle, conj=True)
-        gs = _spectrum(g, u - q - d * cot, angle)
-    return sqrt_j2pi() * phase * fs * gs
-
-
-def rhs_corr_tfshift_paper(f, g, angle, d, q, u) -> ComplexArray:
-    """Left time-frequency-shifted correlation as printed: phase
-    e^{-j(u-q)d + ...} and spectrum argument u - q - d*cot, without the
-    leading negation the plain shifted form carries."""
-    cot = angle.cot_phi
-    phase = np.exp(-1j * (u - q) * d + 0.5j * d * d * cot)
-    fs = _spectrum(f, u - q - d * cot, angle, conj=True)
-    gs = _spectrum(g, u, angle)
-    return sqrt_j2pi() * phase * fs * gs
 
 
 # --------------------------------------------------------------------------
@@ -268,7 +260,7 @@ _FAMILIES = {
     IdentityId.CORR_MOD_R: _Family("corr", "R", "q"),
     IdentityId.CORR_TFSHIFT_L: _Family(
         "corr", "L", "dq", lambda phi, d, q: True,
-        lambda *args: rhs_corr_tfshift_paper(*args)),
+        lambda *args: rhs_tfshift(*args, "corr", "L", negate=False)),
     IdentityId.CORR_TFSHIFT_R: _Family("corr", "R", "dq"),
 }
 
@@ -298,10 +290,9 @@ def rhs_values(identity: IdentityId, f: SampledSignal, g: SampledSignal,
     family = _FAMILIES[identity]
     if family.op == "prod":
         return rhs_product(f, g, angle, ugrid)
-    builder = (rhs_conv_tfshift if family.op == "conv"
-               else rhs_corr_tfshift_derived)
     # the plain families may take either side: both collapse at d = q = 0
-    return builder(f, g, angle, d, q, ugrid.points(), family.operand or "L")
+    return rhs_tfshift(f, g, angle, d, q, ugrid.points(), family.op,
+                       family.operand or "L")
 
 
 # --------------------------------------------------------------------------
@@ -478,7 +469,7 @@ class SuiteConfig:
                 raise InvalidParameterError(f"{name}: must be >= 0")
 
     def time_grid(self) -> UniformGrid:
-        return make_grid(self.start, self.span / self.n, self.n)
+        return UniformGrid(self.start, self.span / self.n, self.n)
 
     def tolerance_for(self, identity: IdentityId, phi: float) -> float:
         if identity is IdentityId.PROD:
@@ -505,7 +496,7 @@ def run_suite(cfg: SuiteConfig = SuiteConfig()) -> list[IdentityReport]:
     selected = [pairs[i] for i in cfg.pair_indices]
     if not selected:
         return []
-    # the general builders collapse onto the simpler families, so one check
+    # the general builder collapses onto the simpler families, so one check
     # serves every record with the same angle, operator, shifted operand
     # (immaterial at d = q = 0) and (d, q), unless its printed form differs
     records = []   # (identity, phi, d, q, differs, check key), config order

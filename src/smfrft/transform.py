@@ -48,7 +48,7 @@ import numpy as np
 
 from .errors import GridCompatibilityError
 from .grid import ComplexArray, SampledSignal, Spectrum, UniformGrid
-from .kernel import Angle, sqrt_j2pi, sqrt_j_over_2pi, time_chirp
+from .kernel import SQRT_J2PI, SQRT_J_OVER_2PI, Angle, time_chirp
 
 # relative slack on du*N*dt == 2*pi for the fast inverse pairing
 _RECIPROCAL_RTOL = 1e-9
@@ -174,7 +174,7 @@ def smfrft_quadrature(x: SampledSignal, u_points, angle: Angle) -> ComplexArray:
     grid = x.grid
     chirped = x.samples * time_chirp(grid, angle)
     sums = _chirp_z(chirped, grid.start, grid.step, u0, du, u.shape[0], -1)
-    return (grid.step / sqrt_j2pi()) * sums
+    return (grid.step / SQRT_J2PI) * sums
 
 
 def smfrft_direct(x: SampledSignal, ugrid: UniformGrid, angle: Angle) -> Spectrum:
@@ -201,7 +201,7 @@ def smfrft_fast(x: SampledSignal, angle: Angle) -> Spectrum:
     bins = np.fft.fftshift(np.fft.fft(chirped))
     ugrid = fast_ugrid(x.grid)
     u = ugrid.points()
-    values = (x.grid.step / sqrt_j2pi()) * np.exp(-1j * x.grid.start * u) * bins
+    values = (x.grid.step / SQRT_J2PI) * np.exp(-1j * x.grid.start * u) * bins
     return Spectrum(ugrid, values, angle, tgrid=x.grid)
 
 
@@ -216,7 +216,7 @@ def ismfrft_direct(spectrum: Spectrum, tgrid: UniformGrid) -> SampledSignal:
     fourier = _chirp_z(spectrum.values, ugrid.start, ugrid.step,
                        tgrid.start, tgrid.step, tgrid.count, +1)
     t = tgrid.points()
-    post = sqrt_j_over_2pi() * np.exp(-0.5j * spectrum.angle.cot_phi * t * t)
+    post = SQRT_J_OVER_2PI * np.exp(-0.5j * spectrum.angle.cot_phi * t * t)
     return SampledSignal(tgrid, post * ugrid.step * fourier)
 
 
@@ -251,5 +251,5 @@ def ismfrft_fast(spectrum: Spectrum) -> SampledSignal:
     # inline, not cached, like the forward chirp in smfrft_fast: the CLI's
     # CSV bytes rest on the rounding of this exact expression (temporary
     # elision and fused multiply-add operand order)
-    post = sqrt_j_over_2pi() * np.exp(-0.5j * spectrum.angle.cot_phi * t * t)
+    post = SQRT_J_OVER_2PI * np.exp(-0.5j * spectrum.angle.cot_phi * t * t)
     return SampledSignal(tgrid, post * spectrum.ugrid.step * sums)

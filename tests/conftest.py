@@ -3,20 +3,20 @@ import math
 import numpy as np
 import pytest
 
-from smfrft import gen_gaussian, make_angle, make_grid
+from smfrft import UniformGrid, gen_gaussian, make_angle
 
 
 @pytest.fixture
 def small_grid():
     # 128 points over [-8, 8); origin on the lattice
-    return make_grid(-8.0, 16.0 / 128, 128)
+    return UniformGrid(-8.0, 16.0 / 128, 128)
 
 
 @pytest.fixture
 def std_grid():
     # the harness's default span at reduced resolution, fast enough for
     # unit tests
-    return make_grid(-16.0, 32.0 / 512, 512)
+    return UniformGrid(-16.0, 32.0 / 512, 512)
 
 
 @pytest.fixture

@@ -25,11 +25,11 @@ from smfrft import (
     SampledSignal,
     ShapeMismatchError,
     Spectrum,
+    SQRT_J2PI,
+    SQRT_J_OVER_2PI,
     UniformGrid,
-    sqrt_j2pi,
-    sqrt_j_over_2pi,
 )
-from smfrft.operators import _origin_index
+from smfrft.operators import _lattice_index
 
 BLOCK_ROWS = 256
 
@@ -53,7 +53,7 @@ def smfrft_kernel(t, u, angle: Angle):
     Unimodular chirp factors times the constant 1/sqrt(j*2*pi); the
     magnitude is 1/sqrt(2*pi) everywhere.
     """
-    return (1.0 / sqrt_j2pi()) * np.exp(1j * (0.5 * angle.cot_phi * t * t - t * u))
+    return (1.0 / SQRT_J2PI) * np.exp(1j * (0.5 * angle.cot_phi * t * t - t * u))
 
 
 def frft_kernel(t, u, angle: Angle):
@@ -98,7 +98,7 @@ def smfrft_quadrature(x: SampledSignal, u_points, angle: Angle) -> np.ndarray:
     t = x.grid.points()
     u = np.atleast_1d(np.asarray(u_points, dtype=np.float64))
     chirped = x.samples * np.exp(0.5j * angle.cot_phi * t * t)
-    return (x.grid.step / sqrt_j2pi()) * phase_matvec(-u, t, chirped)
+    return (x.grid.step / SQRT_J2PI) * phase_matvec(-u, t, chirped)
 
 
 def ismfrft_direct(spectrum: Spectrum, tgrid: UniformGrid) -> np.ndarray:
@@ -108,7 +108,7 @@ def ismfrft_direct(spectrum: Spectrum, tgrid: UniformGrid) -> np.ndarray:
     u = spectrum.ugrid.points()
     fourier = phase_matvec(t, u, spectrum.values)
     cot = spectrum.angle.cot_phi
-    post = sqrt_j_over_2pi() * np.exp(-0.5j * cot * t * t)
+    post = SQRT_J_OVER_2PI * np.exp(-0.5j * cot * t * t)
     return post * spectrum.ugrid.step * fourier
 
 
@@ -147,7 +147,8 @@ def _weighted_lag_sum(first: np.ndarray, g: SampledSignal, cot: float,
     grid = g.grid
     n = grid.count
     t = grid.points()
-    lagged = _lagged_matrix(g, _origin_index(g), lag_sign)
+    lagged = _lagged_matrix(
+        g, _lattice_index(grid.start, grid.step, "grid start"), lag_sign)
     out = np.empty(n, dtype=np.complex128)
     for block in _blocks(n):
         cross = unit_phasor(np.outer(lag_sign * cot * t[block], t))

@@ -19,12 +19,12 @@ from smfrft import (
     IdentityId,
     SampledSignal,
     SuiteConfig,
+    UniformGrid,
     fast_ugrid,
     gen_chirp,
     gen_gaussian,
     ismfrft_fast,
     make_angle,
-    make_grid,
     report_rows,
     run_suite,
     smfrft_direct,
@@ -79,7 +79,7 @@ def announce(number, label, elapsed=None):
 
 @pytest.fixture(scope="session")
 def corpus_1024():
-    grid = make_grid(-16.0, 32.0 / 1024, 1024)
+    grid = UniformGrid(-16.0, 32.0 / 1024, 1024)
     return grid, acceptance_signals(grid)
 
 
@@ -148,7 +148,7 @@ def test_criterion_3_parseval(corpus_1024):
 def test_criterion_4_right_angle_reduction(corpus_1024):
     grid, signals = corpus_1024
     angle = make_angle(PI / 2)
-    ugrid = make_grid(-32.0, 64.0 / 512, 512)
+    ugrid = UniformGrid(-32.0, 64.0 / 512, 512)
     sqrt_j = complex(math.cos(PI / 4), math.sin(PI / 4))
     ft_const = complex(math.cos(PI / 4), -math.sin(PI / 4)) / math.sqrt(2 * PI)
     start = time.perf_counter()
@@ -212,7 +212,7 @@ def test_criterion_6_convergence(suite_2048, suite_1024):
 
 
 def test_criterion_7_specialization_lattice():
-    grid = make_grid(-16.0, 32.0 / 1024, 1024)
+    grid = UniformGrid(-16.0, 32.0 / 1024, 1024)
     f = gen_gaussian(grid, 0.2, 1.0, 0.8)
     g = gen_chirp(grid, 0.9, 1.2)
     u = fast_ugrid(grid).points()
@@ -221,20 +221,17 @@ def test_criterion_7_specialization_lattice():
         angle = make_angle(phi)
         for side in ("L", "R"):
             conv_cases = [
-                (theorems.rhs_conv_tfshift(f, g, angle, 0.5, 0.0, u, side),
+                (theorems.rhs_tfshift(f, g, angle, 0.5, 0.0, u, "conv", side),
                  closed_forms.rhs_conv_shift(f, g, angle, 0.5, u, side)),
-                (theorems.rhs_conv_tfshift(f, g, angle, 0.0, 1.0, u, side),
+                (theorems.rhs_tfshift(f, g, angle, 0.0, 1.0, u, "conv", side),
                  closed_forms.rhs_conv_modulation(f, g, angle, 1.0, u, side)),
-                (theorems.rhs_conv_tfshift(f, g, angle, 0.0, 0.0, u, side),
+                (theorems.rhs_tfshift(f, g, angle, 0.0, 0.0, u, "conv", side),
                  closed_forms.rhs_convolution(f, g, angle, u)),
-                (theorems.rhs_corr_tfshift_derived(f, g, angle, 0.5, 0.0, u,
-                                                   side),
+                (theorems.rhs_tfshift(f, g, angle, 0.5, 0.0, u, "corr", side),
                  closed_forms.rhs_corr_shift_derived(f, g, angle, 0.5, u, side)),
-                (theorems.rhs_corr_tfshift_derived(f, g, angle, 0.0, 1.0, u,
-                                                   side),
+                (theorems.rhs_tfshift(f, g, angle, 0.0, 1.0, u, "corr", side),
                  closed_forms.rhs_corr_modulation(f, g, angle, 1.0, u, side)),
-                (theorems.rhs_corr_tfshift_derived(f, g, angle, 0.0, 0.0, u,
-                                                   side),
+                (theorems.rhs_tfshift(f, g, angle, 0.0, 0.0, u, "corr", side),
                  closed_forms.rhs_correlation(f, g, angle, u)),
             ]
             for specialized, simpler in conv_cases:
@@ -244,7 +241,7 @@ def test_criterion_7_specialization_lattice():
 
 
 def test_criterion_8_chirp_compaction():
-    grid = make_grid(-16.0, 32.0 / 1024, 1024)
+    grid = UniformGrid(-16.0, 32.0 / 1024, 1024)
     envelope = gen_gaussian(grid, 0.0, 2.0, 0.0)
     plain_ft = smfrft_fast(envelope, make_angle(PI / 2))
     start = time.perf_counter()

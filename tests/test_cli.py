@@ -14,11 +14,11 @@ from smfrft import (
     SampledSignal,
     Spectrum,
     SuiteConfig,
+    UniformGrid,
     fast_ugrid,
     gen_chirp,
     ismfrft_direct,
     make_angle,
-    make_grid,
     reports_to_json,
     run_suite,
     smfrft_direct,
@@ -55,9 +55,22 @@ class TestGenerate:
                         "--width", "1.5", *SMALL, "--output", out)
         assert result.exit_code == 0
         back = read_signal_csv(out)
-        grid = make_grid(-16.0, 32 / 256, 256)
+        grid = UniformGrid(-16.0, 32 / 256, 256)
         np.testing.assert_array_equal(back.samples,
                                       gen_chirp(grid, 1.0, 1.5).samples)
+
+    @pytest.mark.parametrize("kind, option", [
+        ("chirp", "--center"), ("chirp", "--carrier"), ("gaussian", "--rate"),
+    ])
+    def test_option_the_kind_ignores_is_refused(self, runner, tmp_path,
+                                                kind, option):
+        # an option the signal kind does not use would change nothing
+        out = tmp_path / "sig.csv"
+        result = invoke(runner, "generate", "--kind", kind, option, "3",
+                        *SMALL, "--output", out)
+        assert result.exit_code == 2
+        assert f"{option} does not apply to --kind {kind}" in result.output
+        assert not out.exists()
 
     def test_zero_count_is_usage_error(self, runner, tmp_path):
         result = runner.invoke(cli, ["generate", "--count", "0", "--output",
@@ -129,7 +142,7 @@ class TestTransformInvert:
                    "--order", "1", "--ugrid", "0:1:4")
         assert r.exit_code == 0, r.output
         ugrid, values = read_spectrum_csv(spec)
-        assert ugrid == make_grid(0.0, 1.0, 4)
+        assert ugrid == UniformGrid(0.0, 1.0, 4)
         expected = smfrft_direct(read_signal_csv(sig), ugrid,
                                  make_angle(math.pi / 2))
         np.testing.assert_array_equal(values, expected.values)
@@ -147,7 +160,7 @@ class TestTransformInvert:
         assert r.exit_code == 0, r.output
         assert len(back.read_text().splitlines()) == 101
         recovered = read_signal_csv(back)
-        tgrid = make_grid(-5.0, 0.1, 100)
+        tgrid = UniformGrid(-5.0, 0.1, 100)
         np.testing.assert_allclose(recovered.grid.points(), tgrid.points(),
                                    rtol=0, atol=1e-12)
         ugrid, values = read_spectrum_csv(spec)
@@ -223,7 +236,7 @@ class TestTransformInvert:
     def test_overflowing_energy_exits_two(self, runner, tmp_path, command):
         # one sample of 1e308: dt*sum|x|^2 overflows, and the energy line
         # would print inf and nan
-        signal = gen_chirp(make_grid(-8.0, 16 / 256, 256), 1.0, 1.0)
+        signal = gen_chirp(UniformGrid(-8.0, 16 / 256, 256), 1.0, 1.0)
         samples = signal.samples.copy()
         samples[100] = 1e308
         sig = tmp_path / "sig.csv"
@@ -337,7 +350,7 @@ class TestFilter:
         # chirp matched to cot(phi) compacts near u = 0; an interfering
         # tone sweeps far outside the narrow passband and is rejected
         angle = math.pi / 4
-        grid = make_grid(-16.0, 32 / 1024, 1024)
+        grid = UniformGrid(-16.0, 32 / 1024, 1024)
         cot = 1.0 / math.tan(angle)
         clean = gen_chirp(grid, cot, 2.0)
         t = grid.points()

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from smfrft import InvalidParameterError, SampledSignal, make_grid
+from smfrft import InvalidParameterError, SampledSignal, UniformGrid
 from smfrft import io_csv
 from smfrft.io_csv import read_signal_csv, write_signal_csv, write_spectrum_csv
 
@@ -69,7 +69,7 @@ def assert_bitwise_equal(a: np.ndarray, b: np.ndarray) -> None:
 @settings(max_examples=25, deadline=None)
 def test_bytes_and_doubles_match_reference(tmp_path_factory, n, seed, start, step):
     tmp = tmp_path_factory.mktemp("csv")
-    grid = make_grid(start, step, n)
+    grid = UniformGrid(start, step, n)
     values = random_values(np.random.default_rng(seed), n)
     ours, ref = tmp / "ours.csv", tmp / "ref.csv"
     write_spectrum_csv(ours, grid, values)
@@ -91,7 +91,7 @@ def test_write_read_write_is_byte_stable(tmp_path_factory, n, seed, origin,
     # then exactly the written one
     tmp = tmp_path_factory.mktemp("csv")
     step = math.ldexp(1.0, exponent)
-    signal = SampledSignal(make_grid(origin * step, step, n),
+    signal = SampledSignal(UniformGrid(origin * step, step, n),
                            random_values(np.random.default_rng(seed), n))
     first, second = tmp / "a.csv", tmp / "b.csv"
     write_signal_csv(first, signal)
@@ -168,7 +168,7 @@ def forced_split(workers: int):
 def test_split_bytes_and_doubles_match_reference(tmp_path_factory, workers, n,
                                                  seed, start, step):
     tmp = tmp_path_factory.mktemp("csv")
-    grid = make_grid(start, step, n)
+    grid = UniformGrid(start, step, n)
     values = random_values(np.random.default_rng(seed), n)
     ours, ref = tmp / "ours.csv", tmp / "ref.csv"
     with forced_split(workers):
@@ -214,7 +214,7 @@ def test_split_error_matches_reference(tmp_path_factory, workers, where, n,
 
 def test_no_fork_means_one_part(tmp_path, monkeypatch):
     n = 2 * io_csv._MIN_PART_ROWS + 5
-    grid = make_grid(-1.0, 2.0 / n, n)
+    grid = UniformGrid(-1.0, 2.0 / n, n)
     values = random_values(np.random.default_rng(7), n)
     monkeypatch.delattr(os, "fork")
     assert io_csv._workers(n) == 1

@@ -11,10 +11,10 @@ from smfrft import (
     SampledSignal,
     ShapeMismatchError,
     Spectrum,
+    UniformGrid,
     gen_chirp,
     gen_gaussian,
     make_angle,
-    make_grid,
 )
 
 from dense_oracle import relative_l2_error
@@ -22,25 +22,25 @@ from dense_oracle import relative_l2_error
 
 class TestMakeGrid:
     def test_default_harness_span(self):
-        grid = make_grid(-8.0, 0.015625, 1024)
+        grid = UniformGrid(-8.0, 0.015625, 1024)
         assert grid.point(0) == -8.0
         assert grid.point(1023) == pytest.approx(7.984375, abs=0.0)
 
     def test_smallest_legal_grid(self):
-        grid = make_grid(0, 1, 2)
+        grid = UniformGrid(0, 1, 2)
         assert list(grid.points()) == [0.0, 1.0]
 
     def test_negative_step_rejected(self):
         with pytest.raises(InvalidGridError):
-            make_grid(0, -1, 4)
+            UniformGrid(0, -1, 4)
 
     @pytest.mark.parametrize("count", [0, 1, -3])
     def test_short_grid_rejected(self, count):
         with pytest.raises(InvalidGridError):
-            make_grid(0.0, 0.5, count)
+            UniformGrid(0.0, 0.5, count)
 
     def test_points_match_point_bitwise(self):
-        grid = make_grid(-16.0, 32.0 / 2048, 2048)
+        grid = UniformGrid(-16.0, 32.0 / 2048, 2048)
         pts = grid.points()
         for k in (0, 1, 17, 1024, 2047):
             assert pts[k] == grid.point(k)
@@ -52,7 +52,7 @@ class TestMakeGrid:
     )
     @settings(max_examples=50, deadline=None)
     def test_span_identity(self, start, step, count):
-        grid = make_grid(start, step, count)
+        grid = UniformGrid(start, step, count)
         pts = grid.points()
         assert np.all(np.diff(pts) > 0)
         span = grid.point(count - 1) - grid.point(0)
@@ -66,14 +66,14 @@ class TestGenerators:
         assert x.samples[at_zero] == 1.0
 
     def test_gaussian_at_unit_offset(self):
-        grid = make_grid(-4.0, 1.0, 9)
+        grid = UniformGrid(-4.0, 1.0, 9)
         x = gen_gaussian(grid, center=0.0, width=1.0, carrier=0.0)
         t1 = list(grid.points()).index(1.0)
         assert x.samples[t1] == pytest.approx(math.exp(-0.5), rel=1e-15)
         assert x.samples[t1] == pytest.approx(0.6065306597126334)
 
     def test_carrier_phase_vanishes_at_origin(self):
-        grid = make_grid(-4.0, 1.0, 9)
+        grid = UniformGrid(-4.0, 1.0, 9)
         x = gen_gaussian(grid, center=0.0, width=1.0, carrier=2.0)
         assert x.samples[4] == 1.0 + 0.0j
 
@@ -108,7 +108,7 @@ class TestGenerators:
 
     def test_chirp_quadratic_phase_value(self):
         # wide envelope makes the Gaussian factor 1 to machine precision
-        grid = make_grid(-4.0, 1.0, 9)
+        grid = UniformGrid(-4.0, 1.0, 9)
         x = gen_chirp(grid, rate=1.0, envelope_width=1e8)
         t1 = list(grid.points()).index(1.0)
         expected = complex(math.cos(0.5), -math.sin(0.5))

@@ -9,9 +9,9 @@ from smfrft import (
     InvalidGridError,
     InvalidParameterError,
     ShapeMismatchError,
+    UniformGrid,
     gen_chirp,
     gen_gaussian,
-    make_grid,
 )
 from smfrft import io_csv
 from smfrft.io_csv import (
@@ -24,7 +24,7 @@ from smfrft.transform import fast_ugrid
 
 
 def test_signal_round_trip(tmp_path):
-    grid = make_grid(-16.0, 0.015625, 2048)
+    grid = UniformGrid(-16.0, 0.015625, 2048)
     x = gen_chirp(grid, 3.0, 1.5)
     path = tmp_path / "sig.csv"
     write_signal_csv(path, x)
@@ -34,7 +34,7 @@ def test_signal_round_trip(tmp_path):
 
 
 def test_signal_write_read_write_is_byte_stable(tmp_path):
-    grid = make_grid(-16.0, 0.015625, 2048)
+    grid = UniformGrid(-16.0, 0.015625, 2048)
     x = gen_gaussian(grid, 0.3, 1.1, 2.0)
     first = tmp_path / "a.csv"
     second = tmp_path / "b.csv"
@@ -44,7 +44,7 @@ def test_signal_write_read_write_is_byte_stable(tmp_path):
 
 
 def test_spectrum_round_trip(tmp_path):
-    ugrid = make_grid(-64.0, 0.0625, 2048)
+    ugrid = UniformGrid(-64.0, 0.0625, 2048)
     values = np.exp(-np.linspace(-3, 3, 2048) ** 2) * (1 + 1j)
     path = tmp_path / "spec.csv"
     write_spectrum_csv(path, ugrid, values)
@@ -58,7 +58,7 @@ def test_spectrum_round_trip(tmp_path):
 def test_fft_bin_grid_reads_back_exactly(tmp_path, count, dt):
     # du = 2*pi/(N*dt) is not dyadic: the median of the written axis's
     # differences misses it by up to ~1e-13, the endpoints do not
-    ugrid = fast_ugrid(make_grid(-(count // 2) * dt, dt, count))
+    ugrid = fast_ugrid(UniformGrid(-(count // 2) * dt, dt, count))
     path = tmp_path / "spec.csv"
     write_spectrum_csv(path, ugrid, np.ones(count))
     grid_back, _ = read_spectrum_csv(path)
@@ -69,12 +69,12 @@ def test_fft_bin_grid_reads_back_exactly(tmp_path, count, dt):
 def test_spectrum_values_must_match_grid(tmp_path, count):
     path = tmp_path / "spec.csv"
     with pytest.raises(ShapeMismatchError, match=f"{count} values .* 4 points"):
-        write_spectrum_csv(path, make_grid(0.0, 1.0, 4), np.ones(count))
+        write_spectrum_csv(path, UniformGrid(0.0, 1.0, 4), np.ones(count))
     assert not path.exists()
 
 
 def test_header_is_canonical(tmp_path):
-    grid = make_grid(0.0, 0.5, 4)
+    grid = UniformGrid(0.0, 0.5, 4)
     path = tmp_path / "sig.csv"
     write_signal_csv(path, gen_gaussian(grid, 0.0, 1.0, 0.0))
     assert path.read_text().splitlines()[0] == "t,re,im"
@@ -137,7 +137,7 @@ def test_trailing_blank_lines_ignored(tmp_path):
     plain.write_text(rows)
     padded.write_text(rows + "\n\n")
     back = read_signal_csv(padded)
-    assert back.grid == make_grid(0.0, 1.0, 2)
+    assert back.grid == UniformGrid(0.0, 1.0, 2)
     np.testing.assert_array_equal(back.samples, read_signal_csv(plain).samples)
 
 
@@ -149,7 +149,7 @@ def test_blank_line_between_rows_is_named(tmp_path):
 
 
 def test_crlf_file_parses_like_lf(tmp_path):
-    grid = make_grid(-2.0, 0.25, 16)
+    grid = UniformGrid(-2.0, 0.25, 16)
     lf = tmp_path / "lf.csv"
     crlf = tmp_path / "crlf.csv"
     write_signal_csv(lf, gen_gaussian(grid, 0.1, 0.7, 1.5))
@@ -193,7 +193,7 @@ SPLIT_ROWS = 3 * io_csv._BLOCK_ROWS + 1
 
 
 def split_signal():
-    grid = make_grid(-8.0, 16.0 / SPLIT_ROWS, SPLIT_ROWS)
+    grid = UniformGrid(-8.0, 16.0 / SPLIT_ROWS, SPLIT_ROWS)
     return gen_chirp(grid, 1.5, 2.0)
 
 

@@ -10,13 +10,13 @@ from smfrft import (
     InvalidParameterError,
     SampledSignal,
     ShapeMismatchError,
+    UniformGrid,
     frac_convolve,
     frac_correlate,
     frac_product,
     gen_chirp,
     gen_gaussian,
     make_angle,
-    make_grid,
     modulate_op,
     shift_op,
 )
@@ -111,7 +111,7 @@ class TestModulate:
     @given(q1=st.floats(-10, 10), q2=st.floats(-10, 10))
     @settings(max_examples=25, deadline=None)
     def test_composition_adds_frequencies(self, q1, q2):
-        grid = make_grid(-2.0, 0.25, 16)
+        grid = UniformGrid(-2.0, 0.25, 16)
         x = gen_gaussian(grid, 0.0, 1.0, 0.0)
         twice = modulate_op(modulate_op(x, q1), q2)
         once = modulate_op(x, q1 + q2)
@@ -167,13 +167,13 @@ class TestFracConvolve:
         assert np.all(frac_convolve(f, zero, quarter_angle).samples == 0)
 
     def test_grid_mismatch_rejected(self, quarter_angle):
-        f = gen_gaussian(make_grid(-8.0, 0.125, 128), 0, 1, 0)
-        g = gen_gaussian(make_grid(-4.0, 0.125, 64), 0, 1, 0)
+        f = gen_gaussian(UniformGrid(-8.0, 0.125, 128), 0, 1, 0)
+        g = gen_gaussian(UniformGrid(-4.0, 0.125, 64), 0, 1, 0)
         with pytest.raises(ShapeMismatchError):
             frac_convolve(f, g, quarter_angle)
 
     def test_off_lattice_origin_rejected(self, quarter_angle):
-        grid = make_grid(-8.05, 0.125, 128)
+        grid = UniformGrid(-8.05, 0.125, 128)
         f = gen_gaussian(grid, 0, 1, 0)
         with pytest.raises(AlignmentError):
             frac_convolve(f, f, quarter_angle)

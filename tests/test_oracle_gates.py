@@ -15,13 +15,13 @@ from hypothesis import strategies as st
 from smfrft import (
     SampledSignal,
     Spectrum,
+    UniformGrid,
     fast_ugrid,
     frac_convolve,
     frac_correlate,
     ismfrft_direct,
     ismfrft_fast,
     make_angle,
-    make_grid,
     modulate_op,
     shift_op,
     smfrft_fast,
@@ -61,7 +61,7 @@ def u_grids(draw, grid):
 @given(n=sizes, seed=st.integers(0, 2**32 - 1), angle=angles, data=st.data())
 @settings(max_examples=40, deadline=None)
 def test_quadrature_matches_dense(n, seed, angle, data):
-    grid = make_grid(-(n // 2) * (32.0 / n), 32.0 / n, n)
+    grid = UniformGrid(-(n // 2) * (32.0 / n), 32.0 / n, n)
     x = random_signal(grid, seed)
     u = data.draw(u_grids(grid))
     fast = smfrft_quadrature(x, u, angle)
@@ -74,10 +74,10 @@ def test_quadrature_matches_dense(n, seed, angle, data):
 def test_inverse_matches_dense(n, seed, angle, offset, scale):
     # output grids around the ones the transform pair uses, so that the
     # phases u*t, and with them both sums' rounding, stay desk-sized
-    grid = make_grid(-(n // 2) * (32.0 / n), 32.0 / n, n)
+    grid = UniformGrid(-(n // 2) * (32.0 / n), 32.0 / n, n)
     ugrid = fast_ugrid(grid)
     spectrum = Spectrum(ugrid, random_signal(grid, seed + 1).samples, angle)
-    tgrid = make_grid(grid.point(offset), grid.step * scale, n)
+    tgrid = UniformGrid(grid.point(offset), grid.step * scale, n)
     back = ismfrft_direct(spectrum, tgrid).samples
     assert relative_l2_error(
         back, dense_oracle.ismfrft_direct(spectrum, tgrid)) <= GATE
@@ -90,7 +90,7 @@ def operand_grids(draw):
     n = draw(sizes)
     step = 32.0 / n
     origin = draw(st.integers(-n, n // 4))
-    return make_grid(origin * step, step, n)
+    return UniformGrid(origin * step, step, n)
 
 
 @given(grid=operand_grids(), seed=st.integers(0, 2**32 - 1), angle=angles)

@@ -1,4 +1,5 @@
 import collections
+import itertools
 import json
 import math
 
@@ -14,15 +15,18 @@ from smfrft import (
     InvalidParameterError,
     SampledSignal,
     SuiteConfig,
+    UniformGrid,
     check,
     fast_ugrid,
     frac_correlate,
+    gen_chirp,
     gen_gaussian,
     make_angle,
-    make_grid,
+    modulate_op,
     report_rows,
     reports_to_json,
     run_suite,
+    shift_op,
     smfrft_direct,
     smfrft_quadrature,
     suite_passed,
@@ -38,7 +42,7 @@ PI = math.pi
 
 @pytest.fixture
 def theorem_grid():
-    return make_grid(-16.0, 32.0 / 512, 512)
+    return UniformGrid(-16.0, 32.0 / 512, 512)
 
 
 @pytest.fixture
@@ -85,13 +89,34 @@ class TestConjTransform:
         angle = make_angle(PI / 4)
         u = fast_ugrid(theorem_grid).points()
         lhs = smfrft_quadrature(frac_correlate(f, g, angle), u, angle)
-        c2pi = theorems.sqrt_j2pi()
+        c2pi = theorems.SQRT_J2PI
         true_rhs = c2pi * smfrft_quadrature(f.conjugate(), -u, angle) \
             * smfrft_quadrature(g, u, angle)
         naive_rhs = c2pi * np.conj(smfrft_quadrature(f, -u, angle)) \
             * smfrft_quadrature(g, u, angle)
         assert relative_l2_error(lhs, true_rhs) <= 1e-4
         assert relative_l2_error(lhs, naive_rhs) > 1e-2
+
+
+class TestTimeFrequencyShiftProperty:
+    # the property behind every shifted and modulated right-hand side,
+    # against the time-domain route: shift, modulate, then transform
+    @pytest.mark.parametrize("n", [256, 1024])
+    @pytest.mark.parametrize("phi", [0.3, PI / 4, 1.2, PI / 2, 2.5])
+    def test_matches_time_domain_route(self, n, phi):
+        grid = UniformGrid(-16.0, 32.0 / n, n)
+        angle = make_angle(phi)
+        u = fast_ugrid(grid).points()
+        signals = (gen_gaussian(grid, 0.2, 1.0, 0.8),
+                   gen_chirp(grid, 0.9, 1.2))
+        for x, conj, v, d, q in itertools.product(
+                signals, (False, True), (u, -u), (0.0, 0.5, -1.0),
+                (0.0, 1.0, -2.0)):
+            moved = modulate_op(shift_op(x.conjugate() if conj else x, d), q)
+            route = smfrft_quadrature(moved, v, angle)
+            phase, spectrum = theorems._tf_shifted(x, angle, d, q, v, conj)
+            assert relative_l2_error(phase * spectrum, route) <= 1e-12, (
+                conj, v[0], d, q)
 
 
 class TestIndividualChecks:
@@ -153,7 +178,7 @@ class TestIndividualChecks:
 
     def test_product_wide_second_factor(self):
         # a constant factor is not admissible; a wide Gaussian stands in
-        grid = make_grid(-16.0, 32.0 / 1024, 1024)
+        grid = UniformGrid(-16.0, 32.0 / 1024, 1024)
         f = gen_gaussian(grid, 0.0, 1.0, 0.5)
         g = gen_gaussian(grid, 0.0, 8.0, 0.0)
         cfg = CheckConfig(ugrid=fast_ugrid(grid), tolerance=1e-3)
@@ -169,7 +194,8 @@ class TestIndividualChecks:
         # the spectral convolution is read at lattice index k - start/du
         f, g = operands
         ugrid = fast_ugrid(theorem_grid)
-        off = make_grid(ugrid.start + 0.5 * ugrid.step, ugrid.step, ugrid.count)
+        off = UniformGrid(ugrid.start + 0.5 * ugrid.step, ugrid.step,
+                          ugrid.count)
         cfg = CheckConfig(ugrid=off, tolerance=1e-3)
         with pytest.raises(AlignmentError):
             check(IdentityId.PROD, f, g, make_angle(PI / 3), cfg)
@@ -268,6 +294,21 @@ class TestAdjudication:
         assert report.residual_derived_form <= 1e-4
         assert report.residual_paper_form > 1e-2
 
+    @pytest.mark.parametrize("phi", [PI / 4, PI / 2])
+    @pytest.mark.parametrize("d,q", [(0.5, 1.0), (0.5, 0.0), (0.0, 1.0),
+                                     (0.0, 0.0)])
+    def test_tfshift_correlation_printed_form(self, operands, theorem_grid,
+                                              phi, d, q):
+        # the printed left form the report adjudicates is the form as
+        # printed, written out on its own in closed_forms
+        f, g = operands
+        angle = make_angle(phi)
+        u = fast_ugrid(theorem_grid).points()
+        row = theorems._FAMILIES[IdentityId.CORR_TFSHIFT_L]
+        printed = closed_forms.rhs_corr_tfshift_printed(f, g, angle, d, q, u)
+        assert relative_l2_error(row.printed_rhs(f, g, angle, d, q, u),
+                                 printed) <= 1e-12
+
 
 class TestSpecializationLattice:
     # tfshift formulas must collapse onto the simpler families bitwise-ish
@@ -276,13 +317,13 @@ class TestSpecializationLattice:
         angle = make_angle(PI / 4)
         u = fast_ugrid(theorem_grid).points()
         for side in ("L", "R"):
-            tf = theorems.rhs_conv_tfshift(f, g, angle, 0.5, 0.0, u, side)
+            tf = theorems.rhs_tfshift(f, g, angle, 0.5, 0.0, u, "conv", side)
             sh = closed_forms.rhs_conv_shift(f, g, angle, 0.5, u, side)
             assert relative_l2_error(tf, sh) <= 1e-12
-            tf = theorems.rhs_conv_tfshift(f, g, angle, 0.0, 1.0, u, side)
+            tf = theorems.rhs_tfshift(f, g, angle, 0.0, 1.0, u, "conv", side)
             mod = closed_forms.rhs_conv_modulation(f, g, angle, 1.0, u, side)
             assert relative_l2_error(tf, mod) <= 1e-12
-            tf = theorems.rhs_conv_tfshift(f, g, angle, 0.0, 0.0, u, side)
+            tf = theorems.rhs_tfshift(f, g, angle, 0.0, 0.0, u, "conv", side)
             base = closed_forms.rhs_convolution(f, g, angle, u)
             assert relative_l2_error(tf, base) <= 1e-12
 
@@ -291,16 +332,13 @@ class TestSpecializationLattice:
         angle = make_angle(PI / 3)
         u = fast_ugrid(theorem_grid).points()
         for side in ("L", "R"):
-            tf = theorems.rhs_corr_tfshift_derived(f, g, angle, 0.5, 0.0, u,
-                                                   side)
+            tf = theorems.rhs_tfshift(f, g, angle, 0.5, 0.0, u, "corr", side)
             sh = closed_forms.rhs_corr_shift_derived(f, g, angle, 0.5, u, side)
             assert relative_l2_error(tf, sh) <= 1e-12
-            tf = theorems.rhs_corr_tfshift_derived(f, g, angle, 0.0, 1.0, u,
-                                                   side)
+            tf = theorems.rhs_tfshift(f, g, angle, 0.0, 1.0, u, "corr", side)
             mod = closed_forms.rhs_corr_modulation(f, g, angle, 1.0, u, side)
             assert relative_l2_error(tf, mod) <= 1e-12
-            tf = theorems.rhs_corr_tfshift_derived(f, g, angle, 0.0, 0.0, u,
-                                                   side)
+            tf = theorems.rhs_tfshift(f, g, angle, 0.0, 0.0, u, "corr", side)
             base = closed_forms.rhs_correlation(f, g, angle, u)
             assert relative_l2_error(tf, base) <= 1e-12
 
@@ -324,8 +362,9 @@ class TestIndependence:
         monkeypatch.setattr(theorems, "frac_product", boom)
         for identity in IdentityId:
             theorems.rhs_values(identity, f, g, angle, 0.5, 1.0, ugrid)
-        theorems.rhs_corr_shift_paper(f, g, angle, 0.5, 0.0, u)
-        theorems.rhs_corr_tfshift_paper(f, g, angle, 0.5, 1.0, u)
+        rows = theorems._FAMILIES
+        rows[IdentityId.CORR_SHIFT_L].printed_rhs(f, g, angle, 0.5, 0.0, u)
+        rows[IdentityId.CORR_TFSHIFT_L].printed_rhs(f, g, angle, 0.5, 1.0, u)
         with pytest.raises(AssertionError):
             theorems.lhs_signal(IdentityId.CONV, f, g, angle, 0.0, 0.0)
 
@@ -453,7 +492,7 @@ class TestSuite:
         def boom(*args, **kwargs):
             raise ValueError("synthetic")
 
-        monkeypatch.setattr(theorems, "rhs_corr_tfshift_derived", boom)
+        monkeypatch.setattr(theorems, "rhs_tfshift", boom)
         with pytest.raises(RuntimeError, match="CORR .*phi=0.785"):
             run_suite(cfg)
 

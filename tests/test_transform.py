@@ -10,6 +10,7 @@ from smfrft import (
     GridCompatibilityError,
     SampledSignal,
     Spectrum,
+    UniformGrid,
     fast_ugrid,
     frac_convolve,
     frac_correlate,
@@ -18,7 +19,6 @@ from smfrft import (
     ismfrft_direct,
     ismfrft_fast,
     make_angle,
-    make_grid,
     smfrft_direct,
     smfrft_fast,
     smfrft_quadrature,
@@ -82,7 +82,7 @@ class TestDirectQuadrature:
     def test_gaussian_right_angle_at_origin(self):
         # closed form: integral of exp(-t^2/2) is sqrt(2*pi), so the
         # transform at u = 0 collapses to exp(-j*pi/4)
-        grid = make_grid(-16.0, 32.0 / 2048, 2048)
+        grid = UniformGrid(-16.0, 32.0 / 2048, 2048)
         x = gen_gaussian(grid, 0.0, 1.0, 0.0)
         val = smfrft_quadrature(x, np.array([0.0]), make_angle(PI / 2))[0]
         assert val == pytest.approx(cmath.exp(-0.25j * PI), rel=1e-6)
@@ -90,7 +90,7 @@ class TestDirectQuadrature:
                                     rel=1e-6)
 
     def test_gaussian_right_angle_closed_form(self):
-        grid = make_grid(-16.0, 32.0 / 2048, 2048)
+        grid = UniformGrid(-16.0, 32.0 / 2048, 2048)
         x = gen_gaussian(grid, 0.0, 1.0, 0.0)
         u = np.linspace(-4.0, 4.0, 41)
         got = smfrft_quadrature(x, u, make_angle(PI / 2))
@@ -105,7 +105,7 @@ class TestFastPath:
         assert np.all(spec.values == 0)
 
     def test_matches_direct_on_fast_grid(self):
-        grid = make_grid(-16.0, 32.0 / 1024, 1024)
+        grid = UniformGrid(-16.0, 32.0 / 1024, 1024)
         x = gen_gaussian(grid, 0.0, 1.0, 0.0)
         angle = make_angle(PI / 3)
         fast = smfrft_fast(x, angle)
@@ -115,7 +115,7 @@ class TestFastPath:
     @pytest.mark.parametrize("n", [100, 257])
     def test_round_trip_any_length(self, n, rng):
         # chirp + FFT needs no power of two: even and odd N invert exactly
-        grid = make_grid(-(n // 2) * (16.0 / n), 16.0 / n, n)
+        grid = UniformGrid(-(n // 2) * (16.0 / n), 16.0 / n, n)
         x = random_signal(grid, rng)
         back = ismfrft_fast(smfrft_fast(x, make_angle(PI / 4)))
         assert back.grid == grid
@@ -125,7 +125,7 @@ class TestFastPath:
         # chirp at the kernel's own rate loses its quadratic phase in the
         # pre-multiply, so |spectrum| equals that of the bare envelope
         # under the plain Fourier angle
-        grid = make_grid(-16.0, 32.0 / 1024, 1024)
+        grid = UniformGrid(-16.0, 32.0 / 1024, 1024)
         chirp = gen_chirp(grid, rate=quarter_angle.cot_phi, envelope_width=2.0)
         envelope = gen_gaussian(grid, 0.0, 2.0, 0.0)
         compacted = smfrft_fast(chirp, quarter_angle)
@@ -137,7 +137,7 @@ class TestFastPath:
 
     def test_right_angle_reduces_to_scaled_dft(self, rng):
         # e^{-j pi/4} times the dt-scaled unitary DFT, bins fftshifted
-        grid = make_grid(-16.0, 32.0 / 512, 512)
+        grid = UniformGrid(-16.0, 32.0 / 512, 512)
         x = random_signal(grid, rng)
         spec = smfrft_fast(x, make_angle(PI / 2))
         u = spec.ugrid.points()
@@ -147,7 +147,7 @@ class TestFastPath:
         assert relative_l2_error(spec.values, reference) <= 1e-12
 
     def test_parseval(self, rng):
-        grid = make_grid(-16.0, 32.0 / 512, 512)
+        grid = UniformGrid(-16.0, 32.0 / 512, 512)
         signals = [
             gen_gaussian(grid, 0.3, 0.8, 2.0),
             gen_chirp(grid, 5.0, 1.5),
@@ -159,7 +159,7 @@ class TestFastPath:
                 assert abs(spec.energy() - x.energy()) / x.energy() <= 1e-12
 
     def test_angle_continuity(self):
-        grid = make_grid(-16.0, 32.0 / 512, 512)
+        grid = UniformGrid(-16.0, 32.0 / 512, 512)
         x = gen_gaussian(grid, 0.0, 1.0, 0.0)
         base = smfrft_fast(x, make_angle(PI / 4))
         nudged = smfrft_fast(x, make_angle(PI / 4 + 1e-9))
@@ -175,7 +175,7 @@ class TestInverse:
         assert np.all(out.samples == 0)
 
     def test_direct_inverse_round_trip(self):
-        grid = make_grid(-16.0, 32.0 / 512, 512)
+        grid = UniformGrid(-16.0, 32.0 / 512, 512)
         x = gen_gaussian(grid, 0.5, 1.2, -2.0)
         angle = make_angle(PI / 3)
         back = ismfrft_direct(smfrft_fast(x, angle), grid)
@@ -183,7 +183,7 @@ class TestInverse:
 
     def test_single_bin_spectrum(self):
         # one-term sum: each output sample is a pure phasor times constants
-        grid = make_grid(-4.0, 8.0 / 16, 16)
+        grid = UniformGrid(-4.0, 8.0 / 16, 16)
         angle = make_angle(PI / 2)
         ugrid = fast_ugrid(grid)
         values = np.zeros(16, complex)
@@ -196,7 +196,7 @@ class TestInverse:
         np.testing.assert_allclose(out.samples, expected, rtol=1e-12, atol=1e-15)
 
     def test_fast_round_trip_random_signals(self, rng):
-        grid = make_grid(-16.0, 32.0 / 256, 256)
+        grid = UniformGrid(-16.0, 32.0 / 256, 256)
         for phi in (0.2, PI / 4, PI / 2, 2.9):
             angle = make_angle(phi)
             x = random_signal(grid, rng)
@@ -210,14 +210,14 @@ class TestInverse:
     @settings(max_examples=60, deadline=None)
     def test_fast_round_trip_random_grids(self, log2n, start, step, phi,
                                           seed):
-        grid = make_grid(start, step, 2 ** log2n)
+        grid = UniformGrid(start, step, 2 ** log2n)
         angle = make_angle(phi)
         x = random_signal(grid, np.random.default_rng(seed))
         back = ismfrft_fast(smfrft_fast(x, angle))
         assert relative_l2_error(back.samples, x.samples) <= 1e-12
 
     def test_fast_round_trip_other_composition(self, rng):
-        grid = make_grid(-16.0, 32.0 / 256, 256)
+        grid = UniformGrid(-16.0, 32.0 / 256, 256)
         angle = make_angle(1.1)
         spec = smfrft_fast(random_signal(grid, rng), angle)
         again = smfrft_fast(ismfrft_fast(spec), angle)
@@ -232,7 +232,7 @@ class TestInverse:
 
     def test_fast_inverse_requires_reciprocal_grids(self, std_grid):
         angle = make_angle(0.9)
-        bad_ugrid = make_grid(-10.0, 20.0 / std_grid.count, std_grid.count)
+        bad_ugrid = UniformGrid(-10.0, 20.0 / std_grid.count, std_grid.count)
         spec = Spectrum(bad_ugrid, np.zeros(std_grid.count, complex), angle,
                         tgrid=std_grid)
         with pytest.raises(GridCompatibilityError):
@@ -249,19 +249,19 @@ class TestInverse:
 class TestConventionalTransform:
     # the comparison transform has one evaluator, the dense oracle's
     def test_gaussian_right_angle(self):
-        grid = make_grid(-16.0, 32.0 / 1024, 1024)
+        grid = UniformGrid(-16.0, 32.0 / 1024, 1024)
         x = gen_gaussian(grid, 0.0, 1.0, 0.0)
-        ugrid = make_grid(-4.0, 8.0 / 64, 64)
+        ugrid = UniformGrid(-4.0, 8.0 / 64, 64)
         values = dense_oracle.frft_direct(x, ugrid, make_angle(PI / 2))
         u = ugrid.points()
         assert relative_l2_error(values, np.exp(-u * u / 2)) < 1e-6
 
     def test_right_angle_relation_to_simplified(self, rng):
         # kernels differ by exactly sqrt(j) when cot(phi) = 0
-        grid = make_grid(-16.0, 32.0 / 512, 512)
+        grid = UniformGrid(-16.0, 32.0 / 512, 512)
         x = random_signal(grid, rng)
         angle = make_angle(PI / 2)
-        ugrid = make_grid(-8.0, 16.0 / 128, 128)
+        ugrid = UniformGrid(-8.0, 16.0 / 128, 128)
         conventional = dense_oracle.frft_direct(x, ugrid, angle)
         simplified = smfrft_direct(x, ugrid, angle)
         sqrt_j = cmath.exp(0.25j * PI)
@@ -296,7 +296,7 @@ class TestLinearConvolve:
 
 class TestDeterminism:
     def test_repeat_calls_are_bitwise_equal(self, rng):
-        grid = make_grid(-16.0, 32.0 / 2048, 2048)
+        grid = UniformGrid(-16.0, 32.0 / 2048, 2048)
         x = random_signal(grid, rng)
         y = random_signal(grid, rng)
         angle = make_angle(1.0)
@@ -338,7 +338,7 @@ class TestCaches:
 
     def test_caches_stay_bounded(self, rng):
         for k in range(50):
-            grid = make_grid(-2.0, 0.125, 32 + k)
+            grid = UniformGrid(-2.0, 0.125, 32 + k)
             x = random_signal(grid, rng)
             angle = make_angle(0.3 + 0.05 * k)
             smfrft_quadrature(x, fast_ugrid(grid).points(), angle)
@@ -350,7 +350,7 @@ class TestCaches:
 
 class TestLinearity:
     def test_all_five_operations(self, rng):
-        grid = make_grid(-8.0, 16.0 / 128, 128)
+        grid = UniformGrid(-8.0, 16.0 / 128, 128)
         angle = make_angle(1.0)
         ugrid = fast_ugrid(grid)
         x = random_signal(grid, rng)
