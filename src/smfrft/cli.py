@@ -5,6 +5,10 @@ Exit codes: 0 success / all identities pass, 1 verification failure,
 2 usage or parse error. The rotation angle is given either directly in
 radians (--angle) or as the fractional order a with phi = a*pi/2
 (--order); exactly one of the two.
+
+The commands run OpenBLAS single-threaded: loading this module sets
+OPENBLAS_NUM_THREADS=1 before numpy loads, unless it is set already.
+``import smfrft`` alone sets nothing and loads no numpy.
 """
 
 from __future__ import annotations
@@ -13,8 +17,13 @@ import dataclasses
 import functools
 import json
 import math
+import os
 import sys
 from pathlib import Path
+
+# The work is FFTs and BLAS sees only short norms: a thread pool would cost
+# start-up time and compete with the CSV workers. Read when numpy loads.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import click
 import numpy as np
@@ -205,8 +214,9 @@ def filter_cmd(input_, output, passband, angle, order_):
     passband, and inverts. A chirp whose rate matches cot(phi) is
     compact near u = 0 at that angle, so a narrow passband there
     separates it from broadband interference. Prints the fraction of the
-    input energy that the output keeps to stderr; an energy that
-    overflows a double exits 2 before anything is written.
+    input energy that the output keeps to stderr. A passband that holds
+    no point of the u grid, or an energy that overflows a double, exits 2
+    before anything is written.
     """
     ang = _resolve_angle(angle, order_)
     lo, hi = _parse_band(passband)
@@ -215,6 +225,10 @@ def filter_cmd(input_, output, passband, angle, order_):
     spectrum = smfrft_fast(signal, ang)
     u = spectrum.ugrid.points()
     mask = (u >= lo) & (u <= hi)
+    if not mask.any():
+        raise InvalidParameterError(
+            f"--passband {lo!r}:{hi!r} holds no point of the u grid: first u = "
+            f"{float(u[0])!r}, last u = {float(u[-1])!r}, du = {spectrum.ugrid.step!r}")
     filtered = Spectrum(spectrum.ugrid, np.where(mask, spectrum.values, 0.0),
                         ang, tgrid=spectrum.tgrid)
     result = ismfrft_fast(filtered)

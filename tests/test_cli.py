@@ -2,6 +2,9 @@ import errno
 import json
 import math
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -317,14 +320,30 @@ class TestFilter:
         filtered = read_signal_csv(out)
         assert relative_l2_error(filtered.samples, original.samples) <= 1e-10
 
-    def test_all_stop_band_zeroes_everything(self, runner, tmp_path):
+    @pytest.mark.parametrize("band", ["1e6:2e6", "0.001:0.002"])
+    def test_band_without_a_grid_point_exits_two(self, runner, tmp_path, band):
+        # beyond the u grid, or between two of its points: the mask would
+        # zero every bin and write an all-zero signal that looks filtered
+        sig = tmp_path / "sig.csv"
+        out = tmp_path / "filtered.csv"
+        invoke(runner, "generate", *SMALL, "--output", sig)
+        result = runner.invoke(cli, ["filter", "--input", str(sig), "--output",
+                                     str(out), "--order", "0.5", "--passband", band])
+        assert result.exit_code == 2, result.output
+        ugrid = fast_ugrid(UniformGrid(-16.0, 32 / 256, 256))
+        assert (f"holds no point of the u grid: first u = {ugrid.start!r}, "
+                f"last u = {ugrid.point(255)!r}, du = {ugrid.step!r}") in result.stderr
+        assert not out.exists()
+
+    def test_band_around_one_grid_point_is_kept(self, runner, tmp_path):
+        # u = 0 is a point of the fast grid: one bin passes, so no refusal
         sig = tmp_path / "sig.csv"
         out = tmp_path / "filtered.csv"
         invoke(runner, "generate", *SMALL, "--output", sig)
         r = invoke(runner, "filter", "--input", sig, "--output", out,
-                   "--order", "0.5", "--passband", "1e6:2e6")
+                   "--order", "0.5", "--passband", "-0.001:0.001")
         assert r.exit_code == 0
-        assert np.all(read_signal_csv(out).samples == 0)
+        assert np.any(read_signal_csv(out).samples != 0)
 
     def test_inverted_band_rejected(self, runner, tmp_path):
         sig = tmp_path / "sig.csv"
@@ -536,3 +555,44 @@ class TestDomainErrors:
         for cls in defined:
             assert issubclass(cls, errors.SmfrftError), cls
         assert cli_module._DOMAIN_ERRORS == (errors.SmfrftError, OSError)
+
+
+# Import order is the point of these checks, so each runs in a fresh
+# interpreter: `import smfrft` loads no numpy, and `import smfrft.cli`
+# starts OpenBLAS with one thread unless the user chose a count.
+STARTUP_PROBE = """
+import os, re, sys
+import smfrft
+assert "numpy" not in sys.modules, "import smfrft loaded numpy"
+import smfrft.cli
+assert "numpy" in sys.modules
+try:
+    with open("/proc/self/status") as handle:
+        threads = re.search(r"Threads:\\s*(\\d+)", handle.read()).group(1)
+except OSError:
+    threads = "-"
+print(os.environ["OPENBLAS_NUM_THREADS"], threads)
+"""
+
+
+class TestStartup:
+    @pytest.mark.parametrize("user_value, env_value, threads", [
+        (None, "1", "1"),  # the default: no BLAS thread pool
+        ("2", "2", None),  # a value the user set wins; the pool is theirs
+    ])
+    def test_cli_starts_openblas_single_threaded(self, user_value, env_value, threads):
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        if user_value is not None:
+            env["OPENBLAS_NUM_THREADS"] = user_value
+        src = str(Path(cli_module.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p)
+        result = subprocess.run([sys.executable, "-c", STARTUP_PROBE], env=env,
+                                capture_output=True, text=True, check=False)
+        assert result.returncode == 0, result.stderr
+        got_env, got_threads = result.stdout.split()
+        assert got_env == env_value
+        if threads is not None:
+            if got_threads == "-":
+                pytest.skip("no /proc/self/status to count threads in")
+            assert got_threads == threads

