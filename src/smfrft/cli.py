@@ -22,7 +22,7 @@ import sys
 from pathlib import Path
 
 # The work is FFTs and BLAS sees only short norms: a thread pool would cost
-# start-up time and compete with the CSV workers. Read when numpy loads.
+# start-up time. Read when numpy loads.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import click
@@ -33,12 +33,6 @@ from . import io_csv
 from .errors import InvalidParameterError, SmfrftError
 from .grid import Spectrum, UniformGrid, gen_chirp, gen_gaussian
 from .kernel import Angle, make_angle
-from .theorems import (
-    SuiteConfig,
-    reports_to_json,
-    run_suite,
-    suite_passed,
-)
 from .transform import ismfrft_direct, ismfrft_fast, smfrft_direct, smfrft_fast
 
 _DOMAIN_ERRORS = (SmfrftError, OSError)
@@ -127,6 +121,7 @@ def generate(kind, start, step, count, center, width, carrier, rate, output):
         if ctx.get_parameter_source(name) is not ParameterSource.DEFAULT:
             raise click.UsageError(f"--{name} does not apply to --kind {kind}")
     grid = UniformGrid(start, step, count)
+    io_csv.check_grid_readable(output, grid)
     if kind == "gaussian":
         signal = gen_gaussian(grid, center, width, carrier)
     else:
@@ -151,6 +146,8 @@ def transform(input_, output, ugrid, angle, order_):
     """
     ang = _resolve_angle(angle, order_)
     out_grid = None if ugrid is None else _parse_ugrid(ugrid)
+    if out_grid is not None:
+        io_csv.check_grid_readable(output, out_grid)
     signal = io_csv.read_signal_csv(input_)
     e_time = signal.energy()
     if out_grid is None:
@@ -194,6 +191,7 @@ def invert(input_, output, start, step, count, angle, order_):
         step = 2.0 * math.pi / (count * ugrid.step)
     t_start = -(count // 2) * step if start is None else start
     tgrid = UniformGrid(t_start, step, count)
+    io_csv.check_grid_readable(output, tgrid)
     if fast:
         signal = ismfrft_fast(Spectrum(ugrid, values, ang, tgrid=tgrid))
     else:
@@ -242,7 +240,10 @@ def filter_cmd(input_, output, passband, angle, order_):
     )
 
 
-def _suite_config_from(config_path, tolerance, identities, count) -> SuiteConfig:
+def _suite_config_from(config_path, tolerance, identities, count):
+    # theorems loads here, in verify alone: no other command compiles it
+    from .theorems import SuiteConfig
+
     overrides: dict = {}
     if config_path is not None:
         try:
@@ -290,6 +291,8 @@ def _headroom(residual: float, tolerance: float) -> float:
 @_exit2_on_domain_error
 def verify(output, config_path, tolerance, identities, count):
     """Run the identity suite and write the residual report."""
+    from .theorems import reports_to_json, run_suite, suite_passed
+
     cfg = _suite_config_from(config_path, tolerance, identities, count)
     reports = run_suite(cfg)
     if not reports:

@@ -2,52 +2,46 @@
 
 Signal files carry the header ``t,re,im``, spectrum files ``u,re,im``;
 one row per sample in grid order (ascending axis). Values are written
-with shortest round-trip decimal formatting (at most 17 significant
-digits), so parsing reproduces the exact doubles. The axis grid is
+with shortest round-trip decimal formatting, byte for byte what ``repr``
+prints, so parsing reproduces the exact doubles. The axis grid is
 inferred on read: the step is (last - first)/(rows - 1), and every
-row-to-row difference must match it to within 1e-9 relative. A file
-that is not ASCII text is refused like any other bad input. The
-spectrum writer raises ShapeMismatchError for more or fewer values than
-grid points. Write -> read -> write is byte-identical
-whenever the grid start and step are exactly representable doubles,
-which holds for every grid this package generates by default.
+row-to-row difference must match it to within 1e-9 relative;
+``check_grid_readable`` applies that rule to a grid before it is
+written. The spectrum writer raises ShapeMismatchError for more or fewer
+values than grid points. A file that is not ASCII text is refused like
+any other bad input.
+Write -> read -> write is byte-identical whenever the grid start and
+step are exactly representable doubles, which holds for every grid this
+package generates by default.
 
-Both directions split the rows into contiguous parts, one per CPU this
-process may run on, each of at least ``_MIN_PART_ROWS`` rows; a smaller
-file, or any file where ``os.fork`` does not exist, is one part. The
-calling process handles part 0 and forks one worker per other part. A
-worker only formats or parses its own part and leaves through
-``os._exit``; the caller waits for every worker, also when it raises.
-Within a part, rows go in blocks of ``_BLOCK_ROWS``, so no process holds
-more than one block as strings beyond the lines it was given.
+Everything runs in the calling process. The writer formats blocks of
+``_BLOCK_ROWS`` rows with ``_repr_rows``, a numpy formatter: Giulietti's
+Schubfach ("The Schubfach way to render doubles", 2020) gives each
+double's shortest digits from a 126-bit table entry and three 128-bit
+products, and the digits are laid out as ``repr`` lays them out. A write
+that raises removes the output file (when it is a regular file): a
+partial file ends on a row boundary and would read back as a valid,
+shorter signal.
 
-The writer formats one block at a time with ``repr``. Part 0 streams to
-the output after the header; each worker streams to its own unlinked
-temporary file, whose bytes the caller then appends in part order. The
-reader splits the text into lines, checks the header, and parses each
-block with Python's ``float`` (the same syntax and the same doubles as a
-row-by-row parse) into a ``(rows, 3)`` table, which the workers fill in
-place through a shared anonymous mmap. It looks for the offending row
-only in a block that failed.
-
-A part whose worker failed is done again by the caller, in file order,
-so every error is the one a single process would raise: the reader names
-the first bad row in file order, and the writer raises the write's own
-error. A write that raises removes the output file (when it is a regular
-file): a partial file ends on a row boundary and would read back as a
-valid, shorter signal. Empty lines at the end of a file are ignored; an
-empty line between rows is an error.
+The reader reads the file once and hands it to numpy's C parser
+(``np.loadtxt``). It keeps that table only when the parser cannot have
+read the file differently from Python's ``float``: no line-break
+characters other than ``\\n`` and ``\\r\\n``, no ``\\x1f`` or ``_``,
+one row of three finite numbers for every line after the header. Any
+other file goes to the block parser, which splits the text into lines
+and parses blocks with ``float``; it accepts the same files with the
+same doubles as a row-by-row parse, or names the first bad row. Empty lines at the end of
+a file are ignored; an empty line between rows is an error.
 """
 
 from __future__ import annotations
 
-import mmap
+import functools
+import io
 import os
-import shutil
 import stat
-import tempfile
-from contextlib import ExitStack, suppress
-from functools import partial
+import warnings
+from contextlib import suppress
 from itertools import repeat
 from pathlib import Path
 
@@ -57,79 +51,145 @@ from .errors import InvalidGridError, InvalidParameterError, ShapeMismatchError
 from .grid import ComplexArray, SampledSignal, UniformGrid
 
 _UNIFORMITY_RTOL = 1e-9
+# the formatter's temporaries take ~1 KB a row: with 16384-row blocks the
+# filter command's peak RSS at 2^17 rows was 70.0 MB, against 52.9 MB
 _BLOCK_ROWS = 4096
-# below this a part costs more in fork, exit and wait (~2 ms) and in
-# copy-on-write faults than it saves. Split 2 ways on 2 CPUs, 16384 rows
-# wrote in 35 ms against 46 ms in one process and read in 23-24 ms against
-# 23-24 ms; 8192 rows wrote in 20-23 ms against 21-23 ms and read in
-# 14-16 ms against 12 ms.
-_MIN_PART_ROWS = 8192
-_ROW = "{!r},{!r},{!r}\n".format
+# bytes that Python's splitlines or float read differently from np.loadtxt
+# (a lone "\r" is checked apart): line breaks to splitlines, while loadtxt
+# takes \v, \f and \x1c-\x1f around a number as blanks, which float
+# refuses in \x1c-\x1f; and float reads 1_0 as 10.0
+_NOT_FOR_LOADTXT = (b"\v", b"\f", b"\x1c", b"\x1d", b"\x1e", b"\x1f", b"_")
+
+# ---------------------------------------------------------------- writer
+
+_U = np.uint64
+_LOW32 = _U(0xFFFF_FFFF)
+_LOW63 = _U(2**63 - 1)
+_K_MIN = -324  # the decimal exponents k of Schubfach's table: [-324, 292]
+_POW10 = np.array([10**i for i in range(18)], dtype=np.uint64)
+_ZERO = ord("0")
+_FIELD = 25  # widest field, "-d.dddddddddddddddde-308", plus its separator
+_TABLE = 45  # digit table columns: 5 zeros, 17 digits, 23 zeros
 
 
-def _workers(rows: int) -> int:
-    """How many parts to split ``rows`` rows into."""
-    if not hasattr(os, "fork"):
-        return 1
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:
-        cpus = os.cpu_count() or 1
-    return max(1, min(cpus, rows // _MIN_PART_ROWS))
+def _mulhi(a, b):
+    """High 64 bits of the 128-bit products ``a * b`` of uint64 arrays."""
+    a0, a1 = a & _LOW32, a >> _U(32)
+    b0, b1 = b & _LOW32, b >> _U(32)
+    cross0, cross1 = a0 * b1, a1 * b0
+    mid = ((a0 * b0) >> _U(32)) + (cross0 & _LOW32) + (cross1 & _LOW32)
+    return a1 * b1 + (cross0 >> _U(32)) + (cross1 >> _U(32)) + (mid >> _U(32))
 
 
-def _parts(rows: int) -> list[range]:
-    """Contiguous row ranges of near-equal length that tile ``range(rows)``."""
-    n = _workers(rows)
-    return [range(rows * k // n, rows * (k + 1) // n) for k in range(n)]
+@functools.cache
+def _g_table() -> np.ndarray:
+    """Rows (g1, g0), g = g1 * 2^63 + g0 = floor(10^-k * 2^(125 - r)) + 1
+    with r = floor(log2 10^-k), so that 2^125 < g < 2^126."""
+    rows = []
+    for k in range(_K_MIN, 293):
+        shift = 125 - ((-k * 913_124_641_741) >> 38)
+        g = ((10 ** max(-k, 0) << max(shift, 0))
+             // (10 ** max(k, 0) << max(-shift, 0)) + 1)
+        rows.append((g >> 63, g & (2**63 - 1)))
+    return np.array(rows, dtype=np.uint64)
 
 
-def _fork(jobs) -> list[int | None]:
-    """Run each job in a forked child and return the children's pids, None
-    where no process could be forked.
-
-    A child runs only its job and leaves through ``os._exit``, with status
-    0 if the job returned and 1 if it raised; it never returns into the
-    caller.
-    """
-    pids: list[int | None] = []
-    try:
-        for job in jobs:
-            try:
-                pid = os.fork()
-            except OSError:  # out of processes: the caller does this job
-                pids.append(None)
-                continue
-            if pid == 0:
-                status = 1
-                try:
-                    job()
-                    status = 0
-                finally:
-                    os._exit(status)
-            pids.append(pid)
-    except BaseException:
-        _reap(pids)
-        raise
-    return pids
+def _round_to_odd(g1, g0, cp):
+    """cp * g / 2^127 rounded to odd: the integer part, with the lowest bit
+    set when any fraction was dropped."""
+    z = ((g1 * cp) >> _U(1)) + _mulhi(g0, cp)
+    return (_mulhi(g1, cp) + (z >> _U(63))) | ((z & _LOW63) != 0)
 
 
-def _reap(pids: list[int | None]) -> list[bool]:
-    """Wait for every child in ``pids``; True for each that exited 0."""
-    return [pid is not None and os.waitpid(pid, 0)[1] == 0 for pid in pids]
+def _shortest(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(f, e) with |x| = f * 10^e read back exactly: the fewest digits, and
+    of those the decimal closest to x (even f on a tie), as ``repr``.
+    Zero gives (0, 0). Raises ValueError for a non-finite x."""
+    bits = x.view(np.uint64)
+    mantissa = bits & _U(2**52 - 1)
+    biased = ((bits >> _U(52)) & _U(0x7FF)).astype(np.int64)
+    if (biased == 0x7FF).any():
+        raise ValueError("cannot format a non-finite value")
+    normal = biased != 0
+    c = np.where(normal, mantissa | _U(2**52), mantissa)  # |x| = c * 2^q
+    q = np.where(normal, biased - 1075, -1074)
+    # a power of two has a closer neighbour below: 3/4 of the spacing
+    irregular = (mantissa == 0) & (biased > 1)
+    k = (q * 661_971_961_083 - np.where(irregular, 274_743_187_321, 0)) >> 41
+    h = (q + ((-k * 913_124_641_741) >> 38) + 2).astype(np.uint64)
+    g = _g_table()[k - _K_MIN]
+    cb = c << _U(2)
+    cbl = cb - np.where(irregular, _U(1), _U(2))
+    # 4 x 10^-k and the ends of its rounding interval, scaled the same way
+    vb, vbl, vbr = _round_to_odd(g[:, 0], g[:, 1], np.stack([cb, cbl, cb + _U(2)]) << h)
+    out = c & _U(1)  # an odd c cannot take the interval's ends
+    s = vb >> _U(2)
+    t = s + _U(1)
+    u_in = vbl + out <= s << _U(2)
+    w_in = (t << _U(2)) + out <= vbr
+    twice_mid = (s + t) << _U(1)
+    closer_s = (vb < twice_mid) | ((vb == twice_mid) & ((s & _U(1)) == 0))
+    f = np.where(u_in != w_in, np.where(u_in, s, t), np.where(closer_s, s, t))
+    # one digit fewer, if a multiple of 10 lies in the interval (it is
+    # narrower than 10, so it holds at most one)
+    sp10 = s // _U(10) * _U(10)
+    tp10 = sp10 + _U(10)
+    up_in = vbl + out <= sp10 << _U(2)
+    wp_in = (tp10 << _U(2)) + out <= vbr
+    f = np.where((s >= _U(10)) & (up_in != wp_in), np.where(up_in, sp10, tp10), f)
+    zero = c == 0
+    f[zero] = 0
+    k[zero] = 0
+    return f, k
 
 
-def _write_rows(handle, columns, part: range) -> None:
-    axis, re, im = columns
-    for start in range(part.start, part.stop, _BLOCK_ROWS):
-        block = slice(start, min(start + _BLOCK_ROWS, part.stop))
-        handle.write("".join(map(_ROW, axis[block].tolist(),
-                                 re[block].tolist(), im[block].tolist())))
-
-
-def _spill(spill, columns, part: range) -> None:
-    with open(spill.fileno(), "w", encoding="ascii", closefd=False) as handle:
-        _write_rows(handle, columns, part)
+def _repr_rows(cells: np.ndarray) -> bytes:
+    """The rows ``repr(a),repr(b),repr(c)\\n`` of a ``(rows, 3)`` float64
+    array, as ASCII bytes. Raises ValueError for a non-finite value."""
+    x = np.ascontiguousarray(cells, dtype=np.float64).reshape(-1)
+    m = x.shape[0]
+    f, e = _shortest(x)
+    # table: f's 17 digits (zero-padded) at columns 5-21, '0' elsewhere
+    table = np.full((m, _TABLE), _ZERO, dtype=np.uint8)
+    part = f
+    for column in range(21, 4, -1):
+        part, digit = np.divmod(part, _U(10))
+        table[:, column] += digit.astype(np.uint8)
+    nd = np.maximum(np.searchsorted(_POW10, f, side="right"), 1)  # digits of f
+    n = nd - np.argmax(table[:, 21:4:-1] != _ZERO, axis=1)  # without trailing 0s
+    decpt = e + nd  # x = 0.d1d2...dn * 10^decpt
+    # repr's layouts: [-]int.frac, int = '0' when decpt <= 0, and
+    # [-]d[.ddd]e±XX outside -4 < decpt <= 16
+    sci = (decpt <= -4) | (decpt > 16)
+    neg = (x.view(np.uint64) >> _U(63)).astype(np.int64)
+    int_len = np.where(sci, 1, np.maximum(decpt, 1))
+    has_dot = ~sci | (n > 1)
+    frac_len = np.where(sci, n - 1, np.maximum(n - decpt, 1))
+    dot = neg + int_len
+    exponent = np.abs(decpt - 1)
+    exp_at = dot + has_dot + frac_len
+    length = exp_at + np.where(sci, np.where(exponent >= 100, 5, 4), 0)
+    # character j of a field is digit j - (dot - p) - (j > dot) of the
+    # number, p = decpt (1 in exponent form), which is table column 22 - nd
+    # plus that; the sign, dot, exponent and separator are written over it
+    j = np.arange(_FIELD, dtype=np.int32)
+    rows = np.arange(m)
+    first = 22 - nd - dot + np.where(sci, 1, decpt) + rows * _TABLE
+    flat = np.add.outer(first.astype(np.int32), j)
+    flat -= j > dot[:, None]
+    buf = np.take(table.reshape(-1), flat)
+    buf[rows[neg == 1], 0] = ord("-")
+    buf[rows[has_dot], dot[has_dot]] = ord(".")
+    se, at, xs = rows[sci], exp_at[sci], exponent[sci]
+    buf[se, at] = ord("e")
+    buf[se, at + 1] = np.where(decpt[sci] > 1, ord("+"), ord("-"))
+    wide = xs >= 100
+    buf[se[wide], at[wide] + 2] = _ZERO + xs[wide] // 100
+    at += 2 + wide
+    buf[se, at] = _ZERO + xs // 10 % 10
+    buf[se, at + 1] = _ZERO + xs % 10
+    buf[rows, length] = np.tile(np.frombuffer(b",,\n", dtype=np.uint8), m // 3)
+    return buf[j <= length[:, None]].tobytes()
 
 
 def _remove_partial(path) -> None:
@@ -140,34 +200,23 @@ def _remove_partial(path) -> None:
             os.unlink(path)
 
 
-def _write(path, header: str, axis, values) -> None:
-    axis = np.asarray(axis, dtype=np.float64)
+def _write(path, header: str, grid: UniformGrid, values) -> None:
+    axis = grid.points()
     values = np.asarray(values, dtype=np.complex128)
-    columns = (axis, values.real, values.imag)
-    first, *rest = _parts(axis.shape[0])
-    with ExitStack() as stack:
-        spills = [stack.enter_context(tempfile.TemporaryFile()) for _ in rest]
-        handle = open(path, "w", encoding="ascii")
-        try:
-            with handle:
-                pids = _fork(partial(_spill, spill, columns, part)
-                             for spill, part in zip(spills, rest))
-                try:
-                    handle.write(header + "\n")
-                    _write_rows(handle, columns, first)
-                finally:
-                    done = _reap(pids)
-                for spill, part, ok in zip(spills, rest, done):
-                    if ok:
-                        handle.flush()
-                        spill.seek(0)
-                        shutil.copyfileobj(spill, handle.buffer)
-                    else:  # write it here, so an error is the write's own
-                        _write_rows(handle, columns, part)
-        except BaseException:
-            _remove_partial(path)
-            raise
+    handle = open(path, "wb")
+    try:
+        with handle:
+            handle.write(header.encode("ascii") + b"\n")
+            for start in range(0, grid.count, _BLOCK_ROWS):
+                block = slice(start, start + _BLOCK_ROWS)
+                handle.write(_repr_rows(np.column_stack(
+                    (axis[block], values[block].real, values[block].imag))))
+    except BaseException:
+        _remove_partial(path)
+        raise
 
+
+# ---------------------------------------------------------------- reader
 
 def _parse_block(lines: list[str], out: np.ndarray) -> bool:
     """Fill the ``(len(lines), 3)`` table ``out``; False if any line is bad."""
@@ -197,70 +246,103 @@ def _bad_row(path, lines: list[str], first_row: int) -> InvalidParameterError:
     raise AssertionError("block failed but every row parses")
 
 
-def _parse_rows(path, lines: list[str], table: np.ndarray, part: range) -> None:
-    """Parse data rows ``part`` of ``lines`` (whose first line is the
-    header) into the same rows of ``table``; raise for the first bad row."""
-    for start in range(part.start, part.stop, _BLOCK_ROWS):
-        stop = min(start + _BLOCK_ROWS, part.stop)
-        block = lines[1 + start:1 + stop]
-        if not _parse_block(block, table[start:stop]):
-            raise _bad_row(path, block, start + 2)
-
-
-def _parse(path, header: str) -> tuple[np.ndarray, ComplexArray]:
-    try:
-        text = Path(path).read_text(encoding="ascii")
-    except UnicodeDecodeError as exc:
-        raise InvalidParameterError(
-            f"{path}: not ASCII text (byte {exc.start} is {exc.object[exc.start]:#04x})"
-        ) from None
+def _parse_lines(path, text: str, header: str) -> np.ndarray:
+    """The block parser: the ``(rows, 3)`` table of ``text``, or the error
+    for its header or its first bad row."""
     lines = text.splitlines()
     if not lines or lines[0].strip() != header:
         raise InvalidParameterError(
             f"{path}: expected header {header!r}, got {lines[0]!r}"
             if lines else f"{path}: empty file"
         )
-    del text  # the lines hold it from here on
     rows = len(lines) - 1
     while rows and not lines[rows]:
         rows -= 1
-    first, *rest = _parts(rows)
-    # the workers fill the caller's table, so it must be shared memory
-    table = (np.frombuffer(mmap.mmap(-1, rows * 24), dtype=np.float64)
-             .reshape(rows, 3) if rest else np.empty((rows, 3), dtype=np.float64))
-    pids = _fork(partial(_parse_rows, path, lines, table, part) for part in rest)
+    table = np.empty((rows, 3), dtype=np.float64)
+    for start in range(0, rows, _BLOCK_ROWS):
+        stop = min(start + _BLOCK_ROWS, rows)
+        block = lines[1 + start:1 + stop]
+        if not _parse_block(block, table[start:stop]):
+            raise _bad_row(path, block, start + 2)
+    return table
+
+
+def _loadtxt(data: bytes, header: str) -> np.ndarray | None:
+    """The ``(rows, 3)`` table numpy's C parser reads from ``data``, or None
+    when the block parser might read the file differently."""
+    if any(odd in data for odd in _NOT_FOR_LOADTXT) or (
+            b"\r" in data and data.count(b"\r") != data.count(b"\r\n")):
+        return None
+    end = len(data)
+    while end and data[end - 1] in b"\r\n":  # trailing empty lines
+        end -= 1
+    rows = data.count(b"\n", 0, end)
+    if not rows or data[:data.index(b"\n")].decode("ascii").strip() != header:
+        return None
     try:
-        _parse_rows(path, lines, table, first)
-    finally:
-        done = _reap(pids)
-    for part, ok in zip(rest, done):
-        if not ok:  # parse it here, so the error names its first bad row
-            _parse_rows(path, lines, table, part)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # an empty table is refused below
+            table = np.loadtxt(io.BytesIO(data), delimiter=",", comments=None,
+                               skiprows=1, ndmin=2)
+    except ValueError:
+        return None
+    # loadtxt skips empty lines, so an empty line between rows shows here
+    if table.shape != (rows, 3) or not np.isfinite(table).all():
+        return None
+    return table
+
+
+def _parse(path, header: str) -> tuple[np.ndarray, ComplexArray]:
+    data = Path(path).read_bytes()
+    try:
+        if not data.isascii():
+            data.decode("ascii")
+    except UnicodeDecodeError as exc:
+        raise InvalidParameterError(
+            f"{path}: not ASCII text (byte {exc.start} is {data[exc.start]:#04x})"
+        ) from None
+    table = _loadtxt(data, header)
+    if table is None:
+        table = _parse_lines(path, data.decode("ascii"), header)
     values = np.ascontiguousarray(table[:, 1:]).view(np.complex128)
     return table[:, 0].copy(), values.reshape(-1)
 
 
-def _infer_grid(axis: np.ndarray, path) -> UniformGrid:
+def _infer_grid(axis: np.ndarray, where) -> UniformGrid:
+    """The uniform grid of ``axis``; errors start with ``where``."""
     if axis.shape[0] < 2:
-        raise InvalidGridError(f"{path}: need at least 2 rows")
+        raise InvalidGridError(f"{where}: need at least 2 rows")
     # from the endpoints, not a median of differences: on a 2^17-row
     # spectrum file the median misses du = 2*pi/(N*dt) by ~1.6e-12
     # relative, and invert's phases grow that error N-fold
     step = (float(axis[-1]) - float(axis[0])) / (axis.shape[0] - 1)
     if step <= 0.0:
-        raise InvalidGridError(f"{path}: axis must be strictly increasing")
+        raise InvalidGridError(f"{where}: axis must be strictly increasing")
     steps = np.diff(axis)
     if np.any(np.abs(steps - step) > _UNIFORMITY_RTOL * abs(step)):
         worst = int(np.argmax(np.abs(steps - step))) + 2
         raise InvalidGridError(
-            f"{path}: row {worst}: axis not uniform within "
+            f"{where}: row {worst}: axis not uniform within "
             f"{_UNIFORMITY_RTOL} relative of the endpoint step"
         )
     return UniformGrid(float(axis[0]), step, int(axis.shape[0]))
 
 
+def check_grid_readable(path, grid: UniformGrid) -> None:
+    """Raise InvalidGridError, naming the grid, when the axis that a file
+    written on ``grid`` holds would not read back as a uniform grid: a
+    start so large that the step is lost in rounding, for example."""
+    where = (f"{path}: grid start={grid.start!r}, step={grid.step!r}, "
+             f"count={grid.count} does not read back")
+    with np.errstate(over="ignore"):
+        axis = grid.points()
+    if not np.isfinite(axis[-1]):  # the largest point
+        raise InvalidGridError(f"{where}: its last point overflows a double")
+    _infer_grid(axis, where)
+
+
 def write_signal_csv(path, signal: SampledSignal) -> None:
-    _write(path, "t,re,im", signal.grid.points(), signal.samples)
+    _write(path, "t,re,im", signal.grid, signal.samples)
 
 
 def read_signal_csv(path) -> SampledSignal:
@@ -269,12 +351,15 @@ def read_signal_csv(path) -> SampledSignal:
 
 
 def write_spectrum_csv(path, ugrid: UniformGrid, values: ComplexArray) -> None:
-    # a signal's samples match its grid by construction; spectrum values
-    # arrive as a bare array, so check their length here
+    # a signal's samples match its grid and are finite by construction;
+    # spectrum values arrive as a bare array, so check them here
     if np.shape(values) != (ugrid.count,):
         raise ShapeMismatchError(
             f"{path}: {np.size(values)} values for a grid of {ugrid.count} points")
-    _write(path, "u,re,im", ugrid.points(), values)
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        raise InvalidParameterError(f"{path}: row {bad[0] + 2}: non-finite value")
+    _write(path, "u,re,im", ugrid, values)
 
 
 def read_spectrum_csv(path) -> tuple[UniformGrid, ComplexArray]:

@@ -263,13 +263,8 @@ class TestTransformInvert:
         assert sig.read_bytes() == before
 
 
-class TestSplitIO:
-    def test_default_pipeline_never_forks(self, runner, tmp_path,
-                                          monkeypatch):
-        # the crossover measured in io_csv: a split needs two parts of
-        # _MIN_PART_ROWS, so the CLI default of 2048 rows stays in one
-        # process
-        assert io_csv._MIN_PART_ROWS == 8192
+class TestOneProcessIO:
+    def test_pipeline_never_forks(self, runner, tmp_path, monkeypatch):
         forks = []
 
         def fork():
@@ -278,34 +273,74 @@ class TestSplitIO:
 
         monkeypatch.setattr(os, "fork", fork)
         sig, spec = tmp_path / "sig.csv", tmp_path / "spec.csv"
-        for args in (["generate", "--output", sig],
+        n = 2**15
+        for args in (["generate", "--kind", "chirp", "--start", "-32",
+                      "--step", 64 / n, "--count", n, "--output", sig],
                      ["transform", "--input", sig, "--output", spec,
                       "--order", "0.5"],
                      ["filter", "--input", sig, "--output", tmp_path / "f.csv",
                       "--order", "0.5", "--passband=-2:2"],
                      ["invert", "--input", spec, "--output", tmp_path / "i.csv",
-                      "--order", "0.5"]):
+                      "--order", "0.5", "--start", "-32"]):
             assert invoke(runner, *args).exit_code == 0
         assert forks == []
+        assert read_signal_csv(tmp_path / "i.csv").grid.count == n
 
     def test_failed_write_exits_two_with_no_file(self, runner, tmp_path,
                                                  monkeypatch):
-        # the worker's part fails, and so does the caller's retry of it:
-        # the caller's part alone would read back as a shorter signal
-        real = io_csv._write_rows
+        # the first block is written, the second hits a full disk: the
+        # first alone would read back as a shorter signal
+        real, blocks = io_csv._repr_rows, []
 
-        def full_disk(handle, columns, part):
-            if part.start:
+        def full_disk(cells):
+            blocks.append(len(cells))
+            if len(blocks) > 1:
                 raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
-            real(handle, columns, part)
+            return real(cells)
 
-        monkeypatch.setattr(io_csv, "_workers", lambda rows: 2)
-        monkeypatch.setattr(io_csv, "_write_rows", full_disk)
+        monkeypatch.setattr(io_csv, "_repr_rows", full_disk)
         out = tmp_path / "sig.csv"
-        result = runner.invoke(cli, ["generate", *SMALL, "--output", str(out)])
+        result = runner.invoke(cli, ["generate", "--count",
+                                     str(3 * io_csv._BLOCK_ROWS), "--output", str(out)])
         assert result.exit_code == 2, result.output
         assert "No space left on device" in result.stderr
+        assert blocks == [io_csv._BLOCK_ROWS] * 2
         assert not out.exists()
+
+
+class TestUnreadableGrid:
+    """A grid whose written axis its own reader would refuse: at 1e17 a
+    step of 1 is lost in rounding, and every point is 1e17."""
+
+    @pytest.mark.parametrize("args, grid, reason", [
+        (["generate", "--start", "1e17", "--step", "1", "--count", "4"],
+         "start=1e+17, step=1.0, count=4", "axis must be strictly increasing"),
+        (["invert", "--input", "spec.csv", "--order", "0.5", "--start", "1e17",
+          "--step", "1", "--count", "8"],
+         "start=1e+17, step=1.0, count=8", "axis must be strictly increasing"),
+        (["transform", "--input", "sig.csv", "--order", "0.5",
+          "--ugrid", "1e17:1:8"],
+         "start=1e+17, step=1.0, count=8", "axis must be strictly increasing"),
+        # the fast inverse's step is 0.125 here: its points round unevenly
+        (["invert", "--input", "spec.csv", "--order", "0.5", "--start", "1e17"],
+         "start=1e+17, step=0.125, count=256",
+         "row 66: axis not uniform within 1e-09 relative of the endpoint step"),
+        (["generate", "--start", "1.7e308", "--step", "1e307", "--count", "4"],
+         "start=1.7e+308, step=1e+307, count=4",
+         "its last point overflows a double"),
+    ], ids=["generate", "invert-step-count", "transform-ugrid", "invert",
+            "generate-overflow"])
+    def test_exits_two_naming_the_grid(self, runner, tmp_path, monkeypatch,
+                                       args, grid, reason):
+        monkeypatch.chdir(tmp_path)
+        invoke(runner, "generate", *SMALL, "--output", "sig.csv")
+        invoke(runner, "transform", "--input", "sig.csv", "--output", "spec.csv",
+               "--order", "0.5")
+        result = runner.invoke(cli, [*args, "--output", "out.csv"])
+        assert result.exit_code == 2, result.output
+        assert result.stderr == (
+            f"error: out.csv: grid {grid} does not read back: {reason}\n")
+        assert not (tmp_path / "out.csv").exists()
 
 
 class TestFilter:
@@ -566,6 +601,7 @@ import smfrft
 assert "numpy" not in sys.modules, "import smfrft loaded numpy"
 import smfrft.cli
 assert "numpy" in sys.modules
+assert "smfrft.theorems" not in sys.modules, "only verify needs theorems"
 try:
     with open("/proc/self/status") as handle:
         threads = re.search(r"Threads:\\s*(\\d+)", handle.read()).group(1)

@@ -4,14 +4,13 @@
 ``smfrft.io_csv`` replaced. On random grids and random doubles the files
 must be byte-identical, the parsed doubles bitwise equal, and any error
 the same message naming the same row. Lengths cross the block size, so
-every property is exercised across block boundaries. The split tests
-force 2 and 3 parts, so they also cross part boundaries and run the
-forked workers.
+every property is exercised across block boundaries. The formatter is
+also checked against ``repr`` itself on the doubles where shortest
+round-trip digits are hardest to get right.
 """
 
 import math
-import os
-from contextlib import contextmanager
+import warnings
 
 import numpy as np
 import pytest
@@ -21,6 +20,7 @@ from hypothesis import strategies as st
 from smfrft import InvalidParameterError, SampledSignal, UniformGrid
 from smfrft import io_csv
 from smfrft.io_csv import read_signal_csv, write_signal_csv, write_spectrum_csv
+from smfrft.transform import fast_ugrid
 
 import csv_reference
 
@@ -102,26 +102,46 @@ def test_write_read_write_is_byte_stable(tmp_path_factory, n, seed, origin,
 
 
 FORMATS = [repr, "{:.17g}".format, "{:.6e}".format, "{:.3f}".format,
-           "{:E}".format, " {!r} ".format, "{:+}".format]
-CORRUPTIONS = ["garbage", "inf", "-nan", "1e999", "", "1.0.0", "0x1p3", "1_5"]
+           "{:E}".format, " {!r} ".format, "{:+}".format, "\t{!r}".format]
+CORRUPTIONS = ["garbage", "inf", "-nan", "1e999", "", "1.0.0", "0x1p3", "1_5",
+               '"1.0"', "#1", "1#", "1.0\x00", "\x00", "\x1f1.0"]
+# line ends: the ones splitlines knows, and pairs that make it see an
+# empty line where numpy's parser sees whitespace
+BREAKS = ["\r", "\r\n", "\v", "\f", "\x1c", "\x1d", "\x1e", "\v\n", "\f\n",
+          "\x1c\n", "\r\r\n", "\n\r", " \n", "\t\n"]
+INSERTS = ["\x00", "\t", " ", '"', "#", "\v", "\x1f", "_"]
+BLANKS = ["", " ", "\t", " \t "]
+
+
+def parse_quietly(path):
+    """``io_csv._parse`` of a signal file; fails if any warning is raised."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            return io_csv._parse(path, "t,re,im")
+        finally:
+            assert [str(w.message) for w in caught] == []
 
 
 @given(n=lengths, seed=seeds, data=st.data())
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=40, deadline=None)
 def test_outcome_matches_reference_on_hand_written_files(tmp_path_factory, n,
                                                          seed, data):
     """Files not written by the package: mixed number formats, then a few
-    rows corrupted. Both readers accept with bitwise-equal doubles, or
-    both refuse with the same message."""
+    rows corrupted or given other line ends. Both readers accept with
+    bitwise-equal doubles, or both refuse with the same message; no
+    warning escapes."""
     rng = np.random.default_rng(seed)
     cells = np.column_stack([np.arange(n) * 0.5, random_doubles(rng, n),
                              random_doubles(rng, n)])
     fmt = [FORMATS[k] for k in rng.integers(0, len(FORMATS), cells.size)]
     tokens = [f(float(v)) for f, v in zip(fmt, cells.reshape(-1).tolist())]
     lines = [",".join(tokens[3 * k:3 * k + 3]) for k in range(n)]
+    ends = ["\n"] * n
     for _ in range(data.draw(st.integers(0, 3))):
         row = data.draw(st.integers(0, n - 2))
-        kind = data.draw(st.sampled_from(["token", "drop", "extra", "blank"]))
+        kind = data.draw(st.sampled_from(
+            ["token", "drop", "extra", "blank", "break", "insert"]))
         if kind == "token":
             parts = lines[row].split(",")
             parts[data.draw(st.integers(0, len(parts) - 1))] = data.draw(
@@ -131,96 +151,114 @@ def test_outcome_matches_reference_on_hand_written_files(tmp_path_factory, n,
             lines[row] = lines[row].rsplit(",", 1)[0]
         elif kind == "extra":
             lines[row] += ",0.0"
+        elif kind == "blank":
+            lines[row] = data.draw(st.sampled_from(BLANKS))
+        elif kind == "break":
+            ends[row] = data.draw(st.sampled_from(BREAKS))
         else:
-            lines[row] = ""
+            at = data.draw(st.integers(0, len(lines[row])))
+            lines[row] = (lines[row][:at] + data.draw(st.sampled_from(INSERTS))
+                          + lines[row][at:])
     path = tmp_path_factory.mktemp("csv") / "hand.csv"
-    path.write_text("t,re,im\n" + "\n".join(lines) + "\n")
+    path.write_bytes(("t,re,im\n" + "".join(map(str.__add__, lines, ends)))
+                     .encode("ascii"))
     try:
         expected = csv_reference.parse(path, "t,re,im")
     except InvalidParameterError as exc:
         with pytest.raises(InvalidParameterError) as err:
-            io_csv._parse(path, "t,re,im")
+            parse_quietly(path)
         assert str(err.value) == str(exc)
         return
-    axis, values = io_csv._parse(path, "t,re,im")
+    axis, values = parse_quietly(path)
     assert_bitwise_equal(axis, expected[0])
     assert_bitwise_equal(values, expected[1])
 
 
-BAD_ROWS = ["", "1.0,2.0", "1.0,2.0,3.0,4.0", "0.5,nan,1.0", "x,1.0,2.0"]
-split_lengths = st.one_of(st.integers(3, 40),
-                          st.integers(BLOCK - 3, 3 * BLOCK + 3))
+@pytest.mark.parametrize("text, outcome", [
+    ("", "empty file"),
+    ("\n", "expected header 't,re,im', got ''"),
+    ("t,re,im", 0),
+    ("t,re,im\n\n\n", 0),  # numpy's loadtxt warns on a file without rows
+    ("t,re,im\r\n\r\n", 0),
+    ("t,re,im\n \n", "row 2: expected 3 columns"),
+    ("t,re,im\n\x00\n", "row 2: expected 3 columns"),
+    ("t,re,im\n1,2,3\n\n4,5,6\n", "row 3: expected 3 columns"),
+    ("t,re,im\n1,2,3\n\t\n4,5,6\n", "row 3: expected 3 columns"),
+    ("t,re,im\x1f\n1,2,3\n", 1),  # str.strip takes \x1f as whitespace
+    ("t,re,im\v1,2,3\n", 1),
+    ("t,re,im\r1,2,3\r\r", 1),
+])
+def test_short_files(tmp_path, text, outcome):
+    path = tmp_path / "short.csv"
+    path.write_bytes(text.encode("ascii"))
+    if isinstance(outcome, str):
+        with pytest.raises(InvalidParameterError) as err:
+            parse_quietly(path)
+        assert str(err.value) == f"{path}: {outcome}"
+    else:
+        axis, values = parse_quietly(path)
+        assert axis.shape == values.shape == (outcome,)
 
 
-@contextmanager
-def forced_split(workers: int):
-    """Split every file into ``workers`` parts, whatever its length and
-    the number of CPUs."""
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(io_csv, "_workers", lambda rows: workers)
-        yield
+# the formatter against repr: the families where shortest digits are hard
+
+def powers_of_two():
+    twos = np.ldexp(1.0, np.arange(-1074, 1024))
+    return np.concatenate([twos, np.nextafter(twos, 0.0),
+                           np.nextafter(twos, np.inf), -twos])
 
 
-@pytest.mark.parametrize("workers", [2, 3])
-@given(n=split_lengths, seed=seeds, start=st.floats(-1e6, 1e6),
-       step=st.floats(1e-9, 1e3))
-@settings(max_examples=15, deadline=None)
-def test_split_bytes_and_doubles_match_reference(tmp_path_factory, workers, n,
-                                                 seed, start, step):
-    tmp = tmp_path_factory.mktemp("csv")
-    grid = UniformGrid(start, step, n)
-    values = random_values(np.random.default_rng(seed), n)
-    ours, ref = tmp / "ours.csv", tmp / "ref.csv"
-    with forced_split(workers):
-        write_spectrum_csv(ours, grid, values)
-        axis, parsed = io_csv._parse(ours, "u,re,im")
-    csv_reference.write(ref, "u,re,im", grid.points(), values)
-    assert ours.read_bytes() == ref.read_bytes()
-    ref_axis, ref_parsed = csv_reference.parse(ours, "u,re,im")
-    assert_bitwise_equal(axis, ref_axis)
-    assert_bitwise_equal(parsed, ref_parsed)
+def powers_of_ten():
+    tens = np.array([float(f"1e{k}") for k in range(-323, 309)])
+    return np.concatenate([tens, np.nextafter(tens, 0.0),
+                           np.nextafter(tens, np.inf), -tens])
 
 
-@pytest.mark.parametrize("workers", [2, 3])
-@pytest.mark.parametrize("where", ["parent", "child", "both"])
-@given(n=split_lengths, data=st.data())
-@settings(max_examples=10, deadline=None)
-def test_split_error_matches_reference(tmp_path_factory, workers, where, n,
-                                       data):
-    """A bad row in the caller's part (part 0), in a worker's part, or in
-    both: the same message, naming the same row, as the row-by-row reader
-    and as one process."""
-    lines = [f"{k * 0.5!r},{k!r},{-k!r}" for k in range(n)]
-    child = data.draw(st.integers(1, workers - 1))
-    parts = {"parent": [0], "child": [child], "both": [0, child]}[where]
-    for part in parts:
-        row = data.draw(st.integers(n * part // workers,
-                                    n * (part + 1) // workers - 1))
-        # a blank last row is a trailing blank line, which is not an error
-        lines[row] = data.draw(st.sampled_from(
-            BAD_ROWS[1:] if row == n - 1 else BAD_ROWS))
-    path = tmp_path_factory.mktemp("csv") / "bad.csv"
-    path.write_text("t,re,im\n" + "\n".join(lines) + "\n")
-    with pytest.raises(InvalidParameterError) as expected:
-        csv_reference.parse(path, "t,re,im")
-    with pytest.raises(InvalidParameterError) as single:
-        with forced_split(1):
-            io_csv._parse(path, "t,re,im")
-    with pytest.raises(InvalidParameterError) as split:
-        with forced_split(workers):
-            io_csv._parse(path, "t,re,im")
-    assert str(split.value) == str(single.value) == str(expected.value)
+FAMILIES = {
+    "bit patterns": lambda: random_doubles(np.random.default_rng(11), 60_000),
+    "powers of two": powers_of_two,
+    "subnormals": lambda: np.arange(1, 200_001, dtype=np.uint64).view(np.float64),
+    "powers of ten": powers_of_ten,
+    "dyadic grid": lambda: np.arange(-2**16, 2**16) * 2.0**-11,
+    "fft-bin grid": lambda: fast_ugrid(
+        UniformGrid(-32.0, 64.0 / 2**16, 2**16)).points(),
+    "ties": lambda: np.array([2.0**50 + 0.25, 2.0**50 + 0.75, -(2.0**51 + 0.5),
+                              2.0**53 + 2.0, 0.0, -0.0, 5e-324, 1e16, 1e-4,
+                              0.1, 0.5, 9007199254740993.0]),
+}
 
 
-def test_no_fork_means_one_part(tmp_path, monkeypatch):
-    n = 2 * io_csv._MIN_PART_ROWS + 5
-    grid = UniformGrid(-1.0, 2.0 / n, n)
-    values = random_values(np.random.default_rng(7), n)
-    monkeypatch.delattr(os, "fork")
-    assert io_csv._workers(n) == 1
+def repr_reference(x: np.ndarray) -> bytes:
+    cells = x.reshape(-1, 3).tolist()
+    return "".join(f"{a!r},{b!r},{c!r}\n" for a, b, c in cells).encode()
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_formatter_matches_repr(tmp_path, family):
+    x = FAMILIES[family]()
+    x = x[:x.size // 3 * 3]
+    assert io_csv._repr_rows(x.reshape(-1, 3)) == repr_reference(x)
+    # through the writer: the same values at lengths that cross blocks
+    values = x[0::2][:x.size // 2] + 1j * x[1::2][:x.size // 2]
+    grid = UniformGrid(0.0, 1.0, values.size)
     ours, ref = tmp_path / "ours.csv", tmp_path / "ref.csv"
     write_spectrum_csv(ours, grid, values)
     csv_reference.write(ref, "u,re,im", grid.points(), values)
     assert ours.read_bytes() == ref.read_bytes()
-    axis, parsed = io_csv._parse(ours, "u,re,im")
-    assert_bitwise_equal(parsed, values)
+
+
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                min_size=3, max_size=90))
+@settings(max_examples=200, deadline=None)
+def test_formatter_matches_repr_on_drawn_doubles(values):
+    x = np.array(values[:len(values) // 3 * 3])
+    assert io_csv._repr_rows(x.reshape(-1, 3)) == repr_reference(x)
+
+
+@pytest.mark.parametrize("bad", [np.nan, -np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("at", [0, 4, 3 * 4096 + 2])
+def test_formatter_refuses_non_finite(bad, at):
+    x = np.ones(3 * 4096 + 3)
+    x[at] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        io_csv._repr_rows(x.reshape(-1, 3))

@@ -1,6 +1,5 @@
 import errno
 import os
-import tempfile
 
 import numpy as np
 import pytest
@@ -159,6 +158,20 @@ def test_crlf_file_parses_like_lf(tmp_path):
     assert back.samples.tobytes() == read_signal_csv(lf).samples.tobytes()
 
 
+def test_written_files_skip_the_block_parser(tmp_path, monkeypatch):
+    # the block parser is the slow path, for files numpy's parser could
+    # read differently; what the package writes (LF or CRLF) never needs it
+    def block_parser(*args):
+        raise AssertionError("block parser used")
+
+    grid = UniformGrid(-2.0, 0.25, 5000)
+    lf, crlf = tmp_path / "lf.csv", tmp_path / "crlf.csv"
+    write_signal_csv(lf, gen_chirp(grid, 1.5, 2.0))
+    crlf.write_bytes(lf.read_bytes().replace(b"\n", b"\r\n") + b"\r\n")
+    monkeypatch.setattr(io_csv, "_parse_lines", block_parser)
+    assert read_signal_csv(lf).grid == read_signal_csv(crlf).grid == grid
+
+
 def _long_file(tmp_path, edits: dict):
     """A 10,000-row signal file (file rows 2..10001) with the data lines of
     the given file rows replaced; the reader parses it in several blocks."""
@@ -187,80 +200,46 @@ def test_error_names_row_in_later_block(tmp_path, edits, message):
     assert str(err.value) == f"{path}: {message}"
 
 
-# split I/O: process hygiene and the partial-file rule
+# a failed write and the partial-file rule
 
-SPLIT_ROWS = 3 * io_csv._BLOCK_ROWS + 1
+FAIL_ROWS = 3 * io_csv._BLOCK_ROWS + 1
 
 
-def split_signal():
-    grid = UniformGrid(-8.0, 16.0 / SPLIT_ROWS, SPLIT_ROWS)
+def long_signal():
+    grid = UniformGrid(-8.0, 16.0 / FAIL_ROWS, FAIL_ROWS)
     return gen_chirp(grid, 1.5, 2.0)
 
 
-def assert_no_children():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
 def full_disk_from(row: int):
-    """A ``_write_rows`` that writes the rows before ``row`` and then fails
-    as a full disk does, in every process."""
-    real = io_csv._write_rows
+    """A ``_repr_rows`` for which the disk fills at file row ``row`` (the
+    header is row 1): the block that holds it raises as a full disk does."""
+    real, written = io_csv._repr_rows, [1]
 
-    def write_rows(handle, columns, part):
-        if part.stop <= row:
-            return real(handle, columns, part)
-        real(handle, columns, range(part.start, max(part.start, row)))
-        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+    def repr_rows(cells):
+        written[0] += len(cells)
+        if written[0] >= row:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return real(cells)
 
-    return write_rows
-
-
-@pytest.mark.parametrize("workers", [2, 3])
-def test_split_leaves_no_process_or_file(tmp_path, monkeypatch, workers):
-    spills = tmp_path / "spills"
-    spills.mkdir()
-    monkeypatch.setattr(tempfile, "tempdir", str(spills))
-    monkeypatch.setattr(io_csv, "_workers", lambda rows: workers)
-    pid = os.getpid()
-    x = split_signal()
-    good, bad = tmp_path / "good.csv", tmp_path / "bad.csv"
-    write_signal_csv(good, x)
-    np.testing.assert_array_equal(read_signal_csv(good).samples, x.samples)
-    for row in (3, SPLIT_ROWS):  # in the caller's part, the last worker's
-        lines = good.read_text().splitlines()
-        lines[row - 1] = "1.0,2.0"
-        bad.write_text("\n".join(lines) + "\n")
-        with pytest.raises(InvalidParameterError, match=f"row {row}:"):
-            read_signal_csv(bad)
-    monkeypatch.setattr(io_csv, "_write_rows", full_disk_from(SPLIT_ROWS - 5))
-    with pytest.raises(OSError):
-        write_signal_csv(tmp_path / "full.csv", x)
-    assert os.getpid() == pid
-    assert_no_children()
-    assert list(spills.iterdir()) == []
-    assert sorted(p.name for p in tmp_path.iterdir()) == [
-        "bad.csv", "good.csv", "spills"]
+    return repr_rows
 
 
-@pytest.mark.parametrize("workers,row", [
-    (1, io_csv._BLOCK_ROWS + 5),   # one process, after a block hit the disk
-    (2, 5),                        # in the caller's part
-    (2, SPLIT_ROWS - 5),           # in the worker's part
-    (3, SPLIT_ROWS // 2),          # in the middle worker's part
+@pytest.mark.parametrize("row", [
+    5,                            # in the first block
+    io_csv._BLOCK_ROWS + 5,       # after a block hit the disk
+    6144,
+    3 * io_csv._BLOCK_ROWS - 4,   # after two blocks
 ])
-def test_failed_write_leaves_no_file(tmp_path, monkeypatch, workers, row):
+def test_failed_write_leaves_no_file(tmp_path, monkeypatch, row):
     # the rows before the failure end on a row boundary: left behind, they
     # would read back as a valid, shorter signal
-    monkeypatch.setattr(io_csv, "_workers", lambda rows: workers)
-    monkeypatch.setattr(io_csv, "_write_rows", full_disk_from(row))
+    monkeypatch.setattr(io_csv, "_repr_rows", full_disk_from(row))
     path = tmp_path / "out.csv"
     path.write_text("an earlier file\n")
     with pytest.raises(OSError) as err:
-        write_signal_csv(path, split_signal())
+        write_signal_csv(path, long_signal())
     assert err.value.errno == errno.ENOSPC
     assert not path.exists()
-    assert_no_children()
 
 
 def test_failed_write_keeps_a_symlinked_output(tmp_path, monkeypatch):
@@ -269,43 +248,46 @@ def test_failed_write_keeps_a_symlinked_output(tmp_path, monkeypatch):
     target, link = tmp_path / "target.csv", tmp_path / "link.csv"
     target.write_text("")
     link.symlink_to(target)
-    monkeypatch.setattr(io_csv, "_write_rows", full_disk_from(5))
+    monkeypatch.setattr(io_csv, "_repr_rows", full_disk_from(5))
     with pytest.raises(OSError):
-        write_signal_csv(link, split_signal())
+        write_signal_csv(link, long_signal())
     assert link.is_symlink() and target.exists()
 
 
-def _fail_in_workers(monkeypatch, name):
-    parent, real = os.getpid(), getattr(io_csv, name)
+@pytest.mark.parametrize("start, step, count, reason", [
+    # the step vanishes in rounding: every point is 1e17
+    (1e17, 1.0, 4, "axis must be strictly increasing"),
+    # the points round to steps of 16 and 0 alternately
+    (1e17, 8.0, 8, "axis not uniform"),
+])
+def test_grid_that_cannot_read_back_is_named(tmp_path, start, step, count,
+                                             reason):
+    grid = UniformGrid(start, step, count)
+    path = tmp_path / "sig.csv"
+    with pytest.raises(InvalidGridError) as err:
+        io_csv.check_grid_readable(path, grid)
+    message = str(err.value)
+    assert message.startswith(f"{path}: grid start={start!r}, step={step!r}, "
+                              f"count={count} does not read back: ")
+    assert reason in message
+    # the file it names is one the reader refuses for the same reason
+    write_signal_csv(path, gen_gaussian(grid, 0.0, 1.0, 0.0))
+    with pytest.raises(InvalidGridError, match=reason):
+        read_signal_csv(path)
 
-    def only_here(*args):
-        if os.getpid() != parent:
-            raise MemoryError
-        return real(*args)
 
-    monkeypatch.setattr(io_csv, name, only_here)
-
-
-def _no_process():
-    raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+def test_readable_grids_pass_the_check(tmp_path):
+    for grid in (UniformGrid(-16.0, 0.015625, 2048),
+                 fast_ugrid(UniformGrid(-16.0, 0.015625, 2048)),
+                 UniformGrid(1e15, 1.0, 4)):
+        io_csv.check_grid_readable(tmp_path / "x.csv", grid)
 
 
-@pytest.mark.parametrize("failure", ["worker dies", "fork fails"])
-def test_caller_does_a_failed_workers_part(tmp_path, monkeypatch, failure):
-    """A worker that dies for a reason of its own, or that could not be
-    forked: the caller does its part, with the same bytes and doubles."""
-    x = split_signal()
-    expected = tmp_path / "expected.csv"
-    write_signal_csv(expected, x)
-    monkeypatch.setattr(io_csv, "_workers", lambda rows: 3)
-    if failure == "fork fails":
-        monkeypatch.setattr(os, "fork", _no_process)
-    else:
-        _fail_in_workers(monkeypatch, "_write_rows")
-        _fail_in_workers(monkeypatch, "_parse_block")
-    path = tmp_path / "out.csv"
-    write_signal_csv(path, x)
-    assert path.read_bytes() == expected.read_bytes()
-    back = read_signal_csv(path)
-    assert back.samples.tobytes() == x.samples.tobytes()
-    assert_no_children()
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(1.0, np.nan)])
+def test_non_finite_spectrum_value_is_refused(tmp_path, bad):
+    values = np.ones(8, dtype=np.complex128)
+    values[5] = bad
+    path = tmp_path / "spec.csv"
+    with pytest.raises(InvalidParameterError, match=f"{path}: row 7: non-finite"):
+        write_spectrum_csv(path, UniformGrid(0.0, 1.0, 8), values)
+    assert not path.exists()
