@@ -263,8 +263,12 @@ class TestTransformInvert:
         assert sig.read_bytes() == before
 
 
-class TestOneProcessIO:
-    def test_pipeline_never_forks(self, runner, tmp_path, monkeypatch):
+class TestSplitIO:
+    """The CLI's CSV I/O is split into blocks of ``io_csv._BLOCK_ROWS`` rows,
+    all formatted and parsed in the calling process."""
+
+    @staticmethod
+    def run_pipeline(runner, tmp_path, monkeypatch, generate, invert):
         forks = []
 
         def fork():
@@ -273,18 +277,28 @@ class TestOneProcessIO:
 
         monkeypatch.setattr(os, "fork", fork)
         sig, spec = tmp_path / "sig.csv", tmp_path / "spec.csv"
-        n = 2**15
-        for args in (["generate", "--kind", "chirp", "--start", "-32",
-                      "--step", 64 / n, "--count", n, "--output", sig],
+        for args in (["generate", *generate, "--output", sig],
                      ["transform", "--input", sig, "--output", spec,
                       "--order", "0.5"],
                      ["filter", "--input", sig, "--output", tmp_path / "f.csv",
                       "--order", "0.5", "--passband=-2:2"],
                      ["invert", "--input", spec, "--output", tmp_path / "i.csv",
-                      "--order", "0.5", "--start", "-32"]):
+                      "--order", "0.5", *invert]):
             assert invoke(runner, *args).exit_code == 0
         assert forks == []
-        assert read_signal_csv(tmp_path / "i.csv").grid.count == n
+        return read_signal_csv(tmp_path / "i.csv").grid.count
+
+    def test_default_pipeline_never_forks(self, runner, tmp_path,
+                                          monkeypatch):
+        assert self.run_pipeline(runner, tmp_path, monkeypatch, [], []) == 2048
+
+    def test_pipeline_never_forks(self, runner, tmp_path, monkeypatch):
+        # eight blocks a file
+        n = 2**15
+        generate = ["--kind", "chirp", "--start", "-32", "--step", 64 / n,
+                    "--count", n]
+        assert self.run_pipeline(runner, tmp_path, monkeypatch, generate,
+                                 ["--start", "-32"]) == n
 
     def test_failed_write_exits_two_with_no_file(self, runner, tmp_path,
                                                  monkeypatch):

@@ -10,6 +10,7 @@ round-trip digits are hardest to get right.
 """
 
 import math
+import os
 import warnings
 
 import numpy as np
@@ -198,6 +199,82 @@ def test_short_files(tmp_path, text, outcome):
     else:
         axis, values = parse_quietly(path)
         assert axis.shape == values.shape == (outcome,)
+
+
+def test_no_fork_means_one_part(tmp_path, monkeypatch):
+    """On a platform without ``os.fork`` a file of several blocks is written
+    and read as everywhere else: in one part, by the calling process."""
+    n = 4 * BLOCK + 5
+    grid = UniformGrid(-1.0, 2.0 / n, n)
+    values = random_values(np.random.default_rng(7), n)
+    monkeypatch.delattr(os, "fork")
+    ours, ref = tmp_path / "ours.csv", tmp_path / "ref.csv"
+    write_spectrum_csv(ours, grid, values)
+    csv_reference.write(ref, "u,re,im", grid.points(), values)
+    assert ours.read_bytes() == ref.read_bytes()
+    axis, parsed = io_csv._parse(ours, "u,re,im")
+    assert_bitwise_equal(parsed, values)
+
+
+# the block split: files of 2 and 3 blocks of BLOCK rows, the last block
+# short or full, through numpy's parser and through the block parser
+
+BAD_ROWS = ["", "1.0,2.0", "1.0,2.0,3.0,4.0", "0.5,nan,1.0", "x,1.0,2.0"]
+
+
+def block_table(path, header: str):
+    """The block parser's ``(axis, values)`` for ``path``."""
+    table = io_csv._parse_lines(path, path.read_text(), header)
+    values = np.ascontiguousarray(table[:, 1:]).view(np.complex128)
+    return table[:, 0].copy(), values.reshape(-1)
+
+
+@pytest.mark.parametrize("blocks", [2, 3])
+@given(extra=st.integers(1, BLOCK), seed=seeds, start=st.floats(-1e6, 1e6),
+       step=st.floats(1e-9, 1e3))
+@settings(max_examples=15, deadline=None)
+def test_split_bytes_and_doubles_match_reference(tmp_path_factory, blocks,
+                                                 extra, seed, start, step):
+    n = (blocks - 1) * BLOCK + extra
+    tmp = tmp_path_factory.mktemp("csv")
+    grid = UniformGrid(start, step, n)
+    values = random_values(np.random.default_rng(seed), n)
+    ours, ref = tmp / "ours.csv", tmp / "ref.csv"
+    write_spectrum_csv(ours, grid, values)
+    csv_reference.write(ref, "u,re,im", grid.points(), values)
+    assert ours.read_bytes() == ref.read_bytes()
+    ref_axis, ref_parsed = csv_reference.parse(ours, "u,re,im")
+    for axis, parsed in (io_csv._parse(ours, "u,re,im"),
+                         block_table(ours, "u,re,im")):
+        assert_bitwise_equal(axis, ref_axis)
+        assert_bitwise_equal(parsed, ref_parsed)
+
+
+@pytest.mark.parametrize("blocks", [2, 3])
+@pytest.mark.parametrize("where", ["parent", "child", "both"])
+@given(extra=st.integers(1, BLOCK), data=st.data())
+@settings(max_examples=10, deadline=None)
+def test_split_error_matches_reference(tmp_path_factory, blocks, where, extra,
+                                       data):
+    """A bad row in the first block ("parent"), in a later one ("child"), or
+    in both: the same message, naming the same row, as the row-by-row
+    reader."""
+    n = (blocks - 1) * BLOCK + extra
+    lines = [f"{k * 0.5!r},{k!r},{-k!r}" for k in range(n)]
+    child = data.draw(st.integers(1, blocks - 1))
+    for block in {"parent": [0], "child": [child], "both": [0, child]}[where]:
+        row = data.draw(st.integers(block * BLOCK,
+                                    min(n, (block + 1) * BLOCK) - 1))
+        # a blank last row is a trailing blank line, which is not an error
+        lines[row] = data.draw(st.sampled_from(
+            BAD_ROWS[1:] if row == n - 1 else BAD_ROWS))
+    path = tmp_path_factory.mktemp("csv") / "bad.csv"
+    path.write_text("t,re,im\n" + "\n".join(lines) + "\n")
+    with pytest.raises(InvalidParameterError) as expected:
+        csv_reference.parse(path, "t,re,im")
+    with pytest.raises(InvalidParameterError) as ours:
+        parse_quietly(path)
+    assert str(ours.value) == str(expected.value)
 
 
 # the formatter against repr: the families where shortest digits are hard

@@ -1,5 +1,6 @@
 import errno
 import os
+import tempfile
 
 import numpy as np
 import pytest
@@ -222,6 +223,40 @@ def full_disk_from(row: int):
         return real(cells)
 
     return repr_rows
+
+
+def assert_no_children():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("blocks", [2, 3])
+def test_split_leaves_no_process_or_file(tmp_path, monkeypatch, blocks):
+    # a file split into blocks is written and read by this process alone,
+    # with no temporary file, whether the reads and writes pass or fail
+    temp = tmp_path / "temp"
+    temp.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(temp))
+    pid = os.getpid()
+    n = (blocks - 1) * io_csv._BLOCK_ROWS + 100
+    x = gen_chirp(UniformGrid(-8.0, 16.0 / n, n), 1.5, 2.0)
+    good, bad = tmp_path / "good.csv", tmp_path / "bad.csv"
+    write_signal_csv(good, x)
+    np.testing.assert_array_equal(read_signal_csv(good).samples, x.samples)
+    for row in (3, n + 1):  # in the first block, in the last
+        lines = good.read_text().splitlines()
+        lines[row - 1] = "1.0,2.0"
+        bad.write_text("\n".join(lines) + "\n")
+        with pytest.raises(InvalidParameterError, match=f"row {row}:"):
+            read_signal_csv(bad)
+    monkeypatch.setattr(io_csv, "_repr_rows", full_disk_from(n - 5))
+    with pytest.raises(OSError):
+        write_signal_csv(tmp_path / "full.csv", x)
+    assert os.getpid() == pid
+    assert_no_children()
+    assert list(temp.iterdir()) == []
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "bad.csv", "good.csv", "temp"]
 
 
 @pytest.mark.parametrize("row", [
