@@ -12,9 +12,8 @@ each is included.
 
 from __future__ import annotations
 
-import numpy as np
-
 from .grid import SampledSignal, UniformGrid, gen_chirp, gen_gaussian
+from .operators import modulate_op
 
 
 PAIR_COUNT = 3  # len(default_pairs(grid))
@@ -50,5 +49,4 @@ def default_pairs(grid: UniformGrid) -> list[tuple[SampledSignal, SampledSignal]
 def modulated_chirp(grid: UniformGrid, rate: float, envelope_width: float,
                     carrier: float) -> SampledSignal:
     """Chirp with an extra linear carrier, for off-center spectra."""
-    base = gen_chirp(grid, rate, envelope_width)
-    return SampledSignal(grid, base.samples * np.exp(1j * carrier * grid.points()))
+    return modulate_op(gen_chirp(grid, rate, envelope_width), carrier)

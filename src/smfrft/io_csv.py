@@ -5,11 +5,12 @@ one row per sample in grid order (ascending axis). Values are written
 with shortest round-trip decimal formatting, byte for byte what ``repr``
 prints, so parsing reproduces the exact doubles. The axis grid is
 inferred on read: the step is (last - first)/(rows - 1), and every
-row-to-row difference must match it to within 1e-9 relative;
-``check_grid_readable`` applies that rule to a grid before it is
-written. The spectrum writer raises ShapeMismatchError for more or fewer
-values than grid points. A file that is not ASCII text is refused like
-any other bad input.
+row-to-row difference must match it to within 1e-9 relative. The
+writers apply that rule with ``check_grid_readable`` before they open
+the file, so they refuse a grid whose file would not read back. The
+spectrum writer raises ShapeMismatchError for more or fewer values than
+grid points. A file that is not ASCII text is refused like any other
+bad input.
 Write -> read -> write is byte-identical whenever the grid start and
 step are exactly representable doubles, which holds for every grid this
 package generates by default.
@@ -26,12 +27,12 @@ shorter signal.
 The reader reads the file once and hands it to numpy's C parser
 (``np.loadtxt``). It keeps that table only when the parser cannot have
 read the file differently from Python's ``float``: no line-break
-characters other than ``\\n`` and ``\\r\\n``, no ``\\x1f`` or ``_``,
-one row of three finite numbers for every line after the header. Any
-other file goes to the block parser, which splits the text into lines
-and parses blocks with ``float``; it accepts the same files with the
-same doubles as a row-by-row parse, or names the first bad row. Empty lines at the end of
-a file are ignored; an empty line between rows is an error.
+characters other than ``\\n`` and ``\\r\\n``, no ``\\x1f``, one row of
+three finite numbers for every line after the header. Any other file
+goes to one row-by-row pass: ``splitlines``, then ``float`` on each
+field, which reads every number ``float`` accepts or names the first bad
+row. Empty lines at the end of a file are ignored; an empty line between
+rows is an error.
 """
 
 from __future__ import annotations
@@ -41,8 +42,8 @@ import io
 import os
 import stat
 import warnings
+from array import array
 from contextlib import suppress
-from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -54,11 +55,11 @@ _UNIFORMITY_RTOL = 1e-9
 # the formatter's temporaries take ~1 KB a row: with 16384-row blocks the
 # filter command's peak RSS at 2^17 rows was 70.0 MB, against 52.9 MB
 _BLOCK_ROWS = 4096
-# bytes that Python's splitlines or float read differently from np.loadtxt
-# (a lone "\r" is checked apart): line breaks to splitlines, while loadtxt
-# takes \v, \f and \x1c-\x1f around a number as blanks, which float
-# refuses in \x1c-\x1f; and float reads 1_0 as 10.0
-_NOT_FOR_LOADTXT = (b"\v", b"\f", b"\x1c", b"\x1d", b"\x1e", b"\x1f", b"_")
+# bytes that np.loadtxt reads without error but differently from Python's
+# splitlines and float (a lone "\r" is checked apart): line breaks to
+# splitlines, while loadtxt takes \v, \f and \x1c-\x1f around a number
+# as blanks, which float refuses in \x1c-\x1f
+_NOT_FOR_LOADTXT = (b"\v", b"\f", b"\x1c", b"\x1d", b"\x1e", b"\x1f")
 
 # ---------------------------------------------------------------- writer
 
@@ -201,6 +202,7 @@ def _remove_partial(path) -> None:
 
 
 def _write(path, header: str, grid: UniformGrid, values) -> None:
+    check_grid_readable(path, grid)
     axis = grid.points()
     values = np.asarray(values, dtype=np.complex128)
     handle = open(path, "wb")
@@ -218,37 +220,9 @@ def _write(path, header: str, grid: UniformGrid, values) -> None:
 
 # ---------------------------------------------------------------- reader
 
-def _parse_block(lines: list[str], out: np.ndarray) -> bool:
-    """Fill the ``(len(lines), 3)`` table ``out``; False if any line is bad."""
-    # two commas on every line, so the joined split has 3 parts per line
-    if list(map(str.count, lines, repeat(","))) != [2] * len(lines):
-        return False
-    try:
-        out.reshape(-1)[:] = list(map(float, ",".join(lines).split(",")))
-    except ValueError:
-        return False
-    return bool(np.isfinite(out).all())
-
-
-def _bad_row(path, lines: list[str], first_row: int) -> InvalidParameterError:
-    """The error for the first offending line of a block that failed;
-    ``first_row`` is the file row number of ``lines[0]``."""
-    for i, line in enumerate(lines, start=first_row):
-        parts = line.split(",")
-        if len(parts) != 3:
-            return InvalidParameterError(f"{path}: row {i}: expected 3 columns")
-        try:
-            row = [float(p) for p in parts]
-        except ValueError as exc:
-            return InvalidParameterError(f"{path}: row {i}: {exc}")
-        if not np.all(np.isfinite(row)):
-            return InvalidParameterError(f"{path}: row {i}: non-finite value")
-    raise AssertionError("block failed but every row parses")
-
-
 def _parse_lines(path, text: str, header: str) -> np.ndarray:
-    """The block parser: the ``(rows, 3)`` table of ``text``, or the error
-    for its header or its first bad row."""
+    """The row-by-row pass: the ``(rows, 3)`` table of ``text``, or the
+    error for its header or its first bad row."""
     lines = text.splitlines()
     if not lines or lines[0].strip() != header:
         raise InvalidParameterError(
@@ -258,18 +232,30 @@ def _parse_lines(path, text: str, header: str) -> np.ndarray:
     rows = len(lines) - 1
     while rows and not lines[rows]:
         rows -= 1
-    table = np.empty((rows, 3), dtype=np.float64)
-    for start in range(0, rows, _BLOCK_ROWS):
-        stop = min(start + _BLOCK_ROWS, rows)
-        block = lines[1 + start:1 + stop]
-        if not _parse_block(block, table[start:stop]):
-            raise _bad_row(path, block, start + 2)
+    cells, error = array("d"), None  # doubles, not float objects
+    for i, line in enumerate(lines[1:rows + 1], start=2):
+        parts = line.split(",")
+        if len(parts) != 3:
+            error = f"row {i}: expected 3 columns"
+            break
+        try:
+            cells.extend([float(p) for p in parts])  # whole rows only
+        except ValueError as exc:
+            error = f"row {i}: {exc}"
+            break
+    table = np.frombuffer(cells).reshape(-1, 3)
+    # a non-finite value comes before the row where the pass stopped
+    bad = np.flatnonzero(~np.isfinite(table).all(axis=1))
+    if bad.size:
+        error = f"row {bad[0] + 2}: non-finite value"
+    if error:
+        raise InvalidParameterError(f"{path}: {error}")
     return table
 
 
 def _loadtxt(data: bytes, header: str) -> np.ndarray | None:
     """The ``(rows, 3)`` table numpy's C parser reads from ``data``, or None
-    when the block parser might read the file differently."""
+    when the row-by-row pass might read the file differently."""
     if any(odd in data for odd in _NOT_FOR_LOADTXT) or (
             b"\r" in data and data.count(b"\r") != data.count(b"\r\n")):
         return None

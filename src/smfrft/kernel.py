@@ -23,9 +23,9 @@ simplified one by FFT, and the scalar forms of both (the conventional one
 is only the paper's point of comparison) live in the test suite's oracle.
 
 The chirp e^{(j/2) cot t^2} on a sampling grid, which the quadrature
-transforms and every operator weight apply, has one evaluator,
-``time_chirp``, cached per (grid, angle): the identity suite asks for
-the same few chirps hundreds of times.
+transforms, the inverses (conjugated) and every operator weight apply,
+has one evaluator, ``time_chirp``, cached per (grid, angle): the
+identity suite asks for the same few chirps hundreds of times.
 """
 
 from __future__ import annotations

@@ -32,12 +32,12 @@ calls on 9 geometries at N = 1024 with two angles):
   (``_lag_chirp_fft``), shared by every geometry of that rate rather
   than copied into each plan;
 * per (grid, angle), the kernel chirp e^{(j/2) cot t^2}
-  (``kernel.time_chirp``).
+  (``kernel.time_chirp``), also the inverses' post-chirp, conjugated.
 
 All are read-only and bounded, and a cached call gives the same bits as
-a cold one. The fast pair ``smfrft_fast`` / ``ismfrft_fast`` caches
-nothing: the CLI calls it once per process, and its CSV bytes rest on
-the rounding of its inline chirps (see the comments there).
+a cold one. The forward chirp of ``smfrft_fast`` alone is computed
+inline: the CLI's CSV bytes rest on the rounding of that expression
+(see the comment there).
 """
 
 from __future__ import annotations
@@ -215,8 +215,7 @@ def ismfrft_direct(spectrum: Spectrum, tgrid: UniformGrid) -> SampledSignal:
     ugrid = spectrum.ugrid
     fourier = _chirp_z(spectrum.values, ugrid.start, ugrid.step,
                        tgrid.start, tgrid.step, tgrid.count, +1)
-    t = tgrid.points()
-    post = SQRT_J_OVER_2PI * np.exp(-0.5j * spectrum.angle.cot_phi * t * t)
+    post = SQRT_J_OVER_2PI * np.conj(time_chirp(tgrid, spectrum.angle))
     return SampledSignal(tgrid, post * ugrid.step * fourier)
 
 
@@ -247,9 +246,5 @@ def ismfrft_fast(spectrum: Spectrum) -> SampledSignal:
     u = spectrum.ugrid.points()
     referenced = spectrum.values * np.exp(1j * tgrid.start * u)
     sums = n * np.fft.ifft(np.fft.ifftshift(referenced))
-    t = tgrid.points()
-    # inline, not cached, like the forward chirp in smfrft_fast: the CLI's
-    # CSV bytes rest on the rounding of this exact expression (temporary
-    # elision and fused multiply-add operand order)
-    post = SQRT_J_OVER_2PI * np.exp(-0.5j * spectrum.angle.cot_phi * t * t)
+    post = SQRT_J_OVER_2PI * np.conj(time_chirp(tgrid, spectrum.angle))
     return SampledSignal(tgrid, post * spectrum.ugrid.step * sums)

@@ -1,12 +1,14 @@
 """Row-by-row CSV reference, the test suite's oracle for ``smfrft.io_csv``.
 
 The library formats its CSV files with a numpy formatter and parses them
-with numpy's C parser or a block parser. This module keeps the per-row
-arithmetic they replaced: one ``repr`` f-string per row, joined in
-memory, and one ``float`` call per field with the checks made row by
-row. The library must write the same bytes, parse the same doubles and
-name the same offending row, so agreement is evidence for both. The one intended difference: this reader rejects empty lines at
-the end of a file, which the library ignores.
+with numpy's C parser, or with a row-by-row pass for the files that
+parser refuses or could read differently. This module keeps the per-row
+arithmetic of the formatter and the parser's contract: one ``repr``
+f-string per row, joined in memory, and one ``float`` call per field
+with the checks made row by row. The library must write the same bytes,
+parse the same doubles and name the same offending row, so agreement is
+evidence for both. The one intended difference: this reader rejects
+empty lines at the end of a file, which the library ignores.
 """
 
 from __future__ import annotations

@@ -275,7 +275,13 @@ class TestSplitIO:
             forks.append(True)
             raise AssertionError("forked")
 
+        def row_pass(*args):
+            raise AssertionError("row-by-row pass used")
+
         monkeypatch.setattr(os, "fork", fork)
+        # what the package writes is read by numpy's parser alone: no
+        # workload pays for the reader's row-by-row fallback
+        monkeypatch.setattr(io_csv, "_parse_lines", row_pass)
         sig, spec = tmp_path / "sig.csv", tmp_path / "spec.csv"
         for args in (["generate", *generate, "--output", sig],
                      ["transform", "--input", sig, "--output", spec,

@@ -1,12 +1,15 @@
-"""Blocked CSV I/O against the row-by-row reference, byte for byte.
+"""CSV I/O against the row-by-row reference, byte for byte.
 
 ``csv_reference`` keeps the per-row formatter and parser that
-``smfrft.io_csv`` replaced. On random grids and random doubles the files
+``smfrft.io_csv`` must match: its block-wise writer, numpy's parser and
+its own row-by-row pass. On random grids and random doubles the files
 must be byte-identical, the parsed doubles bitwise equal, and any error
-the same message naming the same row. Lengths cross the block size, so
-every property is exercised across block boundaries. The formatter is
-also checked against ``repr`` itself on the doubles where shortest
-round-trip digits are hardest to get right.
+the same message naming the same row. A drawn grid whose axis would not
+read back must instead be refused by the writer, with no file left.
+Lengths cross the writer's block size, so every property is exercised
+across block boundaries. The formatter is also checked against ``repr``
+itself on the doubles where shortest round-trip digits are hardest to
+get right.
 """
 
 import math
@@ -18,7 +21,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from smfrft import InvalidParameterError, SampledSignal, UniformGrid
+from smfrft import (InvalidGridError, InvalidParameterError, SampledSignal,
+                    UniformGrid)
 from smfrft import io_csv
 from smfrft.io_csv import read_signal_csv, write_signal_csv, write_spectrum_csv
 from smfrft.transform import fast_ugrid
@@ -65,6 +69,22 @@ def assert_bitwise_equal(a: np.ndarray, b: np.ndarray) -> None:
     assert a.tobytes() == b.tobytes()
 
 
+def refused_unreadable(path, grid: UniformGrid, values) -> bool:
+    """Write ``values`` on ``grid`` to ``path``; True when the grid's axis
+    would not read back, after checking that the writer refused it with
+    the same error and left no file."""
+    try:
+        io_csv.check_grid_readable(path, grid)
+    except InvalidGridError as exc:
+        with pytest.raises(InvalidGridError) as err:
+            write_spectrum_csv(path, grid, values)
+        assert str(err.value) == str(exc)
+        assert not path.exists()
+        return True
+    write_spectrum_csv(path, grid, values)
+    return False
+
+
 @given(n=lengths, seed=seeds,
        start=st.floats(-1e6, 1e6), step=st.floats(1e-9, 1e3))
 @settings(max_examples=25, deadline=None)
@@ -73,7 +93,8 @@ def test_bytes_and_doubles_match_reference(tmp_path_factory, n, seed, start, ste
     grid = UniformGrid(start, step, n)
     values = random_values(np.random.default_rng(seed), n)
     ours, ref = tmp / "ours.csv", tmp / "ref.csv"
-    write_spectrum_csv(ours, grid, values)
+    if refused_unreadable(ours, grid, values):
+        return
     csv_reference.write(ref, "u,re,im", grid.points(), values)
     assert ours.read_bytes() == ref.read_bytes()
     axis, parsed = io_csv._parse(ours, "u,re,im")
@@ -217,13 +238,13 @@ def test_no_fork_means_one_part(tmp_path, monkeypatch):
 
 
 # the block split: files of 2 and 3 blocks of BLOCK rows, the last block
-# short or full, through numpy's parser and through the block parser
+# short or full, through numpy's parser and through the row-by-row pass
 
 BAD_ROWS = ["", "1.0,2.0", "1.0,2.0,3.0,4.0", "0.5,nan,1.0", "x,1.0,2.0"]
 
 
-def block_table(path, header: str):
-    """The block parser's ``(axis, values)`` for ``path``."""
+def row_pass_table(path, header: str):
+    """The row-by-row pass's ``(axis, values)`` for ``path``."""
     table = io_csv._parse_lines(path, path.read_text(), header)
     values = np.ascontiguousarray(table[:, 1:]).view(np.complex128)
     return table[:, 0].copy(), values.reshape(-1)
@@ -240,12 +261,13 @@ def test_split_bytes_and_doubles_match_reference(tmp_path_factory, blocks,
     grid = UniformGrid(start, step, n)
     values = random_values(np.random.default_rng(seed), n)
     ours, ref = tmp / "ours.csv", tmp / "ref.csv"
-    write_spectrum_csv(ours, grid, values)
+    if refused_unreadable(ours, grid, values):
+        return
     csv_reference.write(ref, "u,re,im", grid.points(), values)
     assert ours.read_bytes() == ref.read_bytes()
     ref_axis, ref_parsed = csv_reference.parse(ours, "u,re,im")
     for axis, parsed in (io_csv._parse(ours, "u,re,im"),
-                         block_table(ours, "u,re,im")):
+                         row_pass_table(ours, "u,re,im")):
         assert_bitwise_equal(axis, ref_axis)
         assert_bitwise_equal(parsed, ref_parsed)
 

@@ -22,6 +22,8 @@ from smfrft.io_csv import (
 )
 from smfrft.transform import fast_ugrid
 
+import csv_reference
+
 
 def test_signal_round_trip(tmp_path):
     grid = UniformGrid(-16.0, 0.015625, 2048)
@@ -160,22 +162,22 @@ def test_crlf_file_parses_like_lf(tmp_path):
 
 
 def test_written_files_skip_the_block_parser(tmp_path, monkeypatch):
-    # the block parser is the slow path, for files numpy's parser could
+    # the row-by-row pass is the slow path, for files numpy's parser could
     # read differently; what the package writes (LF or CRLF) never needs it
-    def block_parser(*args):
-        raise AssertionError("block parser used")
+    def row_pass(*args):
+        raise AssertionError("row-by-row pass used")
 
     grid = UniformGrid(-2.0, 0.25, 5000)
     lf, crlf = tmp_path / "lf.csv", tmp_path / "crlf.csv"
     write_signal_csv(lf, gen_chirp(grid, 1.5, 2.0))
     crlf.write_bytes(lf.read_bytes().replace(b"\n", b"\r\n") + b"\r\n")
-    monkeypatch.setattr(io_csv, "_parse_lines", block_parser)
+    monkeypatch.setattr(io_csv, "_parse_lines", row_pass)
     assert read_signal_csv(lf).grid == read_signal_csv(crlf).grid == grid
 
 
 def _long_file(tmp_path, edits: dict):
     """A 10,000-row signal file (file rows 2..10001) with the data lines of
-    the given file rows replaced; the reader parses it in several blocks."""
+    the given file rows replaced, so that an error lies far into the file."""
     lines = ["t,re,im"] + [f"{k * 0.5!r},{k % 7.0!r},-1.0" for k in range(10_000)]
     for row, line in edits.items():
         lines[row - 1] = line
@@ -306,9 +308,26 @@ def test_grid_that_cannot_read_back_is_named(tmp_path, start, step, count,
                               f"count={count} does not read back: ")
     assert reason in message
     # the file it names is one the reader refuses for the same reason
-    write_signal_csv(path, gen_gaussian(grid, 0.0, 1.0, 0.0))
+    x = gen_gaussian(grid, 0.0, 1.0, 0.0)
+    csv_reference.write(path, "t,re,im", grid.points(), x.samples)
     with pytest.raises(InvalidGridError, match=reason):
         read_signal_csv(path)
+    # so the writer refuses the grid with the same error, and writes nothing
+    path.unlink()
+    with pytest.raises(InvalidGridError) as err:
+        write_signal_csv(path, x)
+    assert str(err.value) == message
+    assert not path.exists()
+
+
+def test_overflowing_grid_is_refused_before_writing(tmp_path):
+    # the last point overflows a double: refused as a grid, not met as a
+    # non-finite value in the middle of the write
+    grid = UniformGrid(1.7e308, 1e307, 4)
+    path = tmp_path / "spec.csv"
+    with pytest.raises(InvalidGridError, match="last point overflows"):
+        write_spectrum_csv(path, grid, np.ones(4, dtype=np.complex128))
+    assert not path.exists()
 
 
 def test_readable_grids_pass_the_check(tmp_path):
