@@ -2,9 +2,9 @@
 
 All I/O goes through CSV (signals, spectra) and JSON (verify reports).
 Exit codes: 0 success / all identities pass, 1 verification failure,
-2 usage or parse error. The rotation angle is given either directly in
-radians (--angle) or as the fractional order a with phi = a*pi/2
-(--order); exactly one of the two.
+2 usage or parse error, or a grid too large to allocate. The rotation
+angle is given either directly in radians (--angle) or as the
+fractional order a with phi = a*pi/2 (--order); exactly one of the two.
 
 The commands run OpenBLAS single-threaded: loading this module sets
 OPENBLAS_NUM_THREADS=1 before numpy loads, unless it is set already.
@@ -35,7 +35,8 @@ from .grid import Spectrum, UniformGrid, gen_chirp, gen_gaussian
 from .kernel import Angle, make_angle
 from .transform import ismfrft_direct, ismfrft_fast, smfrft_direct, smfrft_fast
 
-_DOMAIN_ERRORS = (SmfrftError, OSError)
+# MemoryError: numpy's "Unable to allocate ..." for a grid too large to hold
+_DOMAIN_ERRORS = (SmfrftError, OSError, MemoryError)
 
 
 def _exit2_on_domain_error(fn):
@@ -154,6 +155,7 @@ def transform(input_, output, ugrid, angle, order_):
         spectrum = smfrft_fast(signal, ang)
     else:
         spectrum = smfrft_direct(signal, out_grid, ang)
+    del signal  # each array dies when its stage ends
     e_spec = spectrum.energy()
     io_csv.write_spectrum_csv(output, spectrum.ugrid, spectrum.values)
     rel = abs(e_spec - e_time) / e_time if e_time else 0.0
@@ -192,10 +194,10 @@ def invert(input_, output, start, step, count, angle, order_):
     t_start = -(count // 2) * step if start is None else start
     tgrid = UniformGrid(t_start, step, count)
     io_csv.check_grid_readable(output, tgrid)
-    if fast:
-        signal = ismfrft_fast(Spectrum(ugrid, values, ang, tgrid=tgrid))
-    else:
-        signal = ismfrft_direct(Spectrum(ugrid, values, ang), tgrid)
+    spectrum = Spectrum(ugrid, values, ang, tgrid=tgrid if fast else None)
+    del values  # each array dies when its stage ends
+    signal = ismfrft_fast(spectrum) if fast else ismfrft_direct(spectrum, tgrid)
+    del spectrum
     io_csv.write_signal_csv(output, signal)
 
 
@@ -221,15 +223,19 @@ def filter_cmd(input_, output, passband, angle, order_):
     signal = io_csv.read_signal_csv(input_)
     e_in = signal.energy()
     spectrum = smfrft_fast(signal, ang)
+    del signal  # each array dies when its stage ends
     u = spectrum.ugrid.points()
     mask = (u >= lo) & (u <= hi)
     if not mask.any():
         raise InvalidParameterError(
             f"--passband {lo!r}:{hi!r} holds no point of the u grid: first u = "
             f"{float(u[0])!r}, last u = {float(u[-1])!r}, du = {spectrum.ugrid.step!r}")
+    del u
     filtered = Spectrum(spectrum.ugrid, np.where(mask, spectrum.values, 0.0),
                         ang, tgrid=spectrum.tgrid)
+    del spectrum, mask
     result = ismfrft_fast(filtered)
+    del filtered
     e_out = result.energy()
     io_csv.write_signal_csv(output, result)
     kept = e_out / e_in if e_in else 0.0

@@ -38,6 +38,20 @@ All are read-only and bounded, and a cached call gives the same bits as
 a cold one. The forward chirp of ``smfrft_fast`` alone is computed
 inline: the CLI's CSV bytes rest on the rounding of that expression
 (see the comment there).
+
+The fast transforms drop each array once it has been used. Counted in
+complex arrays of the signal's length beyond the input (tracemalloc,
+which does not see pocketfft's plan and work buffer), ``smfrft_fast``
+holds three at its peak: the chirped samples, their FFT and its shifted
+copy, and later the shifted FFT, the output phase and its argument.
+``ismfrft_fast`` holds two: the re-referenced input and its shifted
+copy, then that copy and its inverse FFT; 3.5 on a call that builds the
+cached post-chirp. The products done in place (``values *= bins``,
+``post *= du``, ``post *= sums``) have the operand order that the chain
+``a * b * c`` gives them at every size. numpy's temporary elision, from
+256 KiB on, swaps the operands of some other products, so those stay
+written as expressions. ``tests/fast_reference.py`` keeps the chains,
+and the tests require their bits.
 """
 
 from __future__ import annotations
@@ -198,10 +212,13 @@ def smfrft_fast(x: SampledSignal, angle: Angle) -> Spectrum:
     # fused multiply-add rounds that order differently; the CLI's CSV
     # bytes rest on this order
     chirped = x.samples * np.exp(0.5j * angle.cot_phi * t * t)
+    del t
     bins = np.fft.fftshift(np.fft.fft(chirped))
+    del chirped
     ugrid = fast_ugrid(x.grid)
-    u = ugrid.points()
-    values = (x.grid.step / SQRT_J2PI) * np.exp(-1j * x.grid.start * u) * bins
+    values = (x.grid.step / SQRT_J2PI) * np.exp(-1j * x.grid.start * ugrid.points())
+    values *= bins  # (scale * phase) * bins, in that order at every size
+    del bins
     return Spectrum(ugrid, values, angle, tgrid=x.grid)
 
 
@@ -243,8 +260,12 @@ def ismfrft_fast(spectrum: Spectrum) -> SampledSignal:
         raise GridCompatibilityError(
             f"du*N*dt = {product!r} is not 2*pi within {_RECIPROCAL_RTOL} relative"
         )
-    u = spectrum.ugrid.points()
-    referenced = spectrum.values * np.exp(1j * tgrid.start * u)
-    sums = n * np.fft.ifft(np.fft.ifftshift(referenced))
+    referenced = spectrum.values * np.exp(1j * tgrid.start * spectrum.ugrid.points())
+    referenced = np.fft.ifftshift(referenced)
+    sums = n * np.fft.ifft(referenced)
+    del referenced
     post = SQRT_J_OVER_2PI * np.conj(time_chirp(tgrid, spectrum.angle))
-    return SampledSignal(tgrid, post * spectrum.ugrid.step * sums)
+    post *= spectrum.ugrid.step  # (post * du) * sums, in that order
+    post *= sums
+    del sums
+    return SampledSignal(tgrid, post)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -34,3 +35,26 @@ def quarter_angle():
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260808)
+
+
+@pytest.fixture
+def traced_peak():
+    """``traced_peak(call)`` runs ``call()`` under tracemalloc and returns
+    the peak of traced memory above the level at its start, in bytes.
+    numpy reports its array buffers to tracemalloc, so they count; FFT
+    plans and work buffers (pocketfft's own allocations) do not. Tracing
+    is stopped again afterwards unless it was already on."""
+    def measure(call) -> int:
+        running = tracemalloc.is_tracing()
+        if not running:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            call()
+            return tracemalloc.get_traced_memory()[1] - start
+        finally:
+            if not running:
+                tracemalloc.stop()
+
+    return measure

@@ -299,7 +299,7 @@ class TestSplitIO:
         assert self.run_pipeline(runner, tmp_path, monkeypatch, [], []) == 2048
 
     def test_pipeline_never_forks(self, runner, tmp_path, monkeypatch):
-        # eight blocks a file
+        # sixteen blocks a file
         n = 2**15
         generate = ["--kind", "chirp", "--start", "-32", "--step", 64 / n,
                     "--count", n]
@@ -609,7 +609,39 @@ class TestDomainErrors:
         assert errors.SmfrftError in defined and len(defined) > 1
         for cls in defined:
             assert issubclass(cls, errors.SmfrftError), cls
-        assert cli_module._DOMAIN_ERRORS == (errors.SmfrftError, OSError)
+        assert cli_module._DOMAIN_ERRORS == (errors.SmfrftError, OSError,
+                                             MemoryError)
+
+    MESSAGE = ("Unable to allocate 745. GiB for an array with shape "
+               "(100000000000,) and data type float64")
+
+    @pytest.mark.parametrize("args", [
+        ["generate", "--count", "100000000000"],
+        ["transform", "--input", "sig.csv", "--order", "0.5",
+         "--ugrid=0:1:100000000000"],
+        ["invert", "--input", "spec.csv", "--order", "0.5", "--step", "0.1",
+         "--count", "100000000000"],
+    ], ids=["generate", "transform-ugrid", "invert-step-count"])
+    def test_allocation_failure_exits_two_with_no_file(self, runner, tmp_path,
+                                                       monkeypatch, args):
+        # numpy raises MemoryError for a grid it cannot allocate; faked here
+        # for grids above 10^9 points, so that nothing large is allocated
+        monkeypatch.chdir(tmp_path)
+        invoke(runner, "generate", *SMALL, "--output", "sig.csv")
+        invoke(runner, "transform", "--input", "sig.csv", "--output", "spec.csv",
+               "--order", "0.5")
+        real = UniformGrid.points
+
+        def points(grid):
+            if grid.count > 10**9:
+                raise MemoryError(self.MESSAGE)
+            return real(grid)
+
+        monkeypatch.setattr(UniformGrid, "points", points)
+        result = runner.invoke(cli, [*args, "--output", "out.csv"])
+        assert result.exit_code == 2, result.output
+        assert result.stderr == f"error: {self.MESSAGE}\n"
+        assert not (tmp_path / "out.csv").exists()
 
 
 # Import order is the point of these checks, so each runs in a fresh

@@ -1,0 +1,82 @@
+"""Memory gates: what the fast transforms, the CSV readers and the commands
+hold at their peak, traced with tracemalloc at N = 2^16.
+
+numpy reports its array buffers to tracemalloc, so a traced peak counts
+every array that a call holds at once; pocketfft's plans and work buffers
+are not counted. Bounds are in complex arrays of N values (1 MiB here).
+Each lies between what the code holds and what it held when every array
+lived to the end of its function (in parentheses below), so both the
+parts and the whole are gated.
+"""
+
+import math
+
+import pytest
+from click.testing import CliRunner
+
+from smfrft import UniformGrid, gen_chirp, io_csv, make_angle
+from smfrft.cli import cli
+from smfrft.kernel import time_chirp
+from smfrft.transform import ismfrft_fast, smfrft_fast
+
+N = 2**16
+ARRAY = 16 * N  # bytes of one complex array
+TABLE = 24 * N  # bytes of the (rows, 3) float table a reader parses
+RATE = 1.3
+ANGLE = make_angle(math.atan(1.0 / RATE))
+
+
+@pytest.fixture(scope="module")
+def signal():
+    return gen_chirp(UniformGrid(-32.0, 64.0 / N, N), RATE, 3.0)
+
+
+@pytest.fixture(scope="module")
+def files(signal, tmp_path_factory):
+    """The signal's and its spectrum's CSV files."""
+    root = tmp_path_factory.mktemp("memory")
+    spectrum = smfrft_fast(signal, ANGLE)
+    paths = {"signal": root / "x.csv", "spectrum": root / "s.csv"}
+    io_csv.write_signal_csv(paths["signal"], signal)
+    io_csv.write_spectrum_csv(paths["spectrum"], spectrum.ugrid, spectrum.values)
+    return paths
+
+
+def test_smfrft_fast_holds_three_arrays(traced_peak, signal):
+    # the chirped samples, their FFT and its shifted copy: 3.1 (5.1)
+    assert traced_peak(lambda: smfrft_fast(signal, ANGLE)) < 4 * ARRAY
+
+
+def test_ismfrft_fast_holds_two_arrays_and_the_chirp(traced_peak, signal):
+    spectrum = smfrft_fast(signal, ANGLE)
+    # a cold call also builds the post-chirp, which time_chirp keeps: 3.5 (6.5)
+    time_chirp.cache_clear()
+    assert traced_peak(lambda: ismfrft_fast(spectrum)) < 5 * ARRAY
+
+
+@pytest.mark.parametrize("kind, read", [("signal", io_csv.read_signal_csv),
+                                        ("spectrum", io_csv.read_spectrum_csv)])
+def test_reader_holds_the_file_then_the_table(traced_peak, files, kind, read):
+    # the file's bytes are dropped before the columns are copied out of
+    # the table: file + 1.9 (file + 3.0)
+    path = files[kind]
+    assert traced_peak(lambda: read(path)) < path.stat().st_size + TABLE + ARRAY
+
+
+@pytest.mark.parametrize("command, source, options", [
+    ("transform", "signal", []),
+    ("filter", "signal", ["--passband=-4.0:4.0"]),
+    ("invert", "spectrum", ["--start=-32.0"]),
+])
+def test_command_peaks_at_its_read(traced_peak, files, tmp_path, command, source,
+                                   options):
+    # each array dies when its stage ends, so no later stage outgrows the
+    # read: file + 1.9 for each (transform 4.9, filter 8.5, invert 5.4)
+    path = files[source]
+    args = [command, "--input", str(path), "--output", str(tmp_path / "out.csv"),
+            f"--angle={ANGLE.phi!r}", *options]
+    results = []
+    time_chirp.cache_clear()
+    peak = traced_peak(lambda: results.append(CliRunner().invoke(cli, args)))
+    assert results[0].exit_code == 0, results[0].output
+    assert peak < path.stat().st_size + TABLE + ARRAY

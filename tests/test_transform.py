@@ -27,6 +27,7 @@ from smfrft import transform
 from smfrft.kernel import time_chirp
 
 import dense_oracle
+import fast_reference
 from dense_oracle import relative_l2_error, smfrft_kernel
 
 PI = math.pi
@@ -305,6 +306,32 @@ class TestDeterminism:
                    lambda: frac_convolve(x, y, angle).samples,
                    lambda: frac_correlate(x, y, angle).samples):
             assert np.array_equal(op(), op())
+
+
+class TestFastPathBits:
+    """The fast transforms give the bits of ``fast_reference``, which keeps
+    every temporary and writes each chain of products as one expression.
+    numpy elides a temporary from 256 KiB on, which swaps a product's
+    operands: at N = 2048 no complex array reaches that size, at 16384
+    every complex array does (the float t*t does not) and at 2^17 all do."""
+
+    @pytest.mark.parametrize("n", [2048, 16384, 2**17])
+    def test_forward_and_inverse_match_reference(self, n, rng):
+        for start in (-16.0, -13.7):  # origin on the lattice, and off it
+            grid = UniformGrid(start, 32.0 / n, n)
+            x = random_signal(grid, rng)
+            for phi in (0.3, PI / 4, 2.0, -1.2):
+                angle = make_angle(phi)
+                got = smfrft_fast(x, angle)
+                want = fast_reference.smfrft_fast(x, angle)
+                assert got.ugrid == want.ugrid
+                assert got.values.tobytes() == want.values.tobytes()
+                spectrum = Spectrum(got.ugrid, random_signal(got.ugrid, rng).samples,
+                                    angle, tgrid=grid)
+                back = ismfrft_fast(spectrum)
+                assert back.grid == grid
+                assert (back.samples.tobytes()
+                        == fast_reference.ismfrft_fast(spectrum).samples.tobytes())
 
 
 class TestCaches:
