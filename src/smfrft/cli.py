@@ -2,9 +2,11 @@
 
 All I/O goes through CSV (signals, spectra) and JSON (verify reports).
 Exit codes: 0 success / all identities pass, 1 verification failure,
-2 usage or parse error, or a grid too large to allocate. The rotation
-angle is given either directly in radians (--angle) or as the
-fractional order a with phi = a*pi/2 (--order); exactly one of the two.
+2 usage or parse error, or a grid too large to allocate. The command
+group, not each command, turns a domain error into ``error: ...`` and
+exit 2, so a new command cannot miss it. The rotation angle is given
+either directly in radians (--angle) or as the fractional order a with
+phi = a*pi/2 (--order); exactly one of the two.
 
 The commands run OpenBLAS single-threaded: loading this module sets
 OPENBLAS_NUM_THREADS=1 before numpy loads, unless it is set already.
@@ -14,7 +16,6 @@ OPENBLAS_NUM_THREADS=1 before numpy loads, unless it is set already.
 from __future__ import annotations
 
 import dataclasses
-import functools
 import json
 import math
 import os
@@ -39,16 +40,16 @@ from .transform import ismfrft_direct, ismfrft_fast, smfrft_direct, smfrft_fast
 _DOMAIN_ERRORS = (SmfrftError, OSError, MemoryError)
 
 
-def _exit2_on_domain_error(fn):
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
+class _DomainErrorsExit2(click.Group):
+    """Runs every command so that a domain error prints ``error: ...``
+    and exits 2."""
+
+    def invoke(self, ctx):
         try:
-            return fn(*args, **kwargs)
+            return super().invoke(ctx)
         except _DOMAIN_ERRORS as exc:
             click.echo(f"error: {exc}", err=True)
             sys.exit(2)
-
-    return wrapper
 
 
 def _angle_options(fn):
@@ -91,7 +92,7 @@ def _parse_band(spec: str) -> tuple[float, float]:
     return lo, hi
 
 
-@click.group()
+@click.group(cls=_DomainErrorsExit2)
 def cli():
     """Simplified fractional Fourier transform toolbox."""
 
@@ -114,7 +115,6 @@ def cli():
 @click.option("--rate", type=float, default=1.0, show_default=True,
               help="Chirp frequency-modulation rate (rad/s^2).")
 @click.option("--output", type=click.Path(), required=True)
-@_exit2_on_domain_error
 def generate(kind, start, step, count, center, width, carrier, rate, output):
     """Write a generated test signal as CSV."""
     ctx = click.get_current_context()
@@ -136,7 +136,6 @@ def generate(kind, start, step, count, center, width, carrier, rate, output):
 @click.option("--ugrid", default=None,
               help="start:step:count output grid; selects the quadrature.")
 @_angle_options
-@_exit2_on_domain_error
 def transform(input_, output, ugrid, angle, order_):
     """Forward transform of a signal CSV to a spectrum CSV.
 
@@ -176,7 +175,6 @@ def transform(input_, output, ugrid, angle, order_):
 @click.option("--count", type=int, default=None,
               help="Time-grid count; with --step, selects the quadrature.")
 @_angle_options
-@_exit2_on_domain_error
 def invert(input_, output, start, step, count, angle, order_):
     """Inverse transform of a spectrum CSV back to a signal CSV.
 
@@ -206,7 +204,6 @@ def invert(input_, output, start, step, count, angle, order_):
 @click.option("--output", type=click.Path(), required=True)
 @click.option("--passband", required=True, help="lo:hi band in u (rad/s).")
 @_angle_options
-@_exit2_on_domain_error
 def filter_cmd(input_, output, passband, angle, order_):
     """Rectangular-mask filtering in the fractional domain.
 
@@ -294,7 +291,6 @@ def _headroom(residual: float, tolerance: float) -> float:
               help="Comma-separated identity names to run.")
 @click.option("--count", type=int, default=None,
               help="Override the grid resolution N.")
-@_exit2_on_domain_error
 def verify(output, config_path, tolerance, identities, count):
     """Run the identity suite and write the residual report."""
     from .theorems import reports_to_json, run_suite, suite_passed

@@ -8,6 +8,7 @@ that truncation at the grid edges is controllable.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -120,14 +121,24 @@ class Spectrum:
         return _energy(self.ugrid.step, self.values)
 
 
+def _check_parameters(width_name: str, width: float, **finite: float) -> None:
+    """InvalidParameterError naming the width when it is not in (0, inf),
+    else the first of the other parameters that is not finite."""
+    if not 0.0 < width < math.inf:
+        raise InvalidParameterError(
+            f"{width_name} must be in (0, inf), got {width!r}")
+    for name, value in finite.items():
+        if not math.isfinite(value):
+            raise InvalidParameterError(f"{name} must be finite, got {value!r}")
+
+
 def gen_gaussian(grid: UniformGrid, center: float, width: float,
                  carrier: float) -> SampledSignal:
     """Gaussian envelope with an optional complex carrier.
 
     samples[n] = exp(-(t_n - center)^2 / (2*width^2)) * exp(j*carrier*t_n)
     """
-    if not width > 0.0:
-        raise InvalidParameterError(f"width must be > 0, got {width!r}")
+    _check_parameters("width", width, center=center, carrier=carrier)
     t = grid.points()
     envelope = np.exp(-((t - center) ** 2) / (2.0 * width * width))
     return SampledSignal(grid, envelope * np.exp(1j * carrier * t))
@@ -143,10 +154,7 @@ def gen_chirp(grid: UniformGrid, rate: float,
     cancelled by the fast path's pre-multiplication at angle phi, which is
     what makes it maximally compact in that fractional domain.
     """
-    if not envelope_width > 0.0:
-        raise InvalidParameterError(
-            f"envelope_width must be > 0, got {envelope_width!r}"
-        )
+    _check_parameters("envelope_width", envelope_width, rate=rate)
     t = grid.points()
     envelope = np.exp(-(t * t) / (2.0 * envelope_width * envelope_width))
     return SampledSignal(grid, envelope * np.exp(-0.5j * rate * t * t))

@@ -28,6 +28,8 @@ sums they replace are kept only as the test suite's oracle.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import AlignmentError, InvalidParameterError, ShapeMismatchError
@@ -44,10 +46,11 @@ def _require_common_grid(f: SampledSignal, g: SampledSignal) -> None:
 
 
 def _lattice_index(value: float, step: float, what: str) -> int:
-    """Nearest integer k with value = k*step, or AlignmentError."""
+    """Nearest integer k with value = k*step, or AlignmentError (also for
+    a value that is not finite)."""
     ratio = value / step
-    k = round(ratio)
-    if abs(ratio - k) > _ALIGN_RTOL * max(1.0, abs(ratio)):
+    k = round(ratio) if math.isfinite(ratio) else None
+    if k is None or abs(ratio - k) > _ALIGN_RTOL * max(1.0, abs(ratio)):
         raise AlignmentError(
             f"{what} = {value!r} is not an integer multiple of the step {step!r}"
         )

@@ -26,11 +26,9 @@ What the quadrature would otherwise recompute is cached, because the
 identity suite makes hundreds of calls on a handful of geometries (180
 calls on 9 geometries at N = 1024 with two angles):
 
-* per chirp-z geometry (N, x0, dx, y0, dy, count, sign), its input and
-  output chirps (``_chirp_z_plan``);
-* per (N, count, rate), the FFT of Bluestein's lag chirp
-  (``_lag_chirp_fft``), shared by every geometry of that rate rather
-  than copied into each plan;
+* per chirp-z geometry (N, x0, dx, y0, dy, count, sign), its input
+  chirp, the FFT of Bluestein's lag chirp and its output chirp
+  (``_chirp_z_plan``);
 * per (grid, angle), the kernel chirp e^{(j/2) cot t^2}
   (``kernel.time_chirp``), also the inverses' post-chirp, conjugated.
 
@@ -92,35 +90,28 @@ def linear_convolve(a: np.ndarray, b: np.ndarray, offset: int,
 
 
 @functools.lru_cache(maxsize=16)
-def _lag_chirp_fft(n: int, count: int, rate: float) -> ComplexArray:
-    """FFT of the lag chirp exp(-(j/2) rate l^2) over the lags of an
-    N-input, count-output chirp-z transform, zero-padded to the transform
-    size (its length). Read-only; the identity suite needs ~3 geometries."""
-    mid_n, mid_k = (n - 1) // 2, (count - 1) // 2
-    lags = np.arange(-(n - 1), count, dtype=np.float64) - (mid_k - mid_n)
-    spectrum = np.fft.fft(np.exp(-0.5j * rate * lags * lags),
-                          _fft_size(lags.shape[0]))
-    spectrum.setflags(write=False)
-    return spectrum
-
-
-@functools.lru_cache(maxsize=16)
 def _chirp_z_plan(n: int, x0: float, dx: float, y0: float, dy: float,
-                  count: int, sign: int) -> tuple[ComplexArray, ComplexArray]:
-    """The input and output chirps of one chirp-z geometry (see
-    ``_chirp_z``), both read-only. Keys that differ only in the sign of a
-    zero give the same bits, since exp(1j * -0.0) is exp(1j * 0.0)."""
+                  count: int, sign: int
+                  ) -> tuple[ComplexArray, ComplexArray, ComplexArray]:
+    """The input chirp, the FFT of the lag chirp exp(-(j/2) rate l^2)
+    (zero-padded to the transform size, its length) and the output chirp
+    of one chirp-z geometry (see ``_chirp_z``), all read-only. Keys that
+    differ only in the sign of a zero give the same bits, since
+    exp(1j * -0.0) is exp(1j * 0.0)."""
     mid_n, mid_k = (n - 1) // 2, (count - 1) // 2
     rate = sign * dx * dy
     xc = x0 + mid_n * dx
     yc = y0 + mid_k * dy
     i = np.arange(n, dtype=np.float64) - mid_n
     pre = np.exp(1j * (sign * yc * dx * i + 0.5 * rate * i * i))
+    lags = np.arange(-(n - 1), count, dtype=np.float64) - (mid_k - mid_n)
+    lag_fft = np.fft.fft(np.exp(-0.5j * rate * lags * lags),
+                         _fft_size(lags.shape[0]))
     k = np.arange(count, dtype=np.float64) - mid_k
     post = np.exp(1j * (sign * (yc + k * dy) * xc + 0.5 * rate * k * k))
-    pre.setflags(write=False)
-    post.setflags(write=False)
-    return pre, post
+    for plan in (pre, lag_fft, post):
+        plan.setflags(write=False)
+    return pre, lag_fft, post
 
 
 def _chirp_z(values: np.ndarray, x0: float, dx: float, y0: float, dy: float,
@@ -133,12 +124,11 @@ def _chirp_z(values: np.ndarray, x0: float, dx: float, y0: float, dy: float,
     lags k' - n', and a chirp on the output. Output k is entry k + N - 1
     of that convolution, which a circular FFT convolution of size
     >= N + count - 1 already holds exactly. Centring the indices keeps the
-    phases, and so their rounding, small. The two end chirps come from
-    ``_chirp_z_plan`` and the lag chirp's FFT from ``_lag_chirp_fft``.
+    phases, and so their rounding, small. The two end chirps and the lag
+    chirp's FFT come from ``_chirp_z_plan``.
     """
     n = values.shape[0]
-    pre, post = _chirp_z_plan(n, x0, dx, y0, dy, count, sign)
-    lag_fft = _lag_chirp_fft(n, count, sign * dx * dy)
+    pre, lag_fft, post = _chirp_z_plan(n, x0, dx, y0, dy, count, sign)
     sums = np.fft.ifft(np.fft.fft(values * pre, lag_fft.shape[0]) * lag_fft)
     return post * sums[n - 1:n - 1 + count]
 

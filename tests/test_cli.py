@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import click
 import numpy as np
 import pytest
 from click.testing import CliRunner
@@ -73,6 +74,24 @@ class TestGenerate:
                         *SMALL, "--output", out)
         assert result.exit_code == 2
         assert f"{option} does not apply to --kind {kind}" in result.output
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+    @pytest.mark.parametrize("kind, option", [
+        ("gaussian", "--center"), ("gaussian", "--width"),
+        ("gaussian", "--carrier"), ("chirp", "--rate"), ("chirp", "--width"),
+    ])
+    def test_non_finite_parameter_exits_two(self, runner, tmp_path, kind,
+                                            option, value):
+        # unchecked, an inf center or width writes an all-zero or constant
+        # signal and exits 0
+        out = tmp_path / "sig.csv"
+        result = runner.invoke(cli, ["generate", "--kind", kind,
+                                     f"{option}={value}", *SMALL,
+                                     "--output", str(out)])
+        assert result.exit_code == 2, result.output
+        assert result.stderr.startswith("error: ")
+        assert option[2:] in result.stderr
         assert not out.exists()
 
     def test_zero_count_is_usage_error(self, runner, tmp_path):
@@ -611,6 +630,41 @@ class TestDomainErrors:
             assert issubclass(cls, errors.SmfrftError), cls
         assert cli_module._DOMAIN_ERRORS == (errors.SmfrftError, OSError,
                                              MemoryError)
+
+    # one domain error per command: a missing input file, or a grid or
+    # suite configuration that the library refuses
+    DOMAIN_ERROR_ARGS = {
+        "generate": ["--count", "1", "--output", "out.csv"],
+        "transform": ["--input", "missing.csv", "--output", "out.csv",
+                      "--order", "0.5"],
+        "invert": ["--input", "missing.csv", "--output", "out.csv",
+                   "--order", "0.5"],
+        "filter": ["--input", "missing.csv", "--output", "out.csv",
+                   "--order", "0.5", "--passband=-1:1"],
+        "verify": ["--count", "3", "--output", "out.json"],
+    }
+
+    def test_every_command_exits_two_on_a_domain_error(self, runner, tmp_path,
+                                                        monkeypatch):
+        # the rule lives in the group: every command, this test's own
+        # included, keeps it without applying anything itself
+        def raises():
+            raise errors.InvalidParameterError("synthetic")
+
+        monkeypatch.setitem(cli.commands, "synthetic",
+                            click.Command("synthetic", callback=raises))
+        monkeypatch.chdir(tmp_path)
+        cases = {**self.DOMAIN_ERROR_ARGS, "synthetic": []}
+        assert set(cli.commands) == set(cases)
+        for name, args in cases.items():
+            result = runner.invoke(cli, [name, *args])
+            assert result.exit_code == 2, (name, result.output)
+            assert isinstance(result.exception, SystemExit), name
+            assert result.stdout == "", name
+            lines = result.stderr.splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error: "), name
+            assert "Traceback" not in result.output, name
+        assert list(tmp_path.iterdir()) == []
 
     MESSAGE = ("Unable to allocate 745. GiB for an array with shape "
                "(100000000000,) and data type float64")

@@ -120,6 +120,20 @@ class TestGenerators:
         with pytest.raises(InvalidParameterError):
             gen_chirp(std_grid, 1.0, 0.0)
 
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("generator, name", [
+        (lambda g, v: gen_gaussian(g, v, 1.0, 0.0), "center"),
+        (lambda g, v: gen_gaussian(g, 0.0, v, 0.0), "width"),
+        (lambda g, v: gen_gaussian(g, 0.0, 1.0, v), "carrier"),
+        (lambda g, v: gen_chirp(g, v, 1.0), "rate"),
+        (lambda g, v: gen_chirp(g, 1.0, v), "envelope_width"),
+    ], ids=["center", "width", "carrier", "rate", "envelope_width"])
+    def test_non_finite_parameter_named(self, std_grid, generator, name, value):
+        # refused before any numpy work: an inf center or width would
+        # otherwise give an all-zero or constant signal
+        with pytest.raises(InvalidParameterError, match=f"^{name} must be"):
+            generator(std_grid, value)
+
     def test_chirp_cancels_against_kernel_chirp(self, std_grid, quarter_angle):
         # rate = cot(pi/4): multiplying by e^{+j t^2 cot/2} must remove the
         # quadratic phase sample-by-sample

@@ -93,6 +93,13 @@ class TestShift:
         with pytest.raises(AlignmentError):
             shift_op(gaussian_pair[0], 0.3 * small_grid.step)
 
+    @pytest.mark.parametrize("delay", [math.inf, -math.inf, math.nan, 1e308])
+    def test_non_finite_delay_rejected(self, small_grid, gaussian_pair, delay):
+        # not OverflowError or a bare ValueError from round(): every
+        # library error is a SmfrftError
+        with pytest.raises(AlignmentError, match="shift delay"):
+            shift_op(gaussian_pair[0], delay)
+
     def test_oversized_shift_rejected(self, small_grid, gaussian_pair):
         with pytest.raises(InvalidParameterError):
             shift_op(gaussian_pair[0], small_grid.count * small_grid.step)

@@ -406,7 +406,7 @@ class TestSuite:
 
     def test_second_run_builds_no_chirp_z_plan(self):
         # the small config's chirp-z geometries fit the plan cache, so a
-        # repeated run finds every input and output chirp already built
+        # repeated run finds every plan (both chirps and the lag FFT) built
         run_suite(self.small_config())
         before = transform._chirp_z_plan.cache_info()
         run_suite(self.small_config())
@@ -495,6 +495,40 @@ class TestSuite:
         monkeypatch.setattr(theorems, "rhs_tfshift", boom)
         with pytest.raises(RuntimeError, match="CORR .*phi=0.785"):
             run_suite(cfg)
+
+
+class TestTruncationFreeWindow:
+    # The default window (start -16, span 32) cuts the corpus chirps off,
+    # which leaves CONV/CORR residuals near 1e-7. On the doubled window at
+    # the default dt every operand has decayed to rounding level at the
+    # edges, so the clean residuals are ~1e-13 and a 1e-11 bound sees
+    # defects that the default tolerances let through.
+    BOUND = 1e-11
+
+    @staticmethod
+    def worst_residual():
+        reports = run_suite(SuiteConfig(n=4096, start=-32.0, span=64.0))
+        assert len(reports) == 175
+        worst = max(min(r.residual_paper_form, r.residual_derived_form)
+                    for r in reports)
+        return worst, suite_passed(reports)
+
+    def test_every_record_within_bound(self):
+        worst, _ = self.worst_residual()
+        assert worst <= self.BOUND
+
+    def test_scaled_cot_in_tf_shift_fails(self, monkeypatch):
+        # cot * (1 + 1e-6) in the time-frequency-shift property passes all
+        # 175 records at the default tolerances, but not this gate
+        def scaled(x, angle, d, q, v, conj=False):
+            cot = angle.cot_phi * (1 + 1e-6)
+            phase = np.exp(-1j * (v - q) * d + 0.5j * d * d * cot)
+            return phase, theorems._spectrum(x, v - q - d * cot, angle, conj)
+
+        monkeypatch.setattr(theorems, "_tf_shifted", scaled)
+        worst, passed = self.worst_residual()
+        assert passed
+        assert worst > self.BOUND
 
 
 class TestSuiteConfigValidation:

@@ -335,13 +335,13 @@ class TestFastPathBits:
 
 
 class TestCaches:
-    CACHES = (transform._lag_chirp_fft, transform._chirp_z_plan, time_chirp)
+    CACHES = (transform._chirp_z_plan, time_chirp)
 
     def test_cached_arrays_are_read_only(self, std_grid, quarter_angle):
-        lag = transform._lag_chirp_fft(512, 256, 0.01)
-        pre, post = transform._chirp_z_plan(512, -8.0, 0.03, 1.5, 0.2, 256, -1)
+        pre, lag_fft, post = transform._chirp_z_plan(512, -8.0, 0.03, 1.5,
+                                                     0.2, 256, -1)
         chirp = time_chirp(std_grid, quarter_angle)
-        for cached in (lag, pre, post, chirp):
+        for cached in (pre, lag_fft, post, chirp):
             with pytest.raises(ValueError):
                 cached[0] = 0.0
 
