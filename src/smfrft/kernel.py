@@ -22,10 +22,11 @@ scope. Neither kernel is evaluated pointwise here: the library sums the
 simplified one by FFT, and the scalar forms of both (the conventional one
 is only the paper's point of comparison) live in the test suite's oracle.
 
-The chirp e^{(j/2) cot t^2} on a sampling grid, which the quadrature
-transforms, the inverses (conjugated) and every operator weight apply,
-has one evaluator, ``time_chirp``, cached per (grid, angle): the
-identity suite asks for the same few chirps hundreds of times.
+The chirp e^{(j/2) cot t^2} on a sampling grid, which every transform
+applies (the inverses conjugated), as does every operator weight, has one
+formula, ``time_chirp``, cached per (grid, angle) because the identity
+suite asks for the same few chirps hundreds of times. The fast
+transforms call it uncached (``time_chirp.__wrapped__``).
 """
 
 from __future__ import annotations
@@ -83,11 +84,8 @@ def make_angle(phi: float) -> Angle:
 
 @functools.lru_cache(maxsize=16)
 def time_chirp(grid, angle: Angle) -> np.ndarray:
-    """exp((j/2) cot(phi) t^2) at the points of a ``UniformGrid``.
-
-    Cached per (grid, angle), so equal keys share one array; it is
-    read-only.
-    """
+    """exp((j/2) cot(phi) t^2) at the points of a ``UniformGrid``, read-only;
+    equal (grid, angle) keys share one array."""
     t = grid.points()
     chirp = np.exp(0.5j * angle.cot_phi * t * t)
     chirp.setflags(write=False)

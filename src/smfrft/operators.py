@@ -28,14 +28,12 @@ sums they replace are kept only as the test suite's oracle.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .errors import AlignmentError, InvalidParameterError, ShapeMismatchError
 from .grid import SampledSignal
 from .kernel import Angle, time_chirp
-from .transform import linear_convolve
+from .transform import lattice_split, linear_convolve
 
 _ALIGN_RTOL = 1e-9
 
@@ -48,13 +46,11 @@ def _require_common_grid(f: SampledSignal, g: SampledSignal) -> None:
 def _lattice_index(value: float, step: float, what: str) -> int:
     """Nearest integer k with value = k*step, or AlignmentError (also for
     a value that is not finite)."""
-    ratio = value / step
-    k = round(ratio) if math.isfinite(ratio) else None
-    if k is None or abs(ratio - k) > _ALIGN_RTOL * max(1.0, abs(ratio)):
+    k, rest = lattice_split(value, step, what)
+    if abs(rest) > _ALIGN_RTOL * max(step, abs(value)):
         raise AlignmentError(
-            f"{what} = {value!r} is not an integer multiple of the step {step!r}"
-        )
-    return int(k)
+            f"{what} = {value!r} is not an integer multiple of the step {step!r}")
+    return k
 
 
 def shift_op(x: SampledSignal, d: float) -> SampledSignal:

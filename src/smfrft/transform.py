@@ -6,21 +6,25 @@ Two routes compute the same simplified fractional transform:
   by a left-point rectangle rule on any evenly spaced output grid
   (shifted, negated, a sub-range, or a single point). The sum is a
   chirp-z transform (Bluestein): one linear FFT convolution, O((N+M) log).
-* ``smfrft_fast`` realizes the three-step chirp-multiply -> FFT ->
-  constant-scale factorization on the FFT-bin output grid, O(N log N)
-  at any N.
+* ``smfrft_fast`` chirps, rolls, FFTs and scales onto the FFT-bin output
+  grid, O(N log N) at any N; ``ismfrft_fast`` undoes each step.
 
-On the FFT-bin grid the two are algebraically the same finite sum, so
-their agreement is a rounding-level cross-check, not a discretization
-statement. The rectangle rule (rather than trapezoid) is what makes the
-sums identical; for Gaussian-enveloped signals the endpoint terms are
-negligible anyway. The dense O(N*M) sums these replace live on only as
-the test suite's oracle, which gates every evaluator here.
+On the FFT-bin grid the two are the same finite sum, so their agreement
+is a rounding-level cross-check, not a discretization statement: the
+rectangle rule (rather than trapezoid) makes the sums identical, and for
+Gaussian-enveloped signals the endpoint terms are negligible anyway. The
+dense O(N*M) sums they replace are the test suite's oracle, which gates
+every evaluator here.
 
-The fast inverse refuses any spectrum whose grids do not satisfy
-du * N * dt = 2*pi exactly (to 1e-9 relative): on that reciprocal pairing
-the discrete chain is an exact inverse DFT, and interpolating anything
-else would contaminate downstream residuals.
+The fast transforms place the origin exactly: with t0 = m*dt + r and
+m = round(t0/dt) (``lattice_split``), e^{-j m dt u_k} on the FFT-bin grid
+is a roll of the samples by m, and only e^{-j r u_k} is computed. Near
+u = 0, u_k cancels two terms of size pi/dt, so e^{-j t0 u_k} would err by
+~|t0| pi/dt * eps (Schatzman, SIAM J. Sci. Comput. 17(5), 1996).
+
+The fast inverse refuses grids off du * N * dt = 2*pi (to 1e-9 relative):
+on that reciprocal pairing the discrete chain is an exact inverse DFT, and
+interpolating anything else would contaminate downstream residuals.
 
 What the quadrature would otherwise recompute is cached, because the
 identity suite makes hundreds of calls on a handful of geometries (180
@@ -30,26 +34,20 @@ calls on 9 geometries at N = 1024 with two angles):
   chirp, the FFT of Bluestein's lag chirp and its output chirp
   (``_chirp_z_plan``);
 * per (grid, angle), the kernel chirp e^{(j/2) cot t^2}
-  (``kernel.time_chirp``), also the inverses' post-chirp, conjugated.
+  (``kernel.time_chirp``), which the fast transforms call uncached
+  (``__wrapped__``): a command would only keep a chirp it never reuses.
 
 All are read-only and bounded, and a cached call gives the same bits as
-a cold one. The forward chirp of ``smfrft_fast`` alone is computed
-inline: the CLI's CSV bytes rest on the rounding of that expression
-(see the comment there).
-
-The fast transforms drop each array once it has been used. Counted in
-complex arrays of the signal's length beyond the input (tracemalloc,
-which does not see pocketfft's plan and work buffer), ``smfrft_fast``
-holds three at its peak: the chirped samples, their FFT and its shifted
-copy, and later the shifted FFT, the output phase and its argument.
-``ismfrft_fast`` holds two: the re-referenced input and its shifted
-copy, then that copy and its inverse FFT; 3.5 on a call that builds the
-cached post-chirp. The products done in place (``values *= bins``,
-``post *= du``, ``post *= sums``) have the operand order that the chain
-``a * b * c`` gives them at every size. numpy's temporary elision, from
-256 KiB on, swaps the operands of some other products, so those stay
-written as expressions. ``tests/fast_reference.py`` keeps the chains,
-and the tests require their bits.
+a cold one. The fast transforms drop each array once it has been used.
+In complex arrays of the signal's length beyond the input (tracemalloc;
+pocketfft's plan and buffer unseen), ``smfrft_fast`` peaks at three: the
+shifted FFT, the output phase and its argument; ``ismfrft_fast`` at 3.5:
+the rolled sums beside the post-chirp's grid, argument and value. The
+in-place products ``values *= bins``, ``post *= du`` and ``post *= sums``
+have the operand order that the chain ``a * b * c`` gives them at every
+size. numpy's temporary elision, from 256 KiB on, swaps the operands of
+some other products, so those stay expressions; the tests require the
+bits of the chains in ``tests/fast_reference.py``.
 """
 
 from __future__ import annotations
@@ -58,7 +56,7 @@ import functools
 
 import numpy as np
 
-from .errors import GridCompatibilityError
+from .errors import AlignmentError, GridCompatibilityError
 from .grid import ComplexArray, SampledSignal, Spectrum, UniformGrid
 from .kernel import SQRT_J2PI, SQRT_J_OVER_2PI, Angle, time_chirp
 
@@ -153,6 +151,16 @@ def _even_spacing(points: np.ndarray) -> tuple[float, float]:
     return start, step
 
 
+def lattice_split(value: float, step: float, what: str) -> tuple[int, float]:
+    """(m, value - m*step), m the nearest integer to value/step, or an
+    AlignmentError naming ``what`` when value/step is not finite."""
+    ratio = value / step
+    if not np.isfinite(ratio):
+        raise AlignmentError(
+            f"{what} = {value!r} is not a finite multiple of the step {step!r}")
+    return round(ratio), value - round(ratio) * step
+
+
 def fast_ugrid(tgrid: UniformGrid) -> UniformGrid:
     """FFT-bin output grid for a time grid: u_m = 2*pi*m/(N*dt),
     m = -N/2 .. N/2-1, ascending."""
@@ -188,7 +196,7 @@ def smfrft_direct(x: SampledSignal, ugrid: UniformGrid, angle: Angle) -> Spectru
 
 
 def smfrft_fast(x: SampledSignal, angle: Angle) -> Spectrum:
-    """Fast transform: pre-chirp, FFT, constant scale.
+    """Fast transform: pre-chirp, roll, FFT, residual phase and scale.
 
     Output lands on ``fast_ugrid(x.grid)`` in ascending order and equals
     the direct quadrature on that grid exactly (same finite sum):
@@ -196,20 +204,16 @@ def smfrft_fast(x: SampledSignal, angle: Angle) -> Spectrum:
         values[k] = (dt / sqrt(j*2*pi))
                     * sum_n (x[n] * exp((j/2) t_n^2 cot)) * exp(-j t_n u_k)
     """
-    t = x.grid.points()
-    # not kernel.time_chirp: from 256 KiB on, numpy computes this product
-    # in the exp temporary's buffer with the operands swapped, and the
-    # fused multiply-add rounds that order differently; the CLI's CSV
-    # bytes rest on this order
-    chirped = x.samples * np.exp(0.5j * angle.cot_phi * t * t)
-    del t
+    grid = x.grid
+    m, r = lattice_split(grid.start, grid.step, "time grid start")
+    chirped = np.roll(x.samples * time_chirp.__wrapped__(grid, angle), m % grid.count)
     bins = np.fft.fftshift(np.fft.fft(chirped))
     del chirped
-    ugrid = fast_ugrid(x.grid)
-    values = (x.grid.step / SQRT_J2PI) * np.exp(-1j * x.grid.start * ugrid.points())
+    ugrid = fast_ugrid(grid)
+    values = (grid.step / SQRT_J2PI) * np.exp(-1j * r * ugrid.points())
     values *= bins  # (scale * phase) * bins, in that order at every size
     del bins
-    return Spectrum(ugrid, values, angle, tgrid=x.grid)
+    return Spectrum(ugrid, values, angle, tgrid=grid)
 
 
 def ismfrft_direct(spectrum: Spectrum, tgrid: UniformGrid) -> SampledSignal:
@@ -227,8 +231,8 @@ def ismfrft_direct(spectrum: Spectrum, tgrid: UniformGrid) -> SampledSignal:
 
 
 def ismfrft_fast(spectrum: Spectrum) -> SampledSignal:
-    """Fast inverse at the spectrum's angle: inverse FFT plus post-chirp,
-    exact on reciprocal grids.
+    """Fast inverse at the spectrum's angle: residual phase, inverse FFT,
+    roll and post-chirp, exact on reciprocal grids.
 
     The spectrum must carry the originating time grid and satisfy
     du * N * dt = 2*pi; then the composition with ``smfrft_fast`` is the
@@ -250,11 +254,13 @@ def ismfrft_fast(spectrum: Spectrum) -> SampledSignal:
         raise GridCompatibilityError(
             f"du*N*dt = {product!r} is not 2*pi within {_RECIPROCAL_RTOL} relative"
         )
-    referenced = spectrum.values * np.exp(1j * tgrid.start * spectrum.ugrid.points())
+    m, r = lattice_split(tgrid.start, tgrid.step, "time grid start")
+    referenced = spectrum.values * np.exp(1j * r * spectrum.ugrid.points())
     referenced = np.fft.ifftshift(referenced)
     sums = n * np.fft.ifft(referenced)
     del referenced
-    post = SQRT_J_OVER_2PI * np.conj(time_chirp(tgrid, spectrum.angle))
+    sums = np.roll(sums, -m % n)
+    post = SQRT_J_OVER_2PI * np.conj(time_chirp.__wrapped__(tgrid, spectrum.angle))
     post *= spectrum.ugrid.step  # (post * du) * sums, in that order
     post *= sums
     del sums

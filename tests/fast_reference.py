@@ -14,20 +14,16 @@ import numpy as np
 from smfrft.errors import GridCompatibilityError
 from smfrft.grid import SampledSignal, Spectrum
 from smfrft.kernel import SQRT_J2PI, SQRT_J_OVER_2PI, time_chirp
-from smfrft.transform import _RECIPROCAL_RTOL, fast_ugrid
+from smfrft.transform import _RECIPROCAL_RTOL, fast_ugrid, lattice_split
 
 
 def smfrft_fast(x, angle):
-    t = x.grid.points()
-    # not kernel.time_chirp: from 256 KiB on, numpy computes this product
-    # in the exp temporary's buffer with the operands swapped, and the
-    # fused multiply-add rounds that order differently; the CLI's CSV
-    # bytes rest on this order
-    chirped = x.samples * np.exp(0.5j * angle.cot_phi * t * t)
-    bins = np.fft.fftshift(np.fft.fft(chirped))
+    m, r = lattice_split(x.grid.start, x.grid.step, "time grid start")
+    chirp = time_chirp.__wrapped__(x.grid, angle)
+    bins = np.fft.fftshift(np.fft.fft(np.roll(x.samples * chirp, m)))
     ugrid = fast_ugrid(x.grid)
     u = ugrid.points()
-    values = (x.grid.step / SQRT_J2PI) * np.exp(-1j * x.grid.start * u) * bins
+    values = (x.grid.step / SQRT_J2PI) * np.exp(-1j * r * u) * bins
     return Spectrum(ugrid, values, angle, tgrid=x.grid)
 
 
@@ -48,8 +44,10 @@ def ismfrft_fast(spectrum):
         raise GridCompatibilityError(
             f"du*N*dt = {product!r} is not 2*pi within {_RECIPROCAL_RTOL} relative"
         )
+    m, r = lattice_split(tgrid.start, tgrid.step, "time grid start")
     u = spectrum.ugrid.points()
-    referenced = spectrum.values * np.exp(1j * tgrid.start * u)
-    sums = n * np.fft.ifft(np.fft.ifftshift(referenced))
-    post = SQRT_J_OVER_2PI * np.conj(time_chirp(tgrid, spectrum.angle))
+    referenced = spectrum.values * np.exp(1j * r * u)
+    sums = np.roll(n * np.fft.ifft(np.fft.ifftshift(referenced)), -m)
+    chirp = time_chirp.__wrapped__(tgrid, spectrum.angle)
+    post = SQRT_J_OVER_2PI * np.conj(chirp)
     return SampledSignal(tgrid, post * spectrum.ugrid.step * sums)

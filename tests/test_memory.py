@@ -43,14 +43,13 @@ def files(signal, tmp_path_factory):
 
 
 def test_smfrft_fast_holds_three_arrays(traced_peak, signal):
-    # the chirped samples, their FFT and its shifted copy: 3.1 (5.1)
+    # the shifted FFT, the output phase and its argument: 3.1 (4.6)
     assert traced_peak(lambda: smfrft_fast(signal, ANGLE)) < 4 * ARRAY
 
 
 def test_ismfrft_fast_holds_two_arrays_and_the_chirp(traced_peak, signal):
     spectrum = smfrft_fast(signal, ANGLE)
-    # a cold call also builds the post-chirp, which time_chirp keeps: 3.5 (6.5)
-    time_chirp.cache_clear()
+    # the rolled sums beside the post-chirp, which every call builds: 3.5 (6.5)
     assert traced_peak(lambda: ismfrft_fast(spectrum)) < 5 * ARRAY
 
 

@@ -1,5 +1,6 @@
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from smfrft import (
+    AlignmentError,
     GridCompatibilityError,
     SampledSignal,
     Spectrum,
@@ -28,6 +30,7 @@ from smfrft.kernel import time_chirp
 
 import dense_oracle
 import fast_reference
+import gaussian_chirp
 from dense_oracle import relative_l2_error, smfrft_kernel
 
 PI = math.pi
@@ -334,6 +337,79 @@ class TestFastPathBits:
                         == fast_reference.ismfrft_fast(spectrum).samples.tobytes())
 
 
+# x(t) = exp(-a t^2 + b t + c): a Gaussian of width 1, and one off the
+# origin with its own chirp and carrier
+GAUSSIAN_CHIRPS = [(0.5, 0.0, 0.0), (0.5 + 0.3j, 1.0 + 2.0j, -0.25)]
+CLOSED_FORM_ANGLES = (0.5, PI / 3, PI / 2, 2.5)
+# the cli-pipeline size with its start on the lattice, and a start off it
+FAST_GRIDS = [UniformGrid(-256.0, 512.0 / 2**17, 2**17),
+              UniformGrid(-13.7, 1.0 / 64, 2048)]
+
+
+def peak_error(got, want):
+    return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
+
+
+class TestClosedForm:
+    """The transforms against ``gaussian_chirp``'s closed form: the largest
+    error over the grid, relative to the peak."""
+
+    def test_formula_matches_a_40_digit_integral(self):
+        mpmath = pytest.importorskip("mpmath")
+        # each angle once, the two signals in turn
+        for (a, b, c), phi, u in zip(GAUSSIAN_CHIRPS * 2, CLOSED_FORM_ANGLES,
+                                     (-1.5, 0.0, 2.5, 0.7)):
+            with mpmath.workdps(40):
+                big_a = mpmath.mpc(a) - 0.5j * mpmath.cot(phi)
+                big_b = mpmath.mpc(b) - 1j * mpmath.mpf(u)
+                # exp(-a t^2 + b t) is below 1e-48 beyond |t| = 16
+                integral = mpmath.quad(
+                    lambda t: mpmath.exp(-big_a * t * t + big_b * t + c), [-16, 16])
+                want = complex(integral / mpmath.sqrt(2j * mpmath.pi))
+            got = gaussian_chirp.spectrum(u, a, b, c, phi)
+            assert abs(got - want) <= 1e-15 * abs(want)
+
+    @pytest.mark.parametrize("grid", FAST_GRIDS, ids=["2^17", "off-lattice"])
+    def test_fast_forward_inverse_and_round_trip(self, grid):
+        t, u = grid.points(), fast_ugrid(grid).points()
+        for a, b, c in GAUSSIAN_CHIRPS:
+            x = SampledSignal(grid, gaussian_chirp.signal(t, a, b, c))
+            for phi in CLOSED_FORM_ANGLES:
+                angle = make_angle(phi)
+                exact = gaussian_chirp.spectrum(u, a, b, c, phi)
+                spectrum = smfrft_fast(x, angle)
+                assert peak_error(spectrum.values, exact) <= 1e-13
+                back = ismfrft_fast(Spectrum(spectrum.ugrid, exact, angle, tgrid=grid))
+                assert peak_error(back.samples, x.samples) <= 1e-13
+                round_trip = ismfrft_fast(spectrum).samples
+                assert relative_l2_error(round_trip, x.samples) <= 1e-15
+
+    def test_quadrature(self):
+        grid = FAST_GRIDS[1]
+        t = grid.points()
+        for u in (fast_ugrid(grid).points(), np.linspace(-6.3, 5.9, 301)):
+            for a, b, c in GAUSSIAN_CHIRPS:
+                x = SampledSignal(grid, gaussian_chirp.signal(t, a, b, c))
+                for phi in CLOSED_FORM_ANGLES:
+                    got = smfrft_quadrature(x, u, make_angle(phi))
+                    exact = gaussian_chirp.spectrum(u, a, b, c, phi)
+                    assert peak_error(got, exact) <= 1e-13
+
+    def test_start_too_far_for_its_step_is_refused(self):
+        # start/step overflows: no numpy warning, no OverflowError from
+        # round(), an error that names the grid
+        grid = UniformGrid(1e300, 1e-10, 4)
+        angle = make_angle(0.7)
+        x = SampledSignal(grid, np.ones(4))
+        spectrum = Spectrum(fast_ugrid(grid), np.ones(4), angle, tgrid=grid)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(AlignmentError, match="time grid start"):
+                smfrft_fast(x, angle)
+            with pytest.raises(AlignmentError, match="time grid start"):
+                ismfrft_fast(spectrum)
+
+
 class TestCaches:
     CACHES = (transform._chirp_z_plan, time_chirp)
 
@@ -362,6 +438,12 @@ class TestCaches:
             cold = op()
             warm = op()
             assert cold.tobytes() == warm.tobytes()
+
+    def test_fast_transforms_cache_no_chirp(self, std_grid, rng):
+        x = random_signal(std_grid, rng)
+        time_chirp.cache_clear()
+        ismfrft_fast(smfrft_fast(x, make_angle(0.9)))
+        assert time_chirp.cache_info().currsize == 0
 
     def test_caches_stay_bounded(self, rng):
         for k in range(50):
