@@ -21,8 +21,8 @@ _EXPORTS = {
     "kernel": ("SQRT_J2PI", "SQRT_J_OVER_2PI", "Angle", "make_angle"),
     "operators": ("frac_convolve", "frac_correlate", "frac_product", "modulate_op",
                   "shift_op"),
-    "theorems": ("CheckConfig", "IdentityId", "IdentityReport", "SuiteConfig", "check",
-                 "report_rows", "reports_to_json", "run_suite", "suite_passed"),
+    "theorems": ("IdentityId", "IdentityReport", "SuiteConfig", "check", "report_rows",
+                 "reports_to_json", "run_suite"),
     "transform": ("fast_ugrid", "ismfrft_direct", "ismfrft_fast", "smfrft_direct",
                   "smfrft_fast", "smfrft_quadrature"),
     "corpus": (),

@@ -1,9 +1,8 @@
 """Sampled-data value types and test-signal generators.
 
 All types are immutable after construction and every operation is a pure
-function, so everything here is safe to share across workers. Signals are
-zero outside their grid span; the generators are Gaussian-enveloped so
-that truncation at the grid edges is controllable.
+function. Signals are zero outside their grid span; the generators are
+Gaussian-enveloped so that truncation at the grid edges is controllable.
 """
 
 from __future__ import annotations

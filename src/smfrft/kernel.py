@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateAngleError
+from .errors import DegenerateAngleError, InvalidGridError
 
 # |sin(phi)| below this makes cot(phi) exceed ~1e12 and the quadratic
 # chirp aliases catastrophically on any desk-scale grid.
@@ -85,7 +85,13 @@ def make_angle(phi: float) -> Angle:
 @functools.lru_cache(maxsize=16)
 def time_chirp(grid, angle: Angle) -> np.ndarray:
     """exp((j/2) cot(phi) t^2) at the points of a ``UniformGrid``, read-only;
-    equal (grid, angle) keys share one array."""
+    equal (grid, angle) keys share one array. InvalidGridError when the
+    largest phase |cot(phi)| t^2 / 2 overflows a double."""
+    t_max = max(abs(grid.start), abs(grid.point(grid.count - 1)))
+    if not math.isfinite(0.5 * abs(angle.cot_phi) * t_max * t_max):
+        raise InvalidGridError(
+            f"chirp phase cot(phi) t^2 / 2 overflows a double on {grid} "
+            f"at phi={angle.phi!r}")
     t = grid.points()
     chirp = np.exp(0.5j * angle.cot_phi * t * t)
     chirp.setflags(write=False)

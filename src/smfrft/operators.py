@@ -28,6 +28,8 @@ sums they replace are kept only as the test suite's oracle.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import AlignmentError, InvalidParameterError, ShapeMismatchError
@@ -73,7 +75,12 @@ def shift_op(x: SampledSignal, d: float) -> SampledSignal:
 
 
 def modulate_op(x: SampledSignal, q: float) -> SampledSignal:
-    """Multiply by the unimodular carrier e^{j*q*t}."""
+    """Multiply by the unimodular carrier e^{j*q*t}; InvalidParameterError
+    when q*t is not finite on the grid."""
+    t_max = max(abs(x.grid.start), abs(x.grid.point(x.grid.count - 1)))
+    if not math.isfinite(q * t_max):
+        raise InvalidParameterError(
+            f"carrier phase q*t is not finite: q={q!r} on {x.grid}")
     return SampledSignal(x.grid, x.samples * np.exp(1j * q * x.grid.points()))
 
 

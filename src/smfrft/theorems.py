@@ -58,7 +58,7 @@ from typing import Callable
 import numpy as np
 
 from .corpus import PAIR_COUNT, default_pairs
-from .errors import AlignmentError, InvalidParameterError
+from .errors import AlignmentError, InvalidParameterError, SmfrftError
 from .grid import ComplexArray, SampledSignal, UniformGrid
 from .kernel import SQRT_J2PI, SQRT_J_OVER_2PI, Angle, make_angle
 from .operators import (
@@ -120,13 +120,9 @@ class IdentityReport:
     chosen_form: str
 
 
-@dataclass(frozen=True, slots=True)
-class CheckConfig:
-    """Evaluation grid and tolerances for one identity check."""
-
-    ugrid: UniformGrid
-    tolerance: float
-    zero_floor: float = 1e-14
+# the tolerance of a record whose reference side is identically zero,
+# where the residual is the absolute difference norm
+ABSOLUTE_TOLERANCE = 1e-14
 
 
 # --------------------------------------------------------------------------
@@ -300,9 +296,15 @@ def rhs_values(identity: IdentityId, f: SampledSignal, g: SampledSignal,
 
 def _residual(lhs: ComplexArray, rhs: ComplexArray) -> tuple[float, bool]:
     """(residual, is_absolute): relative L2 against rhs, or the absolute
-    difference norm when the reference side is identically zero."""
+    difference norm when the reference side is identically zero.
+    InvalidParameterError when either norm is not finite: sides that
+    overflow a double say nothing about the identity."""
     nrm = float(np.linalg.norm(rhs))
     diff = float(np.linalg.norm(lhs - rhs))
+    if not (math.isfinite(nrm) and math.isfinite(diff)):
+        raise InvalidParameterError(
+            f"residual norms |lhs - rhs| = {diff!r} and |rhs| = {nrm!r} "
+            "are not finite: the sides overflow a double on this grid")
     if nrm == 0.0:
         return diff, True
     return diff / nrm, False
@@ -311,33 +313,39 @@ def _residual(lhs: ComplexArray, rhs: ComplexArray) -> tuple[float, bool]:
 def _residuals(identity: IdentityId, f: SampledSignal, g: SampledSignal,
                angle: Angle, d: float, q: float, ugrid: UniformGrid,
                differs: bool) -> tuple[float, float, bool]:
-    """(paper residual, derived residual, both absolute) for one pair."""
+    """(paper residual, derived residual, both absolute) for one pair.
+
+    A value past a double (such as a phase q d near 1e308, or the norm of
+    sides near 1e154) becomes inf or NaN here without a warning, and
+    ``_residual`` refuses the residual it leaves."""
     family = _FAMILIES[identity]
     u = ugrid.points()
-    operator_out = lhs_signal(identity, f, g, angle, d, q)
-    derived = rhs_values(identity, f, g, angle, d, q, ugrid)
-    paper = family.printed_rhs(f, g, angle, d, q, u) if differs else derived
-    if family.op == "prod":
-        # the product check trusts only the inner half of the u grid,
-        # where truncating the spectral-convolution integral leaks nothing
-        quarter = ugrid.count // 4
-        inner = slice(quarter, ugrid.count - quarter)
-        u, paper, derived = u[inner], paper[inner], derived[inner]
-    lhs = smfrft_quadrature(operator_out, u, angle)
-    r_paper, absolute = _residual(lhs, paper)
-    if not differs:
-        return r_paper, r_paper, absolute
-    r_derived, abs_d = _residual(lhs, derived)
+    with np.errstate(over="ignore", invalid="ignore"):
+        operator_out = lhs_signal(identity, f, g, angle, d, q)
+        derived = rhs_values(identity, f, g, angle, d, q, ugrid)
+        paper = (family.printed_rhs(f, g, angle, d, q, u) if differs
+                 else derived)
+        if family.op == "prod":
+            # the product check trusts only the inner half of the u grid,
+            # where truncating the spectral-convolution integral leaks nothing
+            quarter = ugrid.count // 4
+            inner = slice(quarter, ugrid.count - quarter)
+            u, paper, derived = u[inner], paper[inner], derived[inner]
+        lhs = smfrft_quadrature(operator_out, u, angle)
+        r_paper, absolute = _residual(lhs, paper)
+        if not differs:
+            return r_paper, r_paper, absolute
+        r_derived, abs_d = _residual(lhs, derived)
     return r_paper, r_derived, absolute and abs_d
 
 
 def _report(identity: IdentityId, phi: float, d: float, q: float, n: int,
-            per_pair: list[tuple[float, float, bool]], cfg: CheckConfig,
+            per_pair: list[tuple[float, float, bool]], tolerance: float,
             differs: bool) -> IdentityReport:
     """Worst case over the operand pairs for one parameter combination."""
     r_paper = max(p for p, _, _ in per_pair)
     r_derived = max(r for _, r, _ in per_pair)
-    tolerance = max(cfg.zero_floor if absolute else cfg.tolerance
+    tolerance = max(ABSOLUTE_TOLERANCE if absolute else tolerance
                     for _, _, absolute in per_pair)
     chosen = ("agree" if not differs
               else "derived" if r_derived <= r_paper else "paper")
@@ -350,18 +358,18 @@ def _report(identity: IdentityId, phi: float, d: float, q: float, n: int,
 
 
 def check(identity: IdentityId, f: SampledSignal, g: SampledSignal,
-          angle: Angle, cfg: CheckConfig, d: float = 0.0,
+          angle: Angle, ugrid: UniformGrid, tolerance: float, d: float = 0.0,
           q: float = 0.0) -> IdentityReport:
-    """Check one identity for one operand pair at delay d and carrier q;
-    a family takes only the parameters the suite sweeps for it."""
+    """Check one identity for one operand pair at delay d and carrier q on
+    ``ugrid``; a family takes only the parameters the suite sweeps for it."""
     family = _FAMILIES[identity]
     for name, value in (("d", d), ("q", q)):
         if value != 0.0 and name not in family.sweeps:
             raise InvalidParameterError(f"{identity.value} takes no {name}")
     differs = family.printed_differs(angle.phi, d, q)
-    residuals = _residuals(identity, f, g, angle, d, q, cfg.ugrid, differs)
+    residuals = _residuals(identity, f, g, angle, d, q, ugrid, differs)
     return _report(identity, angle.phi, d, q, f.grid.count, [residuals],
-                   cfg, differs)
+                   tolerance, differs)
 
 
 # --------------------------------------------------------------------------
@@ -415,18 +423,17 @@ class SuiteConfig:
     tolerance_fractional: float = 1e-4
     tolerance_pi_half: float = 1e-6
     tolerance_product: float = 1e-3
-    zero_floor: float = 1e-14
 
     def __post_init__(self):
         """Check every field's type and range, so that a bad configuration
         fails here with InvalidParameterError instead of deep in a check.
 
         Sequences become tuples and identity names become IdentityId.
-        Identities, angles, delays and carriers must be non-empty: an empty
-        one drops records without a trace. Pair indices may be empty (no
-        records at all). All five must be distinct, so that each record
-        and each pair is run once. Delays and the grid start must sit on
-        the time lattice, because the operators shift by whole samples.
+        Identities, angles, delays, carriers and pair indices must be
+        non-empty: an empty one drops records, or all of them, without a
+        trace. All five must be distinct, so that each record and each pair
+        is run once. Delays and the grid start must sit on the time
+        lattice, because the operators shift by whole samples.
         """
         n = _number("n", self.n, integral=True)
         if n < 2:
@@ -454,17 +461,16 @@ class SuiteConfig:
                 f"pair_indices: each must be in 0..{PAIR_COUNT - 1}, got {list(pairs)}")
         object.__setattr__(self, "pair_indices", pairs)
         object.__setattr__(self, "identities", _identities(self.identities))
-        for name in ("identities", "angles", "d_values", "q_values"):
-            if not getattr(self, name):
-                raise InvalidParameterError(f"{name}: must not be empty")
         for name in ("identities", "angles", "d_values", "q_values",
                      "pair_indices"):
             values = getattr(self, name)   # 0.0 and -0.0 are duplicates
+            if not values:
+                raise InvalidParameterError(f"{name}: must not be empty")
             if len(set(values)) != len(values):
                 raise InvalidParameterError(
                     f"{name}: duplicate entries in {list(values)!r}")
         for name in ("tolerance_fractional", "tolerance_pi_half",
-                     "tolerance_product", "zero_floor"):
+                     "tolerance_product"):
             if _number(name, getattr(self, name)) < 0:
                 raise InvalidParameterError(f"{name}: must be >= 0")
 
@@ -483,8 +489,10 @@ def run_suite(cfg: SuiteConfig = SuiteConfig()) -> list[IdentityReport]:
     """Run every configured identity over the parameter grid.
 
     One report per (identity, phi, d, q), aggregating the worst residual
-    over the corpus pairs. Order follows the configuration. Any failure
-    inside a check aborts with the identity and parameters in context.
+    over the corpus pairs. Order follows the configuration. A library
+    error inside a check is raised again as the same class with the
+    identity and parameters in front of its message; any other failure,
+    a bug rather than bad input, aborts as RuntimeError with that context.
 
     Checks run angle by angle and pair by pair; while one (angle, pair)
     runs, the right-hand sides reuse the operand spectra they have
@@ -494,8 +502,6 @@ def run_suite(cfg: SuiteConfig = SuiteConfig()) -> list[IdentityReport]:
     ugrid = fast_ugrid(tgrid)
     pairs = default_pairs(tgrid)
     selected = [pairs[i] for i in cfg.pair_indices]
-    if not selected:
-        return []
     # the general builder collapses onto the simpler families, so one check
     # serves every record with the same angle, operator, shifted operand
     # (immaterial at d = q = 0) and (d, q), unless its printed form differs
@@ -525,19 +531,15 @@ def run_suite(cfg: SuiteConfig = SuiteConfig()) -> list[IdentityReport]:
                         per_pair[key].append(_residuals(
                             identity, f, g, angle, d, q, ugrid, differs))
                     except Exception as exc:
-                        raise RuntimeError(
-                            f"{identity.value} failed at phi={phi} d={d} q={q}"
-                        ) from exc
+                        where = f"{identity.value} at phi={phi} d={d} q={q}"
+                        if isinstance(exc, SmfrftError):
+                            raise type(exc)(f"{where}: {exc}") from exc
+                        raise RuntimeError(f"{where} failed") from exc
             finally:
                 _rhs_memo.reset(token)
     return [_report(identity, phi, d, q, tgrid.count, per_pair[key],
-                    CheckConfig(ugrid, cfg.tolerance_for(identity, phi),
-                                cfg.zero_floor), differs)
+                    cfg.tolerance_for(identity, phi), differs)
             for identity, phi, d, q, differs, key in records]
-
-
-def suite_passed(reports: list[IdentityReport]) -> bool:
-    return all(r.passed for r in reports)
 
 
 def report_rows(reports: list[IdentityReport]) -> list[dict]:

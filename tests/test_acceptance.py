@@ -29,7 +29,6 @@ from smfrft import (
     run_suite,
     smfrft_direct,
     smfrft_fast,
-    suite_passed,
 )
 from smfrft.cli import cli
 from smfrft.corpus import modulated_chirp
@@ -181,7 +180,6 @@ def test_criterion_5_theorem_suite(suite_2048):
     assert {r.identity for r in reports} == set(IdentityId)
     failures = [r for r in reports if not r.passed]
     assert not failures, failures[:5]
-    assert suite_passed(reports)
     assert elapsed < 300.0
     worst = max(min(r.residual_paper_form, r.residual_derived_form)
                 for r in reports)

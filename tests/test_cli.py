@@ -2,6 +2,7 @@ import errno
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from smfrft import cli as cli_module, errors, io_csv
+from smfrft import cli as cli_module, errors, io_csv, theorems
 from smfrft.cli import cli
 from smfrft.io_csv import read_signal_csv, read_spectrum_csv, write_signal_csv
 from smfrft import (
@@ -570,19 +571,51 @@ class TestVerify:
         result = runner.invoke(cli, ["verify", "--config", str(cfg)])
         assert result.exit_code == 2
 
+    def test_zero_floor_is_an_unknown_key(self, runner, tmp_path):
+        # the absolute tolerance is a constant, not a config field
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"zero_floor": 1e-14}))
+        result = runner.invoke(cli, ["verify", "--config", str(cfg)])
+        assert result.exit_code == 2
+        assert "unknown keys ['zero_floor']" in result.stderr
+
     @pytest.mark.parametrize("bad", [{"pair_indices": [5]}, {"n": "abc"},
                                      {"pair_indices": [0, 0]},
                                      {"pair_indices": []}, {"angles": []},
                                      {"identities": []}, {"d_values": []},
                                      {"q_values": []}])
-    def test_invalid_config_value_exits_two(self, runner, tmp_path, bad):
-        # a bad value is a usage error, never a reported identity failure
+    def test_invalid_config_value_exits_two(self, runner, tmp_path,
+                                            monkeypatch, bad):
+        # a bad value is a usage error, never a reported identity failure,
+        # and it is refused before the suite runs
+        def boom(cfg):
+            raise AssertionError("the suite ran")
+
+        monkeypatch.setattr(theorems, "run_suite", boom)
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({**self.CFG, **bad}))
         result = runner.invoke(cli, ["verify", "--config", str(cfg),
                                      "--output", str(tmp_path / "r.json")])
         assert result.exit_code == 2, result.output
         assert "error:" in result.output
+        assert not (tmp_path / "r.json").exists()
+
+    @pytest.mark.parametrize("bad, record", [
+        ({"q_values": [0.0, 1e308]},
+         r"CONV_MOD_L at phi=\S+ d=0\.0 q=1e\+308: carrier phase"),
+        ({"start": -1e152, "span": 2e152},
+         r"CONV at phi=\S+ d=0\.0 q=0\.0: residual norms"),
+    ], ids=["carrier-phase", "residual-norm"])
+    def test_overflow_exits_two_naming_the_record(self, runner, tmp_path,
+                                                  bad, record):
+        # sides that overflow a double are bad input: no traceback, no
+        # warning, no NaN in a report, and no exit 1
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n": 64, **bad}))
+        result = runner.invoke(cli, ["verify", "--config", str(cfg),
+                                     "--output", str(tmp_path / "r.json")])
+        assert result.exit_code == 2, result.output
+        assert re.match(f"error: {record}", result.stderr), result.stderr
         assert not (tmp_path / "r.json").exists()
 
     def test_report_file_is_reports_to_json(self, runner, tmp_path):

@@ -1,0 +1,123 @@
+"""The CLI contract as a property, for `verify --config`.
+
+Whatever JSON object the config file holds, `verify` runs in-process
+(through click's `CliRunner`, under the suite's ``error::RuntimeWarning``)
+and:
+
+* lets no exception other than `SystemExit` escape;
+* exits 0, 1 or 2;
+* writes no report when it exits 2;
+* on exit 0 or 1 writes a report that parses as strict JSON (no NaN or
+  Infinity) and exits 1 exactly when a record failed.
+
+Valid values stay small (n <= 128), and the grid's |start| and span stay
+at or below 1e150: the corpus generators overflow on larger grids before
+the suite can refuse them, which is outside this gate.
+"""
+
+import dataclasses
+import json
+import math
+import tempfile
+from pathlib import Path
+
+from click.testing import CliRunner
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from smfrft.cli import cli
+from smfrft.theorems import IdentityId, SuiteConfig
+
+EXTENT = 1e150
+
+# values of the wrong kind or out of range for every field; a grid start
+# or span of 1e308 is left out, as it overflows the generators
+BAD = [math.nan, math.inf, -math.inf, 1e308, -1e308, 0.0, -1.0, 2.5, "1",
+       "", None, True, [], {}, [math.nan], [math.inf], [[0.0]], ["NOPE"],
+       [None], [-1], [math.pi]]
+BAD_EXTENT = [v for v in BAD if not (isinstance(v, float)
+                                     and EXTENT < abs(v) < math.inf)]
+NASTY = st.sampled_from([0.0, -0.0, 1.0, 1e-308, 1e150, -1e150, 1e308,
+                         -1e308])
+
+OPTIONAL = ("q_values", "pair_indices", "tolerance_fractional",
+            "tolerance_pi_half", "tolerance_product")
+LISTS = ("angles", "d_values", "q_values", "identities", "pair_indices")
+
+
+def lists(elements):
+    # one to three distinct entries; empty and repeated lists are bad values
+    return st.lists(elements, min_size=1, max_size=3, unique=True)
+
+
+@st.composite
+def configs(draw):
+    n = draw(st.integers(2, 128))
+    # at span 3, q = 1e308 passes the carrier's q t but not the shift's q d
+    span = draw(st.sampled_from([32.0, 1.0, 3.0, EXTENT])
+                | st.floats(1e-6, EXTENT))
+    # start and delays on the time lattice, so that they can be accepted
+    lattice = st.integers(1 - n, n - 1).map(lambda k: k * (span / n))
+    valid = {
+        "n": st.just(n),
+        "span": st.just(span),
+        "start": lattice,
+        "d_values": lists(lattice),
+        "angles": lists(st.floats(0.1, 3.0)
+                        | st.sampled_from([math.pi / 4, math.pi / 2, 1e-10])),
+        "q_values": lists(NASTY | st.floats(-1e308, 1e308)),
+        "identities": lists(st.sampled_from([i.value for i in IdentityId])),
+        "pair_indices": lists(st.integers(0, 2)),
+        "tolerance_fractional": st.floats(0.0, 1.0),
+        "tolerance_pi_half": st.floats(0.0, 1.0),
+        "tolerance_product": st.floats(0.0, 1.0),
+    }
+    assert set(valid) == {f.name for f in dataclasses.fields(SuiteConfig)}
+    # most examples hold no bad field, so that the suite runs
+    bad = draw(st.sampled_from([None] * 24 + list(valid)))
+    config = {}
+    for key, value in valid.items():
+        # the defaults of the other keys are slow (N = 2048, all 15
+        # identities over five angles) or off the drawn lattice
+        if key in OPTIONAL and draw(st.booleans()):
+            continue
+        if key != bad:
+            config[key] = draw(value)
+        elif key in LISTS and draw(st.booleans()):
+            config[key] = draw(value) * 2   # each entry twice
+        else:
+            config[key] = draw(st.sampled_from(
+                BAD_EXTENT if key in ("start", "span") else BAD))
+    extra = draw(st.sampled_from([None] * 18 + ["zero_floor", "bogus"]))
+    if extra is not None:
+        config[extra] = 1e-14
+    return config
+
+
+def refuse(constant):
+    raise ValueError(f"report holds {constant}")
+
+
+@given(config=configs())
+@example(config={"q_values": [0.0, 1e308], "n": 64})
+@example(config={"start": -1e152, "span": 2e152, "n": 64})
+@example(config={"pair_indices": []})
+@settings(max_examples=150, deadline=None)
+def test_verify_config_keeps_the_exit_code_contract(config):
+    with tempfile.TemporaryDirectory() as tmp:
+        config_path = Path(tmp) / "cfg.json"
+        config_path.write_text(json.dumps(config))
+        report = Path(tmp) / "report.json"
+        result = CliRunner().invoke(cli, ["verify", "--config",
+                                          str(config_path),
+                                          "--output", str(report)])
+        assert result.exception is None or isinstance(result.exception,
+                                                      SystemExit), (
+            result.exception)
+        assert result.exit_code in (0, 1, 2), result.output
+        if result.exit_code == 2:
+            assert not report.exists()
+            return
+        rows = json.loads(report.read_text(), parse_constant=refuse)
+        failed = any(not row["pass"] for row in rows)
+        assert result.exit_code == (1 if failed else 0)

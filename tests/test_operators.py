@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from smfrft import (
     AlignmentError,
+    InvalidGridError,
     InvalidParameterError,
     SampledSignal,
     ShapeMismatchError,
@@ -125,6 +126,11 @@ class TestModulate:
         np.testing.assert_allclose(twice.samples, once.samples, rtol=1e-12,
                                    atol=1e-15)
 
+    def test_overflowing_phase_rejected(self, small_grid, gaussian_pair):
+        # refused before numpy sees q*t: no RuntimeWarning comes first
+        with pytest.raises(InvalidParameterError, match=r"q=1e\+308 on "):
+            modulate_op(gaussian_pair[0], 1e308)
+
 
 class TestFracConvolve:
     def test_matches_double_loop_oracle(self, small_grid, quarter_angle):
@@ -219,6 +225,14 @@ class TestFracProduct:
             np.testing.assert_allclose(np.abs(got.samples),
                                        np.abs(f.samples) * np.abs(g.samples),
                                        rtol=1e-12, atol=1e-16)
+
+
+    def test_overflowing_chirp_phase_rejected(self):
+        # the weight's phase cot t^2 / 2 overflows: the grid is named,
+        # before numpy sees t*t
+        x = SampledSignal(UniformGrid(1e200, 1e190, 4), np.ones(4))
+        with pytest.raises(InvalidGridError, match=r"start=1e\+200.*phi=0.7"):
+            frac_product(x, x, make_angle(0.7))
 
 
 class TestFracCorrelate:

@@ -10,7 +10,6 @@ import smfrft.theorems as theorems
 import smfrft.transform as transform
 from smfrft import (
     AlignmentError,
-    CheckConfig,
     IdentityId,
     InvalidParameterError,
     SampledSignal,
@@ -29,7 +28,6 @@ from smfrft import (
     shift_op,
     smfrft_direct,
     smfrft_quadrature,
-    suite_passed,
 )
 from smfrft.corpus import PAIR_COUNT, default_pairs
 
@@ -46,8 +44,8 @@ def theorem_grid():
 
 
 @pytest.fixture
-def theorem_cfg(theorem_grid):
-    return CheckConfig(ugrid=fast_ugrid(theorem_grid), tolerance=1e-4)
+def theorem_ugrid(theorem_grid):
+    return fast_ugrid(theorem_grid)
 
 
 @pytest.fixture
@@ -120,60 +118,61 @@ class TestTimeFrequencyShiftProperty:
 
 
 class TestIndividualChecks:
-    def test_convolution_passes(self, operands, theorem_cfg):
+    def test_convolution_passes(self, operands, theorem_ugrid):
         f, g = operands
-        report = check(IdentityId.CONV, f, g, make_angle(PI / 3), theorem_cfg)
+        report = check(IdentityId.CONV, f, g, make_angle(PI / 3),
+                       theorem_ugrid, 1e-4)
         assert report.passed
         assert report.residual_paper_form == report.residual_derived_form
         assert report.chosen_form == "agree"
 
     def test_convolution_zero_operand_is_vacuous(self, theorem_grid,
-                                                 theorem_cfg):
+                                                 theorem_ugrid):
         zero = SampledSignal(theorem_grid,
                              np.zeros(theorem_grid.count, complex))
         g = gen_gaussian(theorem_grid, 0.0, 1.0, 0.0)
         report = check(IdentityId.CONV, zero, g, make_angle(PI / 3),
-                       theorem_cfg)
+                       theorem_ugrid, 1e-4)
         assert report.passed
-        assert report.tolerance == theorem_cfg.zero_floor
+        assert report.tolerance == theorems.ABSOLUTE_TOLERANCE
         assert report.residual_paper_form <= 1e-14
 
     @pytest.mark.parametrize("side", ["L", "R"])
-    def test_shift_convolution(self, operands, theorem_cfg, side):
+    def test_shift_convolution(self, operands, theorem_ugrid, side):
         f, g = operands
         report = check(IdentityId("CONV_SHIFT_" + side), f, g,
-                       make_angle(PI / 4), theorem_cfg, d=0.5)
+                       make_angle(PI / 4), theorem_ugrid, 1e-4, d=0.5)
         assert report.passed
         assert report.chosen_form == "agree"
 
     def test_shift_convolution_zero_delay_matches_base(self, operands,
-                                                       theorem_cfg):
+                                                       theorem_ugrid):
         f, g = operands
         angle = make_angle(PI / 3)
-        base = check(IdentityId.CONV, f, g, angle, theorem_cfg)
-        shifted = check(IdentityId.CONV_SHIFT_L, f, g, angle, theorem_cfg,
-                        d=0.0)
+        base = check(IdentityId.CONV, f, g, angle, theorem_ugrid, 1e-4)
+        shifted = check(IdentityId.CONV_SHIFT_L, f, g, angle, theorem_ugrid,
+                        1e-4, d=0.0)
         assert shifted.residual_paper_form == pytest.approx(
             base.residual_paper_form, rel=1e-12)
 
     @pytest.mark.parametrize("side", ["L", "R"])
-    def test_modulation_convolution(self, operands, theorem_cfg, side):
+    def test_modulation_convolution(self, operands, theorem_ugrid, side):
         f, g = operands
         report = check(IdentityId("CONV_MOD_" + side), f, g,
-                       make_angle(PI / 3), theorem_cfg, q=1.0)
+                       make_angle(PI / 3), theorem_ugrid, 1e-4, q=1.0)
         assert report.passed
 
     @pytest.mark.parametrize("side", ["L", "R"])
-    def test_tfshift_convolution(self, operands, theorem_cfg, side):
+    def test_tfshift_convolution(self, operands, theorem_ugrid, side):
         f, g = operands
         report = check(IdentityId("CONV_TFSHIFT_" + side), f, g,
-                       make_angle(PI / 4), theorem_cfg, d=0.5, q=1.0)
+                       make_angle(PI / 4), theorem_ugrid, 1e-4, d=0.5, q=1.0)
         assert report.passed
 
     def test_product(self, operands, theorem_grid):
         f, g = operands
-        cfg = CheckConfig(ugrid=fast_ugrid(theorem_grid), tolerance=1e-3)
-        report = check(IdentityId.PROD, f, g, make_angle(PI / 3), cfg)
+        report = check(IdentityId.PROD, f, g, make_angle(PI / 3),
+                       fast_ugrid(theorem_grid), 1e-3)
         assert report.passed
 
     def test_product_wide_second_factor(self):
@@ -181,14 +180,14 @@ class TestIndividualChecks:
         grid = UniformGrid(-16.0, 32.0 / 1024, 1024)
         f = gen_gaussian(grid, 0.0, 1.0, 0.5)
         g = gen_gaussian(grid, 0.0, 8.0, 0.0)
-        cfg = CheckConfig(ugrid=fast_ugrid(grid), tolerance=1e-3)
-        report = check(IdentityId.PROD, f, g, make_angle(PI / 3), cfg)
+        report = check(IdentityId.PROD, f, g, make_angle(PI / 3),
+                       fast_ugrid(grid), 1e-3)
         assert report.passed
 
     def test_product_right_angle(self, operands, theorem_grid):
         f, g = operands
-        cfg = CheckConfig(ugrid=fast_ugrid(theorem_grid), tolerance=1e-3)
-        assert check(IdentityId.PROD, f, g, make_angle(PI / 2), cfg).passed
+        assert check(IdentityId.PROD, f, g, make_angle(PI / 2),
+                     fast_ugrid(theorem_grid), 1e-3).passed
 
     def test_product_u_grid_off_lattice_rejected(self, operands, theorem_grid):
         # the spectral convolution is read at lattice index k - start/du
@@ -196,53 +195,54 @@ class TestIndividualChecks:
         ugrid = fast_ugrid(theorem_grid)
         off = UniformGrid(ugrid.start + 0.5 * ugrid.step, ugrid.step,
                           ugrid.count)
-        cfg = CheckConfig(ugrid=off, tolerance=1e-3)
         with pytest.raises(AlignmentError):
-            check(IdentityId.PROD, f, g, make_angle(PI / 3), cfg)
+            check(IdentityId.PROD, f, g, make_angle(PI / 3), off, 1e-3)
 
-    def test_correlation(self, operands, theorem_cfg):
+    def test_correlation(self, operands, theorem_ugrid):
         f, g = operands
-        report = check(IdentityId.CORR, f, g, make_angle(PI / 4), theorem_cfg)
+        report = check(IdentityId.CORR, f, g, make_angle(PI / 4),
+                       theorem_ugrid, 1e-4)
         assert report.passed
 
     def test_correlation_real_autocorrelation(self, theorem_grid):
         f = gen_gaussian(theorem_grid, 0.0, 1.0, 0.0)
-        cfg = CheckConfig(ugrid=fast_ugrid(theorem_grid), tolerance=1e-6)
         angle = make_angle(PI / 2)
-        report = check(IdentityId.CORR, f, f, angle, cfg)
+        report = check(IdentityId.CORR, f, f, angle, fast_ugrid(theorem_grid),
+                       1e-6)
         assert report.passed
         out = frac_correlate(f, f, angle)
         assert np.max(np.abs(out.samples.imag)) <= 1e-10
 
-    def test_correlation_zero_second_operand(self, theorem_grid, theorem_cfg):
+    def test_correlation_zero_second_operand(self, theorem_grid,
+                                             theorem_ugrid):
         f = gen_gaussian(theorem_grid, 0.0, 1.0, 0.0)
         zero = SampledSignal(theorem_grid,
                              np.zeros(theorem_grid.count, complex))
         report = check(IdentityId.CORR, f, zero, make_angle(PI / 4),
-                       theorem_cfg)
+                       theorem_ugrid, 1e-4)
         assert report.passed
         assert report.residual_paper_form <= 1e-14
 
     @pytest.mark.parametrize("side", ["L", "R"])
-    def test_shift_correlation(self, operands, theorem_cfg, side):
+    def test_shift_correlation(self, operands, theorem_ugrid, side):
         f, g = operands
         report = check(IdentityId("CORR_SHIFT_" + side), f, g,
-                       make_angle(PI / 4), theorem_cfg, d=0.5)
+                       make_angle(PI / 4), theorem_ugrid, 1e-4, d=0.5)
         assert report.passed
         assert report.chosen_form == "agree"
 
     @pytest.mark.parametrize("side", ["L", "R"])
-    def test_modulation_correlation(self, operands, theorem_cfg, side):
+    def test_modulation_correlation(self, operands, theorem_ugrid, side):
         f, g = operands
         report = check(IdentityId("CORR_MOD_" + side), f, g,
-                       make_angle(PI / 3), theorem_cfg, q=1.0)
+                       make_angle(PI / 3), theorem_ugrid, 1e-4, q=1.0)
         assert report.passed
 
     def test_tfshift_correlation_right_side_agrees(self, operands,
-                                                   theorem_cfg):
+                                                   theorem_ugrid):
         f, g = operands
         report = check(IdentityId.CORR_TFSHIFT_R, f, g, make_angle(PI / 4),
-                       theorem_cfg, d=0.5, q=1.0)
+                       theorem_ugrid, 1e-4, d=0.5, q=1.0)
         assert report.passed
         assert report.chosen_form == "agree"
 
@@ -252,11 +252,12 @@ class TestIndividualChecks:
         (IdentityId.CONV_SHIFT_L, {"q": 1.0}),
         (IdentityId.CORR_MOD_R, {"d": 0.5}),
     ])
-    def test_unswept_parameter_rejected(self, operands, theorem_cfg,
+    def test_unswept_parameter_rejected(self, operands, theorem_ugrid,
                                         identity, params):
         f, g = operands
         with pytest.raises(InvalidParameterError, match="takes no"):
-            check(identity, f, g, make_angle(PI / 4), theorem_cfg, **params)
+            check(identity, f, g, make_angle(PI / 4), theorem_ugrid, 1e-4,
+                  **params)
 
 
 class TestAdjudication:
@@ -265,30 +266,30 @@ class TestAdjudication:
         # the printed pi/2 special case flips the phase sign; the general
         # formula specialized to cot = 0 is the one that holds
         f, g = operands
-        cfg = CheckConfig(ugrid=fast_ugrid(theorem_grid), tolerance=1e-6)
-        report = check(IdentityId.CORR_SHIFT_L, f, g, make_angle(PI / 2), cfg,
-                       d=0.5)
+        report = check(IdentityId.CORR_SHIFT_L, f, g, make_angle(PI / 2),
+                       fast_ugrid(theorem_grid), 1e-6, d=0.5)
         assert report.passed
         assert report.chosen_form == "derived"
         assert report.residual_derived_form <= 1e-6
         assert report.residual_paper_form > 1e-2
 
     def test_shifted_correlation_fractional_angles_agree(self, operands,
-                                                         theorem_cfg):
+                                                         theorem_ugrid):
         f, g = operands
         report = check(IdentityId.CORR_SHIFT_L, f, g, make_angle(PI / 3),
-                       theorem_cfg, d=0.5)
+                       theorem_ugrid, 1e-4, d=0.5)
         assert report.chosen_form == "agree"
 
     @pytest.mark.parametrize("d,q", [(0.5, 1.0), (0.5, 0.0), (0.0, 1.0),
                                      (0.0, 0.0)])
-    def test_tfshift_correlation_left_side(self, operands, theorem_cfg, d, q):
+    def test_tfshift_correlation_left_side(self, operands, theorem_ugrid,
+                                           d, q):
         # the printed form drops the negation of the spectrum argument and
         # carries a different phase pattern; the derivation-consistent
         # form wins at every parameter set for non-even operands
         f, g = operands
         report = check(IdentityId.CORR_TFSHIFT_L, f, g, make_angle(PI / 4),
-                       theorem_cfg, d=d, q=q)
+                       theorem_ugrid, 1e-4, d=d, q=q)
         assert report.passed
         assert report.chosen_form == "derived"
         assert report.residual_derived_form <= 1e-4
@@ -378,7 +379,7 @@ class TestSuite:
 
     def test_small_run_passes(self):
         reports = run_suite(self.small_config())
-        assert suite_passed(reports)
+        assert all(r.passed for r in reports)
         combos = {(r.identity, r.phi, r.d, r.q) for r in reports}
         assert len(combos) == len(reports)   # one record per combination
 
@@ -424,10 +425,8 @@ class TestSuite:
         reports = run_suite(cfg)
         assert len(reports) == 70
         for r in reports:
-            check_cfg = CheckConfig(ugrid, cfg.tolerance_for(r.identity, r.phi),
-                                    cfg.zero_floor)
-            fresh = check(r.identity, f, g, make_angle(r.phi), check_cfg,
-                          d=r.d, q=r.q)
+            fresh = check(r.identity, f, g, make_angle(r.phi), ugrid,
+                          cfg.tolerance_for(r.identity, r.phi), d=r.d, q=r.q)
             assert repr(r) == repr(fresh)
         assert theorems._rhs_memo.get() is None
 
@@ -453,10 +452,11 @@ class TestSuite:
             theorems._rhs_memo.reset(token)
         assert len(memo) == 5
 
-    def test_empty_corpus_is_vacuous(self):
-        reports = run_suite(self.small_config(pair_indices=()))
-        assert reports == []
-        assert suite_passed(reports)
+    def test_empty_corpus_is_refused(self):
+        # no certificate of nothing: the config refuses before any work
+        with pytest.raises(InvalidParameterError,
+                           match="pair_indices: must not be empty"):
+            self.small_config(pair_indices=())
 
     def test_zero_tolerance_fails(self):
         cfg = self.small_config(
@@ -465,7 +465,7 @@ class TestSuite:
             tolerance_product=0.0,
         )
         reports = run_suite(cfg)
-        assert not suite_passed(reports)
+        assert not all(r.passed for r in reports)
 
     def test_identity_filter(self):
         cfg = self.small_config(identities=(IdentityId.CONV, IdentityId.PROD))
@@ -486,6 +486,7 @@ class TestSuite:
         assert parsed[0]["pass"] is True
 
     def test_failure_carries_context(self, monkeypatch):
+        # an exception outside the library's errors is a bug, not bad input
         cfg = self.small_config(identities=(IdentityId.CORR,),
                                 angles=(PI / 4,))
 
@@ -495,6 +496,39 @@ class TestSuite:
         monkeypatch.setattr(theorems, "rhs_tfshift", boom)
         with pytest.raises(RuntimeError, match="CORR .*phi=0.785"):
             run_suite(cfg)
+
+    def test_library_error_keeps_its_class(self, monkeypatch):
+        cfg = self.small_config(identities=(IdentityId.CORR,),
+                                angles=(PI / 4,))
+
+        def boom(*args, **kwargs):
+            raise AlignmentError("synthetic")
+
+        monkeypatch.setattr(theorems, "rhs_tfshift", boom)
+        with pytest.raises(AlignmentError, match=(
+                r"^CORR at phi=0\.785\d* d=0\.0 q=0\.0: synthetic$")):
+            run_suite(cfg)
+
+    @pytest.mark.parametrize("overrides, record, message", [
+        ({"q_values": (0.0, 1e308)}, r"CONV_MOD_L at phi=\S+ d=0\.0 q=1e\+308",
+         "carrier phase"),
+        ({"start": -1e152, "span": 2e152}, r"CONV at phi=\S+ d=0\.0 q=0\.0",
+         "residual norms"),
+        # q t stays finite on the grid, but the right side's q d does not
+        ({"start": -1.0, "span": 2.0, "d_values": (1.5,),
+          "q_values": (1.5e308,), "identities": ("CONV_TFSHIFT_L",)},
+         r"CONV_TFSHIFT_L at phi=\S+ d=1\.5 q=1\.5e\+308", "residual norms"),
+        # the chirp passes, but the right side's chirp-z phase d cot dt
+        # does not
+        ({"start": -1.5e149, "span": 3e149, "angles": (1e-10,),
+          "d_values": (2.390625e149,), "identities": ("CONV_SHIFT_L",)},
+         r"CONV_SHIFT_L at phi=1e-10 d=2\.39\S+ q=0\.0", "residual norms"),
+    ], ids=["carrier-phase", "residual-norm", "delay-phase", "chirp-z-phase"])
+    def test_overflow_names_the_record(self, overrides, record, message):
+        # sides that overflow a double are bad input, not a failed identity
+        with pytest.raises(InvalidParameterError,
+                           match=f"^{record}: {message}"):
+            run_suite(SuiteConfig(n=64, **overrides))
 
 
 class TestTruncationFreeWindow:
@@ -511,7 +545,7 @@ class TestTruncationFreeWindow:
         assert len(reports) == 175
         worst = max(min(r.residual_paper_form, r.residual_derived_form)
                     for r in reports)
-        return worst, suite_passed(reports)
+        return worst, all(r.passed for r in reports)
 
     def test_every_record_within_bound(self):
         worst, _ = self.worst_residual()
@@ -546,7 +580,7 @@ class TestSuiteConfigValidation:
         {"angles": ["x"]}, {"pair_indices": [5]}, {"pair_indices": [-1]},
         {"identities": ["NOPE"]}, {"identities": "CONV"},
         {"d_values": [0.3]}, {"d_values": [32.0]}, {"start": -16.01},
-        {"tolerance_fractional": -1.0}, {"zero_floor": float("inf")},
+        {"tolerance_fractional": -1.0}, {"pair_indices": []},
         {"identities": ["CONV", "CONV"]},
         {"identities": ["CONV", IdentityId.CONV]},
         {"angles": [PI / 4, PI / 4]}, {"d_values": [0.0, -0.0]},

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from smfrft import (
     AlignmentError,
     GridCompatibilityError,
+    InvalidGridError,
     SampledSignal,
     Spectrum,
     UniformGrid,
@@ -107,6 +108,13 @@ class TestFastPath:
         x = SampledSignal(std_grid, np.zeros(std_grid.count, complex))
         spec = smfrft_fast(x, make_angle(PI / 3))
         assert np.all(spec.values == 0)
+
+    def test_overflowing_chirp_phase_rejected(self):
+        # cot t^2 / 2 overflows a double: the grid is named, before numpy
+        # sees t*t
+        x = SampledSignal(UniformGrid(1e200, 1e190, 4), np.ones(4))
+        with pytest.raises(InvalidGridError, match=r"start=1e\+200.*phi=0.7"):
+            smfrft_fast(x, make_angle(0.7))
 
     def test_matches_direct_on_fast_grid(self):
         grid = UniformGrid(-16.0, 32.0 / 1024, 1024)
