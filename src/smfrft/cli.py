@@ -32,7 +32,7 @@ from click.core import ParameterSource
 
 from . import io_csv
 from .errors import InvalidParameterError, SmfrftError
-from .grid import Spectrum, UniformGrid, gen_chirp, gen_gaussian
+from .grid import Spectrum, UniformGrid, _Fresh, gen_chirp, gen_gaussian
 from .kernel import Angle, make_angle
 from .transform import ismfrft_direct, ismfrft_fast, smfrft_direct, smfrft_fast
 
@@ -192,7 +192,7 @@ def invert(input_, output, start, step, count, angle, order_):
     t_start = -(count // 2) * step if start is None else start
     tgrid = UniformGrid(t_start, step, count)
     io_csv.check_grid_readable(output, tgrid)
-    spectrum = Spectrum(ugrid, values, ang, tgrid=tgrid if fast else None)
+    spectrum = Spectrum(ugrid, _Fresh(values), ang, tgrid=tgrid if fast else None)
     del values  # each array dies when its stage ends
     signal = ismfrft_fast(spectrum) if fast else ismfrft_direct(spectrum, tgrid)
     del spectrum
@@ -228,7 +228,7 @@ def filter_cmd(input_, output, passband, angle, order_):
             f"--passband {lo!r}:{hi!r} holds no point of the u grid: first u = "
             f"{float(u[0])!r}, last u = {float(u[-1])!r}, du = {spectrum.ugrid.step!r}")
     del u
-    filtered = Spectrum(spectrum.ugrid, np.where(mask, spectrum.values, 0.0),
+    filtered = Spectrum(spectrum.ugrid, _Fresh(np.where(mask, spectrum.values, 0.0)),
                         ang, tgrid=spectrum.tgrid)
     del spectrum, mask
     result = ismfrft_fast(filtered)

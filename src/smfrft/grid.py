@@ -61,18 +61,34 @@ def _energy(step: float, values: np.ndarray) -> float:
     return energy
 
 
+class _Fresh:
+    """An array that the library has just made and drops. A signal or a
+    spectrum built on it takes it as its own, read-only, instead of
+    copying it. A plain class: a dataclass would add ~1.6 ms to every
+    command's start-up."""
+
+    __slots__ = ("array",)
+
+    def __init__(self, array: np.ndarray):
+        self.array = array
+
+
 def _freeze(obj, field: str, count: int, noun: str) -> None:
     """Check that ``obj.<field>`` holds ``count`` finite numbers and put a
-    read-only complex128 copy in its place; ``noun`` names the owner in
-    the error message."""
-    values = np.asarray(getattr(obj, field), dtype=np.complex128)
+    read-only complex128 array in its place: a copy, unless the field
+    holds a ``_Fresh`` array; ``noun`` names the owner in the error
+    message."""
+    value = getattr(obj, field)
+    fresh = isinstance(value, _Fresh)
+    values = np.asarray(value.array if fresh else value, dtype=np.complex128)
     if values.ndim != 1 or values.shape[0] != count:
         raise ShapeMismatchError(
             f"expected {count} {field}, got shape {values.shape}"
         )
     if not np.all(np.isfinite(values.view(np.float64))):
         raise InvalidParameterError(f"{noun} {field} must all be finite")
-    values = values.copy()
+    if not fresh:
+        values = values.copy()
     values.setflags(write=False)
     object.__setattr__(obj, field, values)
 
@@ -92,7 +108,7 @@ class SampledSignal:
         _freeze(self, "samples", self.grid.count, "signal")
 
     def conjugate(self) -> "SampledSignal":
-        return SampledSignal(self.grid, np.conj(self.samples))
+        return SampledSignal(self.grid, _Fresh(np.conj(self.samples)))
 
     def energy(self) -> float:
         """Discrete L2 energy, step * sum(|x|^2)."""
@@ -131,6 +147,21 @@ def _check_parameters(width_name: str, width: float, **finite: float) -> None:
             raise InvalidParameterError(f"{name} must be finite, got {value!r}")
 
 
+def _check_phases(grid: UniformGrid, **largest: float) -> None:
+    """InvalidParameterError naming the grid and the first of the
+    generator's exponents whose largest magnitude on it is not finite, so
+    that no sample arithmetic overflows."""
+    for name, value in largest.items():
+        if not math.isfinite(value):
+            raise InvalidParameterError(f"{name} overflows a double on {grid}")
+
+
+def _envelope_exponent(reach: float, width: float) -> float:
+    """reach^2 / (2 width^2), inf where it or 2 width^2 leaves a double."""
+    denominator = 2.0 * width * width
+    return reach * reach / denominator if denominator else math.inf
+
+
 def gen_gaussian(grid: UniformGrid, center: float, width: float,
                  carrier: float) -> SampledSignal:
     """Gaussian envelope with an optional complex carrier.
@@ -138,9 +169,14 @@ def gen_gaussian(grid: UniformGrid, center: float, width: float,
     samples[n] = exp(-(t_n - center)^2 / (2*width^2)) * exp(j*carrier*t_n)
     """
     _check_parameters("width", width, center=center, carrier=carrier)
+    first, last = grid.start, grid.point(grid.count - 1)
+    _check_phases(grid, **{
+        "envelope exponent (t - center)^2 / (2 width^2)": _envelope_exponent(
+            max(abs(first - center), abs(last - center)), width),
+        "carrier phase carrier * t": carrier * max(abs(first), abs(last))})
     t = grid.points()
     envelope = np.exp(-((t - center) ** 2) / (2.0 * width * width))
-    return SampledSignal(grid, envelope * np.exp(1j * carrier * t))
+    return SampledSignal(grid, _Fresh(envelope * np.exp(1j * carrier * t)))
 
 
 def gen_chirp(grid: UniformGrid, rate: float,
@@ -154,6 +190,11 @@ def gen_chirp(grid: UniformGrid, rate: float,
     what makes it maximally compact in that fractional domain.
     """
     _check_parameters("envelope_width", envelope_width, rate=rate)
+    reach = max(abs(grid.start), abs(grid.point(grid.count - 1)))
+    _check_phases(grid, **{
+        "envelope exponent t^2 / (2 envelope_width^2)": _envelope_exponent(
+            reach, envelope_width),
+        "chirp phase rate * t^2 / 2": 0.5 * abs(rate) * reach * reach})
     t = grid.points()
     envelope = np.exp(-(t * t) / (2.0 * envelope_width * envelope_width))
-    return SampledSignal(grid, envelope * np.exp(-0.5j * rate * t * t))
+    return SampledSignal(grid, _Fresh(envelope * np.exp(-0.5j * rate * t * t)))

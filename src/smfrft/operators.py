@@ -33,7 +33,7 @@ import math
 import numpy as np
 
 from .errors import AlignmentError, InvalidParameterError, ShapeMismatchError
-from .grid import SampledSignal
+from .grid import SampledSignal, _Fresh
 from .kernel import Angle, time_chirp
 from .transform import lattice_split, linear_convolve
 
@@ -71,7 +71,7 @@ def shift_op(x: SampledSignal, d: float) -> SampledSignal:
         shifted[k:] = x.samples[: n - k]
     else:
         shifted[:k] = x.samples[-k:]
-    return SampledSignal(x.grid, shifted)
+    return SampledSignal(x.grid, _Fresh(shifted))
 
 
 def modulate_op(x: SampledSignal, q: float) -> SampledSignal:
@@ -81,7 +81,7 @@ def modulate_op(x: SampledSignal, q: float) -> SampledSignal:
     if not math.isfinite(q * t_max):
         raise InvalidParameterError(
             f"carrier phase q*t is not finite: q={q!r} on {x.grid}")
-    return SampledSignal(x.grid, x.samples * np.exp(1j * q * x.grid.points()))
+    return SampledSignal(x.grid, _Fresh(x.samples * np.exp(1j * q * x.grid.points())))
 
 
 def frac_product(f: SampledSignal, g: SampledSignal,
@@ -89,7 +89,7 @@ def frac_product(f: SampledSignal, g: SampledSignal,
     """Pointwise product times the chirp weight e^{(j/2) t^2 cot(phi)}."""
     _require_common_grid(f, g)
     weight = time_chirp(f.grid, angle)
-    return SampledSignal(f.grid, f.samples * g.samples * weight)
+    return SampledSignal(f.grid, _Fresh(f.samples * g.samples * weight))
 
 
 def frac_convolve(f: SampledSignal, g: SampledSignal,
@@ -110,7 +110,7 @@ def frac_convolve(f: SampledSignal, g: SampledSignal,
     n = f.grid.count
     chirp = time_chirp(f.grid, angle)
     window = linear_convolve(f.samples * chirp, g.samples * chirp, -origin, n)
-    return SampledSignal(f.grid, f.grid.step * np.conj(chirp) * window)
+    return SampledSignal(f.grid, _Fresh(f.grid.step * np.conj(chirp) * window))
 
 
 def frac_correlate(f: SampledSignal, g: SampledSignal,
@@ -129,4 +129,4 @@ def frac_correlate(f: SampledSignal, g: SampledSignal,
     chirp = time_chirp(f.grid, angle)
     window = linear_convolve((np.conj(f.samples) * chirp)[::-1],
                              g.samples * chirp, origin + n - 1, n)
-    return SampledSignal(f.grid, f.grid.step * np.conj(chirp) * window)
+    return SampledSignal(f.grid, _Fresh(f.grid.step * np.conj(chirp) * window))

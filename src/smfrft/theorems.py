@@ -294,13 +294,21 @@ def rhs_values(identity: IdentityId, f: SampledSignal, g: SampledSignal,
 # --------------------------------------------------------------------------
 # residuals and reports
 
+def _norm(v: ComplexArray) -> float:
+    """L2 norm, sqrt(sum(re^2 + im^2)), by numpy's pairwise sum over the
+    squared parts: not a BLAS dot product, whose rounding depends on its
+    thread count."""
+    parts = np.ascontiguousarray(v).view(np.float64)
+    return math.sqrt(float(np.add.reduce(parts * parts)))
+
+
 def _residual(lhs: ComplexArray, rhs: ComplexArray) -> tuple[float, bool]:
     """(residual, is_absolute): relative L2 against rhs, or the absolute
     difference norm when the reference side is identically zero.
     InvalidParameterError when either norm is not finite: sides that
     overflow a double say nothing about the identity."""
-    nrm = float(np.linalg.norm(rhs))
-    diff = float(np.linalg.norm(lhs - rhs))
+    nrm = _norm(rhs)
+    diff = _norm(lhs - rhs)
     if not (math.isfinite(nrm) and math.isfinite(diff)):
         raise InvalidParameterError(
             f"residual norms |lhs - rhs| = {diff!r} and |rhs| = {nrm!r} "

@@ -57,7 +57,7 @@ import functools
 import numpy as np
 
 from .errors import AlignmentError, GridCompatibilityError
-from .grid import ComplexArray, SampledSignal, Spectrum, UniformGrid
+from .grid import ComplexArray, SampledSignal, Spectrum, UniformGrid, _Fresh
 from .kernel import SQRT_J2PI, SQRT_J_OVER_2PI, Angle, time_chirp
 
 # relative slack on du*N*dt == 2*pi for the fast inverse pairing
@@ -191,7 +191,7 @@ def smfrft_quadrature(x: SampledSignal, u_points, angle: Angle) -> ComplexArray:
 
 def smfrft_direct(x: SampledSignal, ugrid: UniformGrid, angle: Angle) -> Spectrum:
     """Quadrature transform onto a uniform output grid."""
-    return Spectrum(ugrid, smfrft_quadrature(x, ugrid.points(), angle),
+    return Spectrum(ugrid, _Fresh(smfrft_quadrature(x, ugrid.points(), angle)),
                     angle, tgrid=x.grid)
 
 
@@ -213,7 +213,7 @@ def smfrft_fast(x: SampledSignal, angle: Angle) -> Spectrum:
     values = (grid.step / SQRT_J2PI) * np.exp(-1j * r * ugrid.points())
     values *= bins  # (scale * phase) * bins, in that order at every size
     del bins
-    return Spectrum(ugrid, values, angle, tgrid=grid)
+    return Spectrum(ugrid, _Fresh(values), angle, tgrid=grid)
 
 
 def ismfrft_direct(spectrum: Spectrum, tgrid: UniformGrid) -> SampledSignal:
@@ -227,7 +227,7 @@ def ismfrft_direct(spectrum: Spectrum, tgrid: UniformGrid) -> SampledSignal:
     fourier = _chirp_z(spectrum.values, ugrid.start, ugrid.step,
                        tgrid.start, tgrid.step, tgrid.count, +1)
     post = SQRT_J_OVER_2PI * np.conj(time_chirp(tgrid, spectrum.angle))
-    return SampledSignal(tgrid, post * ugrid.step * fourier)
+    return SampledSignal(tgrid, _Fresh(post * ugrid.step * fourier))
 
 
 def ismfrft_fast(spectrum: Spectrum) -> SampledSignal:
@@ -264,4 +264,4 @@ def ismfrft_fast(spectrum: Spectrum) -> SampledSignal:
     post *= spectrum.ugrid.step  # (post * du) * sums, in that order
     post *= sums
     del sums
-    return SampledSignal(tgrid, post)
+    return SampledSignal(tgrid, _Fresh(post))

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import click
@@ -93,6 +94,22 @@ class TestGenerate:
         assert result.exit_code == 2, result.output
         assert result.stderr.startswith("error: ")
         assert option[2:] in result.stderr
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kind", ["chirp", "gaussian"])
+    def test_overflowing_grid_exits_two(self, runner, tmp_path, kind):
+        # refused before any sample arithmetic: no RuntimeWarning, and the
+        # message names the grid, not the samples it would have made
+        out = tmp_path / "sig.csv"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            result = runner.invoke(cli, ["generate", "--kind", kind, "--count", "64",
+                                        "--step", "1e160", "--start", "0",
+                                        "--output", str(out)])
+        assert [str(w.message) for w in caught] == []
+        assert result.exit_code == 2, result.output
+        assert result.stderr.startswith("error: envelope exponent")
+        assert "on UniformGrid(start=0.0, step=1e+160, count=64)" in result.stderr
         assert not out.exists()
 
     def test_zero_count_is_usage_error(self, runner, tmp_path):
@@ -545,6 +562,24 @@ class TestVerify:
                            row["residual_derived_form"])
             expected = headroom or f"{residual / row['tolerance']:.2e}"
             assert fields[5:] == [expected, verdict]
+
+    def test_report_bytes_do_not_depend_on_blas_threads(self, tmp_path):
+        # the residual norms are numpy's pairwise sums, not BLAS dot
+        # products, whose rounding moves with OpenBLAS's thread count
+        src = str(Path(cli_module.__file__).resolve().parents[1])
+        outputs = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+                   "PYTHONPATH": os.pathsep.join(
+                       p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+            report = tmp_path / f"report_{threads}.json"
+            result = subprocess.run(
+                [sys.executable, "-m", "smfrft.cli", "verify", "--count", "16384",
+                 "--identities", "CONV,CORR,PROD", "--output", str(report)],
+                env=env, capture_output=True, check=False)
+            assert result.returncode == 0, result.stderr
+            outputs.append((report.read_bytes(), result.stdout))
+        assert outputs[0] == outputs[1]
 
     def test_identities_flag_filters(self, runner, tmp_path):
         cfg = tmp_path / "cfg.json"

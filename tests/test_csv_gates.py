@@ -12,6 +12,7 @@ itself on the doubles where shortest round-trip digits are hardest to
 get right.
 """
 
+import decimal
 import math
 import os
 import warnings
@@ -344,6 +345,56 @@ def test_formatter_matches_repr(tmp_path, family):
     write_spectrum_csv(ours, grid, values)
     csv_reference.write(ref, "u,re,im", grid.points(), values)
     assert ours.read_bytes() == ref.read_bytes()
+
+
+# the formatter against repr, one double for each layout repr prints: the
+# sign, then fixed notation with its decimal point p (x = 0.d1d2...dn *
+# 10^p, -3 <= p <= 16) or exponent notation with the exponent's sign and
+# width, and the number n of significant digits
+
+FORMS = [("fixed", p) for p in range(-3, 17)] + [
+    ("exponent", sign, width) for sign in "+-" for width in (2, 3)]
+# the decimal point that gives each exponent form, e+20, e+200, e-21, e-201
+EXPONENT_POINT = {("+", 2): 21, ("+", 3): 201, ("-", 2): -20, ("-", 3): -200}
+CORNERS = [1000000000000000.0, 1e16, 5e-324, -0.0, 0.0, -1e-100, 1e-300,
+           -2.2250738585072014e-308, 1.7976931348623157e308, 1e-05, 0.0001,
+           -5e-324]
+
+
+def layout(text: str):
+    """(negative, form, n) of a number as ``repr`` prints it."""
+    sign, digits, exponent = decimal.Decimal(text).normalize().as_tuple()
+    point = exponent + len(digits)
+    if "e" in text:
+        power = text.partition("e")[2]
+        return bool(sign), ("exponent", power[0], len(power) - 1), len(digits)
+    return bool(sign), ("fixed", point), len(digits)
+
+
+def with_layout(negative: bool, form, n: int) -> float:
+    """A double that ``repr`` prints in this layout: the n digits
+    1234567891... at the form's decimal point, or the first double above
+    them that keeps n shortest digits."""
+    point = form[1] if form[0] == "fixed" else EXPONENT_POINT[form[1:]]
+    x = float(f"{'-' if negative else ''}0.{'12345678912345678'[:n]}e{point}")
+    for _ in range(100):
+        if layout(repr(x)) == (negative, form, n):
+            return x
+        x = math.nextafter(x, math.inf)
+    raise AssertionError(f"no double found for {negative, form, n}")
+
+
+def test_every_layout_matches_repr():
+    layouts = [(negative, form, n) for negative in (False, True)
+               for form in FORMS for n in range(1, 18)]
+    x = np.array([with_layout(*key) for key in layouts] + CORNERS)
+    assert {layout(repr(v)) for v in x.tolist()} >= set(layouts)
+    assert len(layouts) == 816 and x.size % 3 == 0
+    assert io_csv._repr_rows(x.reshape(-1, 3)) == repr_reference(x)
+    # each double in each of the three columns
+    for shift in (1, 2):
+        rolled = np.roll(x, shift)
+        assert io_csv._repr_rows(rolled.reshape(-1, 3)) == repr_reference(rolled)
 
 
 @given(st.lists(st.floats(allow_nan=False, allow_infinity=False),

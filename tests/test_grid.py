@@ -17,6 +17,8 @@ from smfrft import (
     make_angle,
 )
 
+from smfrft.grid import _Fresh
+
 from dense_oracle import relative_l2_error
 
 
@@ -151,6 +153,27 @@ class TestGenerators:
         b = gen_chirp(std_grid, 3.0, 1.5)
         assert np.array_equal(a.samples, b.samples)
 
+    @pytest.mark.parametrize("grid, generator, exponent", [
+        (UniformGrid(0.0, 1e160, 64), lambda g: gen_chirp(g, 1.0, 1.0),
+         "envelope exponent t^2"),
+        (UniformGrid(1e100, 1.0, 4), lambda g: gen_chirp(g, 1e300, 1.0),
+         "chirp phase"),
+        (UniformGrid(0.0, 1e160, 64), lambda g: gen_gaussian(g, 0.0, 1.0, 0.0),
+         "envelope exponent (t - center)^2"),
+        (UniformGrid(-16.0, 1.0, 4), lambda g: gen_gaussian(g, 0.0, 1e-200, 0.0),
+         "envelope exponent (t - center)^2"),
+        (UniformGrid(1e100, 1.0, 4), lambda g: gen_gaussian(g, 1e100, 1.0, 1e300),
+         "carrier phase"),
+    ], ids=["chirp-grid", "chirp-rate", "gaussian-grid", "gaussian-width",
+            "gaussian-carrier"])
+    def test_overflow_refused_naming_the_grid(self, grid, generator, exponent):
+        # refused before any array arithmetic, so no RuntimeWarning (an
+        # error in this suite) comes first
+        with pytest.raises(InvalidParameterError) as err:
+            generator(grid)
+        assert str(err.value).startswith(exponent)
+        assert str(err.value).endswith(f"overflows a double on {grid}")
+
 
 class TestSampledSignal:
     def test_sample_count_must_match_grid(self, small_grid):
@@ -167,6 +190,27 @@ class TestSampledSignal:
         x = gen_gaussian(small_grid, 0.0, 1.0, 0.0)
         with pytest.raises(ValueError):
             x.samples[0] = 5.0
+
+    @pytest.mark.parametrize("build", [
+        lambda grid, a: SampledSignal(grid, a).samples,
+        lambda grid, a: Spectrum(grid, a, make_angle(1.0)).values,
+    ], ids=["signal", "spectrum"])
+    def test_caller_array_is_copied(self, small_grid, build):
+        # the caller keeps its array: changing it later leaves the value
+        samples = np.arange(small_grid.count, dtype=np.complex128)
+        held = build(small_grid, samples)
+        samples[:] = -1.0
+        assert np.array_equal(held, np.arange(small_grid.count))
+        assert samples.flags.writeable
+
+    def test_fresh_array_is_taken_not_copied(self, small_grid):
+        samples = np.arange(small_grid.count, dtype=np.complex128)
+        x = SampledSignal(small_grid, _Fresh(samples))
+        assert x.samples is samples and not samples.flags.writeable
+        bad = samples.copy()
+        bad[3] = np.nan
+        with pytest.raises(InvalidParameterError):
+            SampledSignal(small_grid, _Fresh(bad))
 
 
 class TestRelativeL2Error:

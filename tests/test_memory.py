@@ -79,3 +79,18 @@ def test_command_peaks_at_its_read(traced_peak, files, tmp_path, command, source
     peak = traced_peak(lambda: results.append(CliRunner().invoke(cli, args)))
     assert results[0].exit_code == 0, results[0].output
     assert peak < path.stat().st_size + TABLE + ARRAY
+
+
+def test_generate_peaks_below_a_read(traced_peak, tmp_path):
+    # a write with no read: the generator's samples, then the axis and one
+    # block's formatter temporaries, file + 0.3, under the bound that a
+    # read of the same file meets, so that no formatter outgrows a
+    # command's read
+    out = tmp_path / "x.csv"
+    args = ["generate", "--kind", "chirp", f"--rate={RATE!r}", "--width=3.0",
+            "--start=-32.0", f"--step={64.0 / N!r}", f"--count={N}",
+            "--output", str(out)]
+    results = []
+    peak = traced_peak(lambda: results.append(CliRunner().invoke(cli, args)))
+    assert results[0].exit_code == 0, results[0].output
+    assert peak < out.stat().st_size + TABLE + ARRAY
