@@ -42,11 +42,13 @@ _DOMAIN_ERRORS = (SmfrftError, OSError, MemoryError)
 
 class _DomainErrorsExit2(click.Group):
     """Runs every command so that a domain error prints ``error: ...``
-    and exits 2."""
+    and exits 2. A value past a double becomes inf or nan without a
+    warning, and the finite check on every output refuses it."""
 
     def invoke(self, ctx):
         try:
-            return super().invoke(ctx)
+            with np.errstate(over="ignore", invalid="ignore"):
+                return super().invoke(ctx)
         except _DOMAIN_ERRORS as exc:
             click.echo(f"error: {exc}", err=True)
             sys.exit(2)

@@ -24,14 +24,12 @@ is only the paper's point of comparison) live in the test suite's oracle.
 
 The chirp e^{(j/2) cot t^2} on a sampling grid, which every transform
 applies (the inverses conjugated), as does every operator weight, has one
-formula, ``time_chirp``, cached per (grid, angle) because the identity
-suite asks for the same few chirps hundreds of times. The fast
-transforms call it uncached (``time_chirp.__wrapped__``).
+formula, ``time_chirp``, reused per (grid, angle) in a reuse scope.
 """
 
 from __future__ import annotations
 
-import functools
+import contextvars
 import math
 from dataclasses import dataclass
 
@@ -82,17 +80,34 @@ def make_angle(phi: float) -> Angle:
     return Angle(phi=phi, cot_phi=math.cos(phi) / s)
 
 
-@functools.lru_cache(maxsize=16)
+# the open reuse scope's values by key; None outside one
+_reuse = contextvars.ContextVar("_reuse", default=None)
+
+
+def reused(key, build):
+    """``build()``, or in the reuse scope that ``run_suite`` opens per run the
+    read-only value an equal ``key`` built there; a value holds the object
+    of any ``id`` in its key. Outside a scope nothing is kept."""
+    memo = _reuse.get()
+    if memo is None:
+        return build()
+    if key not in memo:
+        memo[key] = build()
+    return memo[key]
+
+
 def time_chirp(grid, angle: Angle) -> np.ndarray:
-    """exp((j/2) cot(phi) t^2) at the points of a ``UniformGrid``, read-only;
-    equal (grid, angle) keys share one array. InvalidGridError when the
-    largest phase |cot(phi)| t^2 / 2 overflows a double."""
+    """exp((j/2) cot(phi) t^2) at the points of a ``UniformGrid``, read-only
+    and ``reused`` per (grid, angle). InvalidGridError when the largest
+    phase |cot(phi)| t^2 / 2 overflows a double."""
     t_max = max(abs(grid.start), abs(grid.point(grid.count - 1)))
     if not math.isfinite(0.5 * abs(angle.cot_phi) * t_max * t_max):
         raise InvalidGridError(
             f"chirp phase cot(phi) t^2 / 2 overflows a double on {grid} "
             f"at phi={angle.phi!r}")
-    t = grid.points()
-    chirp = np.exp(0.5j * angle.cot_phi * t * t)
-    chirp.setflags(write=False)
-    return chirp
+    def build():
+        t = grid.points()
+        chirp = np.exp(0.5j * angle.cot_phi * t * t)
+        chirp.setflags(write=False)
+        return chirp
+    return reused((time_chirp, grid, angle), build)

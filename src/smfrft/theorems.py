@@ -19,10 +19,10 @@ check computes its two sides from the row by disjoint routes:
 
 Within ``run_suite`` many right-hand sides need the same operand spectrum
 at the same points (F(u), G(u), the overline F(-u)). The suite runs angle
-by angle and pair by pair, and for one (angle, pair) ``_spectrum``
-computes each such spectrum once and hands the same values to every
-builder that asks; the memo is dropped when that (angle, pair) ends.
-Left-hand transforms, and every call made outside ``run_suite``, are
+by angle and pair by pair in one reuse scope (``kernel.reused``), which
+keeps chirps and chirp-z plans for the run; for one (angle, pair)
+``_spectrum`` computes each such spectrum once for every builder that
+asks. Left-hand transforms, and every call outside ``run_suite``, are
 computed afresh.
 
 The rows hold no evaluator; each is looked up in this module when a
@@ -47,7 +47,6 @@ multiplying the already-conjugated operand inside the integral. With the
 
 from __future__ import annotations
 
-import contextvars
 import json
 import math
 import numbers
@@ -60,7 +59,7 @@ import numpy as np
 from .corpus import PAIR_COUNT, default_pairs
 from .errors import AlignmentError, InvalidParameterError, SmfrftError
 from .grid import ComplexArray, SampledSignal, UniformGrid
-from .kernel import SQRT_J2PI, SQRT_J_OVER_2PI, Angle, make_angle
+from .kernel import SQRT_J2PI, SQRT_J_OVER_2PI, Angle, _reuse, make_angle, reused
 from .operators import (
     _lattice_index,
     frac_convolve,
@@ -130,14 +129,6 @@ ABSOLUTE_TOLERANCE = 1e-14
 # builder collapses onto the plain, shifted and modulated forms. The
 # correlation forms take the overline spectrum of f (see _spectrum).
 
-# While run_suite computes one (angle, pair), the RHS spectra it has
-# already computed, keyed by (id(operand), conj, angle, u); each value
-# holds its operand, so no id is reused while the memo lives. None
-# everywhere else (other threads included): nothing else is memoized.
-_rhs_memo: contextvars.ContextVar[dict | None] = contextvars.ContextVar(
-    "_rhs_memo", default=None)
-
-
 def _spectrum(x: SampledSignal, u: np.ndarray, angle: Angle,
               conj: bool = False) -> ComplexArray:
     """Quadrature spectrum of ``x`` (of its conjugate with ``conj``, the
@@ -148,16 +139,14 @@ def _spectrum(x: SampledSignal, u: np.ndarray, angle: Angle,
     the kernel chirp.
 
     The quadrature reads only u[0], u[-1] and len(u), so those, to the
-    bit, name the points in the memo key.
+    bit, name the points in the ``reused`` key, beside ``id(x)``.
     """
-    memo = _rhs_memo.get()
-    if memo is None:
-        return smfrft_quadrature(x.conjugate() if conj else x, u, angle)
-    key = (id(x), conj, angle, len(u), u[[0, -1]].tobytes())
-    if key not in memo:
-        memo[key] = (x, smfrft_quadrature(x.conjugate() if conj else x, u,
-                                          angle))
-    return memo[key][1]
+    def build():
+        values = smfrft_quadrature(x.conjugate() if conj else x, u, angle)
+        values.setflags(write=False)
+        return x, values
+    key = (_spectrum, id(x), conj, angle, len(u), u[[0, -1]].tobytes())
+    return reused(key, build)[1]
 
 
 def _tf_shifted(x: SampledSignal, angle: Angle, d: float, q: float,
@@ -501,10 +490,6 @@ def run_suite(cfg: SuiteConfig = SuiteConfig()) -> list[IdentityReport]:
     error inside a check is raised again as the same class with the
     identity and parameters in front of its message; any other failure,
     a bug rather than bad input, aborts as RuntimeError with that context.
-
-    Checks run angle by angle and pair by pair; while one (angle, pair)
-    runs, the right-hand sides reuse the operand spectra they have
-    already computed (``_spectrum``). Left-hand sides never do.
     """
     tgrid = cfg.time_grid()
     ugrid = fast_ugrid(tgrid)
@@ -527,11 +512,12 @@ def run_suite(cfg: SuiteConfig = SuiteConfig()) -> list[IdentityReport]:
                     records.append((identity, phi, d, q, differs, key))
                     checks.setdefault(key, (identity, d, q, differs))
     per_pair: dict = {key: [] for key in checks}
-    for phi in cfg.angles:
-        angle = make_angle(phi)
-        for f, g in selected:
-            token = _rhs_memo.set({})
-            try:
+    memo = {}   # the reuse scope: chirps and chirp-z plans live for the run
+    token = _reuse.set(memo)
+    try:
+        for phi in cfg.angles:
+            angle = make_angle(phi)
+            for f, g in selected:
                 for key, (identity, d, q, differs) in checks.items():
                     if key[0] != phi:
                         continue
@@ -543,8 +529,11 @@ def run_suite(cfg: SuiteConfig = SuiteConfig()) -> list[IdentityReport]:
                         if isinstance(exc, SmfrftError):
                             raise type(exc)(f"{where}: {exc}") from exc
                         raise RuntimeError(f"{where} failed") from exc
-            finally:
-                _rhs_memo.reset(token)
+                # the operand spectra die with their (angle, pair)
+                for spectrum in [k for k in memo if k[0] is _spectrum]:
+                    del memo[spectrum]
+    finally:
+        _reuse.reset(token)
     return [_report(identity, phi, d, q, tgrid.count, per_pair[key],
                     cfg.tolerance_for(identity, phi), differs)
             for identity, phi, d, q, differs, key in records]

@@ -26,20 +26,11 @@ The fast inverse refuses grids off du * N * dt = 2*pi (to 1e-9 relative):
 on that reciprocal pairing the discrete chain is an exact inverse DFT, and
 interpolating anything else would contaminate downstream residuals.
 
-What the quadrature would otherwise recompute is cached, because the
-identity suite makes hundreds of calls on a handful of geometries (180
-calls on 9 geometries at N = 1024 with two angles):
-
-* per chirp-z geometry (N, x0, dx, y0, dy, count, sign), its input
-  chirp, the FFT of Bluestein's lag chirp and its output chirp
-  (``_chirp_z_plan``);
-* per (grid, angle), the kernel chirp e^{(j/2) cot t^2}
-  (``kernel.time_chirp``), which the fast transforms call uncached
-  (``__wrapped__``): a command would only keep a chirp it never reuses.
-
-All are read-only and bounded, and a cached call gives the same bits as
-a cold one. The fast transforms drop each array once it has been used.
-In complex arrays of the signal's length beyond the input (tracemalloc;
+In a reuse scope (``kernel.reused``: ``run_suite``'s 180 quadratures at
+N = 1024 with two angles share 9 chirp-z geometries) the quadrature
+reuses each geometry's plan (``_chirp_z_plan``), with a fresh build's
+bits. The fast transforms drop each array once it has been used. In
+complex arrays of the signal's length beyond the input (tracemalloc;
 pocketfft's plan and buffer unseen), ``smfrft_fast`` peaks at three: the
 shifted FFT, the output phase and its argument; ``ismfrft_fast`` at 3.5:
 the rolled sums beside the post-chirp's grid, argument and value. The
@@ -52,13 +43,11 @@ bits of the chains in ``tests/fast_reference.py``.
 
 from __future__ import annotations
 
-import functools
-
 import numpy as np
 
 from .errors import AlignmentError, GridCompatibilityError
 from .grid import ComplexArray, SampledSignal, Spectrum, UniformGrid, _Fresh
-from .kernel import SQRT_J2PI, SQRT_J_OVER_2PI, Angle, time_chirp
+from .kernel import SQRT_J2PI, SQRT_J_OVER_2PI, Angle, reused, time_chirp
 
 # relative slack on du*N*dt == 2*pi for the fast inverse pairing
 _RECIPROCAL_RTOL = 1e-9
@@ -87,7 +76,6 @@ def linear_convolve(a: np.ndarray, b: np.ndarray, offset: int,
     return out
 
 
-@functools.lru_cache(maxsize=16)
 def _chirp_z_plan(n: int, x0: float, dx: float, y0: float, dy: float,
                   count: int, sign: int
                   ) -> tuple[ComplexArray, ComplexArray, ComplexArray]:
@@ -122,13 +110,19 @@ def _chirp_z(values: np.ndarray, x0: float, dx: float, y0: float, dy: float,
     lags k' - n', and a chirp on the output. Output k is entry k + N - 1
     of that convolution, which a circular FFT convolution of size
     >= N + count - 1 already holds exactly. Centring the indices keeps the
-    phases, and so their rounding, small. The two end chirps and the lag
-    chirp's FFT come from ``_chirp_z_plan``.
+    phases, and so their rounding, small. The chirps come from
+    ``_chirp_z_plan``; one buffer takes each product in the chain's order.
     """
     n = values.shape[0]
-    pre, lag_fft, post = _chirp_z_plan(n, x0, dx, y0, dy, count, sign)
-    sums = np.fft.ifft(np.fft.fft(values * pre, lag_fft.shape[0]) * lag_fft)
-    return post * sums[n - 1:n - 1 + count]
+    geometry = (n, x0, dx, y0, dy, count, sign)
+    pre, lag_fft, post = reused((_chirp_z_plan, *geometry),
+                                lambda: _chirp_z_plan(*geometry))
+    buf = np.zeros(lag_fft.shape[0], dtype=np.complex128)
+    np.multiply(values, pre, out=buf[:n])
+    np.fft.fft(buf, out=buf)
+    buf *= lag_fft
+    np.fft.ifft(buf, out=buf)
+    return post * buf[n - 1:n - 1 + count]
 
 
 def _even_spacing(points: np.ndarray) -> tuple[float, float]:
@@ -206,7 +200,7 @@ def smfrft_fast(x: SampledSignal, angle: Angle) -> Spectrum:
     """
     grid = x.grid
     m, r = lattice_split(grid.start, grid.step, "time grid start")
-    chirped = np.roll(x.samples * time_chirp.__wrapped__(grid, angle), m % grid.count)
+    chirped = np.roll(x.samples * time_chirp(grid, angle), m % grid.count)
     bins = np.fft.fftshift(np.fft.fft(chirped))
     del chirped
     ugrid = fast_ugrid(grid)
@@ -260,7 +254,7 @@ def ismfrft_fast(spectrum: Spectrum) -> SampledSignal:
     sums = n * np.fft.ifft(referenced)
     del referenced
     sums = np.roll(sums, -m % n)
-    post = SQRT_J_OVER_2PI * np.conj(time_chirp.__wrapped__(tgrid, spectrum.angle))
+    post = SQRT_J_OVER_2PI * np.conj(time_chirp(tgrid, spectrum.angle))
     post *= spectrum.ugrid.step  # (post * du) * sums, in that order
     post *= sums
     del sums

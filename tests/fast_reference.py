@@ -1,12 +1,14 @@
-"""The fast transforms with each chain of products as one expression: a
+"""The transforms with each chain of products as one expression: a
 bit-level reference.
 
 ``smfrft_fast`` and ``ismfrft_fast`` below keep every temporary alive to
-the end and do no product in place. Which operands numpy's temporary
-elision (from 256 KiB on) swaps follows from these expression shapes;
-``tests/test_transform.py`` requires the library's bits to equal these
-at sizes on both sides of that threshold. Do not tidy these bodies:
-their expression shapes are the point.
+the end and do no product in place, and ``chirp_z``, behind
+``smfrft_quadrature`` and ``ismfrft_direct``, is Bluestein's chain
+without the library's one in-place buffer. Which operands numpy's
+temporary elision (from 256 KiB on) swaps follows from these expression
+shapes; ``tests/test_transform.py`` requires the library's bits to equal
+these at sizes on both sides of that threshold. Do not tidy these
+bodies: their expression shapes are the point.
 """
 
 import numpy as np
@@ -14,12 +16,18 @@ import numpy as np
 from smfrft.errors import GridCompatibilityError
 from smfrft.grid import SampledSignal, Spectrum
 from smfrft.kernel import SQRT_J2PI, SQRT_J_OVER_2PI, time_chirp
-from smfrft.transform import _RECIPROCAL_RTOL, fast_ugrid, lattice_split
+from smfrft.transform import (
+    _RECIPROCAL_RTOL,
+    _chirp_z_plan,
+    _even_spacing,
+    fast_ugrid,
+    lattice_split,
+)
 
 
 def smfrft_fast(x, angle):
     m, r = lattice_split(x.grid.start, x.grid.step, "time grid start")
-    chirp = time_chirp.__wrapped__(x.grid, angle)
+    chirp = time_chirp(x.grid, angle)
     bins = np.fft.fftshift(np.fft.fft(np.roll(x.samples * chirp, m)))
     ugrid = fast_ugrid(x.grid)
     u = ugrid.points()
@@ -48,6 +56,30 @@ def ismfrft_fast(spectrum):
     u = spectrum.ugrid.points()
     referenced = spectrum.values * np.exp(1j * r * u)
     sums = np.roll(n * np.fft.ifft(np.fft.ifftshift(referenced)), -m)
-    chirp = time_chirp.__wrapped__(tgrid, spectrum.angle)
+    chirp = time_chirp(tgrid, spectrum.angle)
     post = SQRT_J_OVER_2PI * np.conj(chirp)
     return SampledSignal(tgrid, post * spectrum.ugrid.step * sums)
+
+
+def chirp_z(values, x0, dx, y0, dy, count, sign):
+    n = values.shape[0]
+    pre, lag_fft, post = _chirp_z_plan(n, x0, dx, y0, dy, count, sign)
+    size = lag_fft.shape[0]
+    return post * np.fft.ifft(np.fft.fft(values * pre, size) * lag_fft)[n - 1:n - 1 + count]
+
+
+def smfrft_quadrature(x, u_points, angle):
+    u = np.asarray(u_points, dtype=np.float64)
+    u0, du = _even_spacing(u)
+    grid = x.grid
+    chirped = x.samples * time_chirp(grid, angle)
+    sums = chirp_z(chirped, grid.start, grid.step, u0, du, u.shape[0], -1)
+    return (grid.step / SQRT_J2PI) * sums
+
+
+def ismfrft_direct(spectrum, tgrid):
+    ugrid = spectrum.ugrid
+    fourier = chirp_z(spectrum.values, ugrid.start, ugrid.step,
+                      tgrid.start, tgrid.step, tgrid.count, +1)
+    post = SQRT_J_OVER_2PI * np.conj(time_chirp(tgrid, spectrum.angle))
+    return SampledSignal(tgrid, post * ugrid.step * fourier)

@@ -1,4 +1,5 @@
-"""The CLI contract as a property, for `verify --config`.
+"""The CLI contract as a property, for `verify --config` and the
+quadrature options of `transform --ugrid` and `invert --step/--count`.
 
 Whatever JSON object the config file holds, `verify` runs in-process
 (through click's `CliRunner`, under the suite's ``error::RuntimeWarning``)
@@ -13,6 +14,12 @@ and:
 Valid values stay small (n <= 128). The grid's |start| and span reach
 1e308: the generators refuse a grid on which a sample's exponent
 overflows, before any array arithmetic.
+
+Whatever output grid the quadrature options name (NaN, infinities,
++-1e308, subnormal and negative steps, counts up to 4096), `transform`
+and `invert` run in-process, let no exception other than `SystemExit`
+escape and exit 0 or 2; exit 0 writes a file that reads back finite on
+the named grid, and exit 2 writes none.
 """
 
 import dataclasses
@@ -21,10 +28,12 @@ import math
 import tempfile
 from pathlib import Path
 
+import pytest
 from click.testing import CliRunner
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from smfrft import UniformGrid, gen_chirp, io_csv, make_angle, smfrft_fast
 from smfrft.cli import cli
 from smfrft.theorems import IdentityId, SuiteConfig
 
@@ -118,3 +127,57 @@ def test_verify_config_keeps_the_exit_code_contract(config):
         rows = json.loads(report.read_text(), parse_constant=refuse)
         failed = any(not row["pass"] for row in rows)
         assert result.exit_code == (1 if failed else 0)
+
+
+# grid values that overflow, vanish or are not numbers, and ordinary ones
+EDGES = st.sampled_from([math.nan, math.inf, -math.inf, 1e308, -1e308,
+                         5e-324, -5e-324, 2.2e-308, 1e-300, 0.0, -0.0, 1e154,
+                         1e-3])
+STARTS = EDGES | st.floats(-1e3, 1e3) | st.floats(allow_nan=False)
+STEPS = EDGES | st.floats(1e-4, 10.0) | st.floats(-10.0, 0.0) | st.floats()
+COUNTS = st.sampled_from([-1, 0, 1, 2, 3, 4096]) | st.integers(2, 4096)
+ANGLES = st.sampled_from([0.7, math.pi / 2, -2.0, 1e-6])
+
+
+@pytest.fixture(scope="module")
+def quadrature_inputs(tmp_path_factory):
+    """A 64-sample signal's CSV file and its fast spectrum's."""
+    root = tmp_path_factory.mktemp("quadrature")
+    signal = gen_chirp(UniformGrid(-8.0, 0.25, 64), 1.3, 2.0)
+    spectrum = smfrft_fast(signal, make_angle(0.7))
+    io_csv.write_signal_csv(root / "x.csv", signal)
+    io_csv.write_spectrum_csv(root / "s.csv", spectrum.ugrid, spectrum.values)
+    return root
+
+
+@given(invert=st.booleans(), start=STARTS, step=STEPS, count=COUNTS, phi=ANGLES)
+@example(invert=False, start=-1e308, step=1e308, count=2, phi=0.7)
+@example(invert=True, start=-1e308, step=1e308, count=2, phi=0.7)
+@example(invert=False, start=0.0, step=1e308, count=3, phi=0.7)
+@example(invert=True, start=0.0, step=5e-324, count=4096, phi=0.7)
+@example(invert=False, start=1e154, step=1e150, count=64, phi=1e-6)
+@settings(max_examples=150, deadline=None)
+def test_quadrature_options_keep_the_exit_code_contract(quadrature_inputs, invert,
+                                                        start, step, count, phi):
+    if invert:
+        source, read = "s.csv", io_csv.read_signal_csv
+        options = [f"--start={start!r}", f"--step={step!r}", f"--count={count}"]
+    else:
+        source, read = "x.csv", io_csv.read_spectrum_csv
+        options = [f"--ugrid={start!r}:{step!r}:{count}"]
+    with tempfile.TemporaryDirectory() as tmp:
+        output = Path(tmp) / "out.csv"
+        result = CliRunner().invoke(cli, [
+            "invert" if invert else "transform", *options, f"--angle={phi!r}",
+            "--input", str(quadrature_inputs / source), "--output", str(output)])
+        assert result.exception is None or isinstance(result.exception,
+                                                      SystemExit), (
+            result.exception)
+        assert result.exit_code in (0, 2), result.output
+        if result.exit_code == 2:
+            assert not output.exists()
+            return
+        # the readers refuse a value that is not finite
+        written = read(output)
+        grid = written.grid if invert else written[0]
+        assert grid.count == count and math.isclose(grid.start, start)

@@ -1,16 +1,37 @@
 import cmath
+import contextlib
+import gc
 import math
+import tracemalloc
+import weakref
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import smfrft.theorems as theorems
 from smfrft import (
     SQRT_J2PI,
     SQRT_J_OVER_2PI,
     DegenerateAngleError,
+    InvalidParameterError,
+    SampledSignal,
+    SuiteConfig,
+    fast_ugrid,
+    frac_convolve,
+    frac_correlate,
+    frac_product,
+    ismfrft_direct,
+    ismfrft_fast,
     make_angle,
+    run_suite,
+    smfrft_direct,
+    smfrft_fast,
+    smfrft_quadrature,
 )
+from smfrft import kernel, transform
+from smfrft.kernel import time_chirp
 
 from dense_oracle import frft_kernel, smfrft_kernel
 
@@ -129,3 +150,130 @@ class TestBranchConstants:
         assert SQRT_J2PI.imag == pytest.approx(1.772454, abs=1e-6)
         assert SQRT_J_OVER_2PI.real == pytest.approx(0.282095, abs=1e-6)
         assert SQRT_J_OVER_2PI.imag == pytest.approx(0.282095, abs=1e-6)
+
+
+@contextlib.contextmanager
+def reuse_scope():
+    """A reuse scope as ``run_suite`` opens one; yields its dict."""
+    memo = {}
+    token = kernel._reuse.set(memo)
+    try:
+        yield memo
+    finally:
+        kernel._reuse.reset(token)
+
+
+def held_arrays(memo):
+    """Every array that a scope's values hold."""
+    return [a for value in memo.values()
+            for a in (value if isinstance(value, tuple) else (value,))
+            if isinstance(a, np.ndarray)]
+
+
+def scope_probe(monkeypatch):
+    """Patch ``run_suite``'s checks to record, after each, weak references
+    to the arrays its reuse scope holds, and the angles and operand ids of
+    its spectra, the check's angle and operand ids, and the keys of its
+    other entries; returns both lists."""
+    refs, spectra = [], []
+
+    def probed(identity, f, g, angle, *args, _fn=theorems._residuals):
+        try:
+            return _fn(identity, f, g, angle, *args)
+        finally:
+            memo = kernel._reuse.get()
+            refs.extend(weakref.ref(a) for a in held_arrays(memo))
+            spectral = [k for k in memo if k[0] is theorems._spectrum]
+            spectra.append(({k[3] for k in spectral}, {k[1] for k in spectral},
+                            angle, {id(f), id(g)}, set(memo) - set(spectral)))
+    monkeypatch.setattr(theorems, "_residuals", probed)
+    return refs, spectra
+
+
+class TestReuseScope:
+    @staticmethod
+    def calls(grid, rng):
+        """Every evaluator that looks up a chirp or a chirp-z plan."""
+        x, y = (SampledSignal(grid, rng.standard_normal(grid.count)
+                              + 1j * rng.standard_normal(grid.count))
+                for _ in range(2))
+        angle = make_angle(0.9)
+        ugrid = fast_ugrid(grid)
+        u = ugrid.points() - 0.7
+        spectrum = smfrft_direct(x, ugrid, angle)
+        return (lambda: smfrft_quadrature(x, u, angle),
+                lambda: smfrft_quadrature(x, -u[::-1][:100], angle),
+                lambda: ismfrft_direct(spectrum, grid).samples,
+                lambda: smfrft_fast(x, angle).values,
+                lambda: ismfrft_fast(smfrft_fast(x, angle)).samples,
+                lambda: frac_convolve(x, y, angle).samples,
+                lambda: frac_correlate(x, y, angle).samples,
+                lambda: frac_product(x, y, angle).samples,
+                lambda: theorems._spectrum(x, u, angle, conj=True))
+
+    def test_calls_outside_a_scope_equal_calls_inside_one(self, std_grid, rng):
+        for op in self.calls(std_grid, rng):
+            fresh = op()
+            with reuse_scope() as memo:
+                cold = op()
+                assert memo
+                warm = op()
+            assert fresh.tobytes() == cold.tobytes() == warm.tobytes()
+            assert kernel._reuse.get() is None
+
+    def test_nothing_is_kept_outside_a_scope(self, std_grid, rng):
+        # each call's arrays die with it: no chirp, plan or spectrum
+        # outlives the call that built it
+        for op in self.calls(std_grid, rng):
+            op()   # numpy's one-time set-up
+            tracemalloc.start()
+            try:
+                op()
+                kept = tracemalloc.get_traced_memory()[0]
+            finally:
+                tracemalloc.stop()
+            assert kept < 16 * std_grid.count
+
+    def test_reused_arrays_are_read_only(self, std_grid, rng):
+        with reuse_scope() as memo:
+            for op in self.calls(std_grid, rng):
+                op()
+            arrays = held_arrays(memo)
+        arrays += [*transform._chirp_z_plan(512, -8.0, 0.03, 1.5, 0.2, 256, -1),
+                   time_chirp(std_grid, make_angle(0.4))]
+        assert len(arrays) > 10
+        for held in arrays:
+            with pytest.raises(ValueError):
+                held[0] = 0.0
+
+    @pytest.mark.parametrize("overrides", [{}, {"q_values": (0.0, 1e308)}],
+                             ids=["returns", "raises"])
+    def test_run_suite_holds_nothing_after_it_ends(self, monkeypatch,
+                                                   overrides):
+        # the second config overflows a carrier phase after some checks ran
+        refs, _ = scope_probe(monkeypatch)
+        cfg = SuiteConfig(n=64, angles=(math.pi / 4, math.pi / 2),
+                          pair_indices=(0, 1), **overrides)
+        if overrides:
+            with pytest.raises(InvalidParameterError, match="carrier phase"):
+                run_suite(cfg)
+        else:
+            run_suite(cfg)
+        gc.collect()
+        assert refs and all(ref() is None for ref in refs)
+        assert kernel._reuse.get() is None
+
+    def test_spectra_live_for_one_angle_and_pair(self, monkeypatch):
+        # chirps and chirp-z plans live for the run; the operand spectra
+        # of one (angle, pair) are dropped when it ends
+        _, spectra = scope_probe(monkeypatch)
+        run_suite(SuiteConfig(n=64, angles=(math.pi / 4, math.pi / 2),
+                              pair_indices=(0, 1)))
+        assert len(spectra) > 20
+        kept = set()
+        for angles, operands, angle, pair, others in spectra:
+            assert angles == {angle} and operands == pair
+            assert others >= kept
+            kept = others
+        assert {k[2].phi for k in kept if k[0] is time_chirp} == {math.pi / 4,
+                                                                  math.pi / 2}

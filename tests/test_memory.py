@@ -16,7 +16,6 @@ from click.testing import CliRunner
 
 from smfrft import UniformGrid, gen_chirp, io_csv, make_angle
 from smfrft.cli import cli
-from smfrft.kernel import time_chirp
 from smfrft.transform import ismfrft_fast, smfrft_fast
 
 N = 2**16
@@ -75,10 +74,29 @@ def test_command_peaks_at_its_read(traced_peak, files, tmp_path, command, source
     args = [command, "--input", str(path), "--output", str(tmp_path / "out.csv"),
             f"--angle={ANGLE.phi!r}", *options]
     results = []
-    time_chirp.cache_clear()
     peak = traced_peak(lambda: results.append(CliRunner().invoke(cli, args)))
     assert results[0].exit_code == 0, results[0].output
     assert peak < path.stat().st_size + TABLE + ARRAY
+
+
+@pytest.mark.parametrize("command, source, options, arrays", [
+    ("transform", "signal", [f"--ugrid=-10.0:{20.0 / N!r}:{N}"], 10.5),
+    ("invert", "spectrum", ["--start=-32.0", f"--step={64.0 / N!r}", f"--count={N}"],
+     8.5),
+])
+def test_quadrature_command_peaks_at_its_plan(traced_peak, files, tmp_path,
+                                              command, source, options, arrays):
+    # the quadrature onto N points peaks while it builds its chirp-z plan,
+    # over the read's peak: Bluestein's lag chirp and its FFT (2N points
+    # each) beside the input, its chirp and the plan's end chirps; its
+    # product chain runs in one 2N-point buffer (transform 9.5 (11.5),
+    # invert 8.0 (9.2))
+    args = [command, "--input", str(files[source]),
+            "--output", str(tmp_path / "out.csv"), f"--angle={ANGLE.phi!r}", *options]
+    results = []
+    peak = traced_peak(lambda: results.append(CliRunner().invoke(cli, args)))
+    assert results[0].exit_code == 0, results[0].output
+    assert peak < arrays * ARRAY
 
 
 def test_generate_peaks_below_a_read(traced_peak, tmp_path):

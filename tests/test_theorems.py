@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+import smfrft.kernel as kernel
 import smfrft.theorems as theorems
 import smfrft.transform as transform
 from smfrft import (
@@ -405,15 +406,18 @@ class TestSuite:
         assert counts == {"smfrft_quadrature": 60, "frac_convolve": 14,
                           "frac_correlate": 20, "frac_product": 2}
 
-    def test_second_run_builds_no_chirp_z_plan(self):
-        # the small config's chirp-z geometries fit the plan cache, so a
-        # repeated run finds every plan (both chirps and the lag FFT) built
-        run_suite(self.small_config())
-        before = transform._chirp_z_plan.cache_info()
-        run_suite(self.small_config())
-        after = transform._chirp_z_plan.cache_info()
-        assert after.misses == before.misses
-        assert after.hits > before.hits
+    def test_a_run_builds_each_chirp_z_plan_once(self, monkeypatch):
+        # a plan lives for the run, so each of its 9 chirp-z geometries is
+        # built once; the next run builds them again, as nothing outlives it
+        built = []
+
+        def counted(*geometry, _fn=transform._chirp_z_plan):
+            built.append(geometry)
+            return _fn(*geometry)
+        monkeypatch.setattr(transform, "_chirp_z_plan", counted)
+        for run in (1, 2):
+            run_suite(self.small_config())
+            assert len(built) == len(set(built)) * run == 9 * run
 
     def test_reuse_changes_no_number(self):
         # every record equals, bit for bit, the check that computes its
@@ -428,7 +432,7 @@ class TestSuite:
             fresh = check(r.identity, f, g, make_angle(r.phi), ugrid,
                           cfg.tolerance_for(r.identity, r.phi), d=r.d, q=r.q)
             assert repr(r) == repr(fresh)
-        assert theorems._rhs_memo.get() is None
+        assert kernel._reuse.get() is None
 
     def test_spectrum_memo_tells_inputs_apart(self, operands, theorem_grid):
         # points with the same start and length but another step, the
@@ -440,7 +444,7 @@ class TestSuite:
                  (f, u, PI / 3, False), (g, u, PI / 4, False),
                  (f, u, PI / 4, False)]
         memo = {}
-        token = theorems._rhs_memo.set(memo)
+        token = kernel._reuse.set(memo)
         try:
             for x, points, phi, conj in calls:
                 angle = make_angle(phi)
@@ -449,8 +453,8 @@ class TestSuite:
                 got = theorems._spectrum(x, points, angle, conj=conj)
                 assert got.tobytes() == fresh.tobytes()
         finally:
-            theorems._rhs_memo.reset(token)
-        assert len(memo) == 5
+            kernel._reuse.reset(token)
+        assert len([k for k in memo if k[0] is theorems._spectrum]) == 5
 
     def test_empty_corpus_is_refused(self):
         # no certificate of nothing: the config refuses before any work

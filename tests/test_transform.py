@@ -27,7 +27,6 @@ from smfrft import (
     smfrft_quadrature,
 )
 from smfrft import transform
-from smfrft.kernel import time_chirp
 
 import dense_oracle
 import fast_reference
@@ -320,8 +319,9 @@ class TestDeterminism:
 
 
 class TestFastPathBits:
-    """The fast transforms give the bits of ``fast_reference``, which keeps
-    every temporary and writes each chain of products as one expression.
+    """The fast transforms and the quadrature give the bits of
+    ``fast_reference``, which keeps every temporary and writes each chain
+    of products as one expression.
     numpy elides a temporary from 256 KiB on, which swaps a product's
     operands: at N = 2048 no complex array reaches that size, at 16384
     every complex array does (the float t*t does not) and at 2^17 all do."""
@@ -343,6 +343,23 @@ class TestFastPathBits:
                 assert back.grid == grid
                 assert (back.samples.tobytes()
                         == fast_reference.ismfrft_fast(spectrum).samples.tobytes())
+
+    @pytest.mark.parametrize("n", [2048, 2**15])
+    def test_quadrature_matches_reference(self, n, rng):
+        # Bluestein's buffer is 2N points: 64 KiB at N = 2048, 1 MiB at 2^15
+        grid = UniformGrid(-13.7, 32.0 / n, n)
+        x = random_signal(grid, rng)
+        ugrid = fast_ugrid(grid)
+        for phi in (0.3, -1.2):
+            angle = make_angle(phi)
+            for u in (ugrid.points() - 0.7, -ugrid.points()[::-1][: n // 3]):
+                assert (smfrft_quadrature(x, u, angle).tobytes()
+                        == fast_reference.smfrft_quadrature(x, u, angle).tobytes())
+            spectrum = smfrft_direct(x, ugrid, angle)
+            for tgrid in (grid, UniformGrid(-3.0, 0.01, n // 2 + 1)):
+                got = ismfrft_direct(spectrum, tgrid).samples
+                want = fast_reference.ismfrft_direct(spectrum, tgrid).samples
+                assert got.tobytes() == want.tobytes()
 
 
 # x(t) = exp(-a t^2 + b t + c): a Gaussian of width 1, and one off the
@@ -416,53 +433,6 @@ class TestClosedForm:
                 smfrft_fast(x, angle)
             with pytest.raises(AlignmentError, match="time grid start"):
                 ismfrft_fast(spectrum)
-
-
-class TestCaches:
-    CACHES = (transform._chirp_z_plan, time_chirp)
-
-    def test_cached_arrays_are_read_only(self, std_grid, quarter_angle):
-        pre, lag_fft, post = transform._chirp_z_plan(512, -8.0, 0.03, 1.5,
-                                                     0.2, 256, -1)
-        chirp = time_chirp(std_grid, quarter_angle)
-        for cached in (pre, lag_fft, post, chirp):
-            with pytest.raises(ValueError):
-                cached[0] = 0.0
-
-    def test_cold_and_warm_calls_are_bitwise_equal(self, std_grid, rng):
-        x = random_signal(std_grid, rng)
-        y = random_signal(std_grid, rng)
-        angle = make_angle(0.9)
-        ugrid = fast_ugrid(std_grid)
-        u = ugrid.points() - 0.7
-        spectrum = smfrft_direct(x, ugrid, angle)
-        for op in (lambda: smfrft_quadrature(x, u, angle),
-                   lambda: smfrft_quadrature(x, -u[::-1][:100], angle),
-                   lambda: ismfrft_direct(spectrum, std_grid).samples,
-                   lambda: frac_convolve(x, y, angle).samples,
-                   lambda: frac_correlate(x, y, angle).samples):
-            for cache in self.CACHES:
-                cache.cache_clear()
-            cold = op()
-            warm = op()
-            assert cold.tobytes() == warm.tobytes()
-
-    def test_fast_transforms_cache_no_chirp(self, std_grid, rng):
-        x = random_signal(std_grid, rng)
-        time_chirp.cache_clear()
-        ismfrft_fast(smfrft_fast(x, make_angle(0.9)))
-        assert time_chirp.cache_info().currsize == 0
-
-    def test_caches_stay_bounded(self, rng):
-        for k in range(50):
-            grid = UniformGrid(-2.0, 0.125, 32 + k)
-            x = random_signal(grid, rng)
-            angle = make_angle(0.3 + 0.05 * k)
-            smfrft_quadrature(x, fast_ugrid(grid).points(), angle)
-            frac_convolve(x, x, angle)
-        for cache in self.CACHES:
-            info = cache.cache_info()
-            assert info.currsize <= info.maxsize
 
 
 class TestLinearity:
