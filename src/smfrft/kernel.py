@@ -87,7 +87,10 @@ _reuse = contextvars.ContextVar("_reuse", default=None)
 def reused(key, build):
     """``build()``, or in the reuse scope that ``run_suite`` opens per run the
     read-only value an equal ``key`` built there; a value holds the object
-    of any ``id`` in its key. Outside a scope nothing is kept."""
+    of any ``id`` in its key. Outside a scope nothing is kept. A scope
+    holds the chirps (``time_chirp``), the carriers e^{jqt}
+    (``operators.modulate_op``), the chirp-z plans (``transform``) and the
+    operand spectra of one angle and pair (``theorems``)."""
     memo = _reuse.get()
     if memo is None:
         return build()

@@ -24,6 +24,10 @@ so each operator is: chirp both operands with e^{(j/2) cot s^2}, take one
 linear (zero-extended, never circular) FFT convolution or correlation of
 length 2N - 1, and post-chirp with e^{-(j/2) cot t^2}. The dense lagged
 sums they replace are kept only as the test suite's oracle.
+
+In a reuse scope (``kernel.reused``, which ``run_suite`` opens) the
+chirps and the modulation carriers e^{jqt} are built once per grid and
+angle, or grid and carrier, and live for the run.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ import numpy as np
 
 from .errors import AlignmentError, InvalidParameterError, ShapeMismatchError
 from .grid import SampledSignal, _Fresh
-from .kernel import Angle, time_chirp
+from .kernel import Angle, reused, time_chirp
 from .transform import lattice_split, linear_convolve
 
 _ALIGN_RTOL = 1e-9
@@ -75,13 +79,20 @@ def shift_op(x: SampledSignal, d: float) -> SampledSignal:
 
 
 def modulate_op(x: SampledSignal, q: float) -> SampledSignal:
-    """Multiply by the unimodular carrier e^{j*q*t}; InvalidParameterError
-    when q*t is not finite on the grid."""
-    t_max = max(abs(x.grid.start), abs(x.grid.point(x.grid.count - 1)))
+    """Multiply by the unimodular carrier e^{j*q*t}, read-only and
+    ``reused`` per (grid, q); InvalidParameterError when q*t is not finite
+    on the grid."""
+    grid = x.grid
+    t_max = max(abs(grid.start), abs(grid.point(grid.count - 1)))
     if not math.isfinite(q * t_max):
         raise InvalidParameterError(
-            f"carrier phase q*t is not finite: q={q!r} on {x.grid}")
-    return SampledSignal(x.grid, _Fresh(x.samples * np.exp(1j * q * x.grid.points())))
+            f"carrier phase q*t is not finite: q={q!r} on {grid}")
+    def build():
+        carrier = np.exp(1j * q * grid.points())
+        carrier.setflags(write=False)
+        return carrier
+    carrier = reused((modulate_op, grid, q), build)
+    return SampledSignal(grid, _Fresh(x.samples * carrier))
 
 
 def frac_product(f: SampledSignal, g: SampledSignal,

@@ -20,9 +20,9 @@ check computes its two sides from the row by disjoint routes:
 Within ``run_suite`` many right-hand sides need the same operand spectrum
 at the same points (F(u), G(u), the overline F(-u)). The suite runs angle
 by angle and pair by pair in one reuse scope (``kernel.reused``), which
-keeps chirps and chirp-z plans for the run; for one (angle, pair)
-``_spectrum`` computes each such spectrum once for every builder that
-asks. Left-hand transforms, and every call outside ``run_suite``, are
+keeps chirps, carriers and chirp-z plans for the run; for one (angle,
+pair) ``_spectrum`` computes each such spectrum once for every builder
+that asks. Left-hand transforms, and every call outside ``run_suite``, are
 computed afresh.
 
 The rows hold no evaluator; each is looked up in this module when a
@@ -151,16 +151,20 @@ def _spectrum(x: SampledSignal, u: np.ndarray, angle: Angle,
 
 def _tf_shifted(x: SampledSignal, angle: Angle, d: float, q: float,
                 v: np.ndarray, conj: bool = False
-                ) -> tuple[ComplexArray, ComplexArray]:
+                ) -> tuple[ComplexArray | float, ComplexArray]:
     """(phase, spectrum) whose product is the transform, at the points
     ``v``, of x(t - d) e^{jqt} (of conj(x)(t - d) e^{jqt} with ``conj``):
     the time-frequency-shift property
 
         e^{-j(v-q)d + (j/2) d^2 cot} X(v - q - d cot).
+
+    At d = 0 the phase is exactly 1, and is returned as the number 1.0.
     """
     cot = angle.cot_phi
-    phase = np.exp(-1j * (v - q) * d + 0.5j * d * d * cot)
-    return phase, _spectrum(x, v - q - d * cot, angle, conj)
+    spectrum = _spectrum(x, v - q - d * cot, angle, conj)
+    if d == 0.0:
+        return 1.0, spectrum
+    return np.exp(-1j * (v - q) * d + 0.5j * d * d * cot), spectrum
 
 
 def rhs_tfshift(f, g, angle, d, q, u, op, side, negate=True) -> ComplexArray:
@@ -512,7 +516,7 @@ def run_suite(cfg: SuiteConfig = SuiteConfig()) -> list[IdentityReport]:
                     records.append((identity, phi, d, q, differs, key))
                     checks.setdefault(key, (identity, d, q, differs))
     per_pair: dict = {key: [] for key in checks}
-    memo = {}   # the reuse scope: chirps and chirp-z plans live for the run
+    memo = {}   # the reuse scope: chirps, carriers and plans live for the run
     token = _reuse.set(memo)
     try:
         for phi in cfg.angles:

@@ -3,7 +3,8 @@ bit-level reference.
 
 ``smfrft_fast`` and ``ismfrft_fast`` below keep every temporary alive to
 the end and do no product in place, and ``chirp_z``, behind
-``smfrft_quadrature`` and ``ismfrft_direct``, is Bluestein's chain
+``smfrft_quadrature`` and ``ismfrft_direct``, takes the library's route
+for each geometry (``_dft_turn``): the DFT chain or Bluestein's, each
 without the library's one in-place buffer. Which operands numpy's
 temporary elision (from 256 KiB on) swaps follows from these expression
 shapes; ``tests/test_transform.py`` requires the library's bits to equal
@@ -18,7 +19,9 @@ from smfrft.grid import SampledSignal, Spectrum
 from smfrft.kernel import SQRT_J2PI, SQRT_J_OVER_2PI, time_chirp
 from smfrft.transform import (
     _RECIPROCAL_RTOL,
-    _chirp_z_plan,
+    _bluestein_plan,
+    _dft_plan,
+    _dft_turn,
     _even_spacing,
     fast_ugrid,
     lattice_split,
@@ -63,7 +66,13 @@ def ismfrft_fast(spectrum):
 
 def chirp_z(values, x0, dx, y0, dy, count, sign):
     n = values.shape[0]
-    pre, lag_fft, post = _chirp_z_plan(n, x0, dx, y0, dy, count, sign)
+    turn = _dft_turn(n, dx, dy, count, sign)
+    if turn:
+        pre, post = _dft_plan(n, x0, dx, y0, dy, count, sign, turn)
+        if turn < 0:
+            return post * np.fft.fft(values * pre)[:count]
+        return post * np.fft.ifft(values * pre, norm="forward")[:count]
+    pre, lag_fft, post = _bluestein_plan(n, x0, dx, y0, dy, count, sign)
     size = lag_fft.shape[0]
     return post * np.fft.ifft(np.fft.fft(values * pre, size) * lag_fft)[n - 1:n - 1 + count]
 

@@ -291,6 +291,36 @@ class TestTransformInvert:
         assert "overflows" in result.stderr
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, options, grid, phase, spectrum_grid", [
+        ("transform", ["--ugrid=-1e308:1e308:2"],
+         "start=-1e+308, step=1e+308, count=2", "kernel phase u*t", None),
+        # |u t| stays below 1e308, Bluestein's lags do not
+        ("transform", ["--ugrid=-3e306:1e305:64"],
+         "start=-3e+306, step=1e+305, count=64", "lag phase dt*du*l^2/2", None),
+        # the time chirp passes at |t| near 1e10, u t does not
+        ("invert", ["--start=1e10", "--step=1", "--count=4"],
+         "start=10000000000.0, step=1.0, count=4", "kernel phase u*t",
+         UniformGrid(0.0, 1e299, 64)),
+    ], ids=["transform-ugrid", "transform-ugrid-lags", "invert-step-count"])
+    def test_overflowing_chirp_z_phase_names_the_grid(
+            self, runner, tmp_path, command, options, grid, phase, spectrum_grid):
+        # a sum of unimodular terms whose phases overflow would be nan
+        source = tmp_path / "in.csv"
+        signal = gen_chirp(UniformGrid(-16.0, 0.5, 64), 1.0, 1.0)
+        if spectrum_grid is None:
+            write_signal_csv(source, signal)
+        else:
+            io_csv.write_spectrum_csv(source, spectrum_grid, signal.samples)
+        out = tmp_path / "out.csv"
+        result = runner.invoke(cli, [command, "--input", str(source),
+                                     "--output", str(out), "--angle=0.7",
+                                     *options])
+        assert result.exit_code == 2, result.output
+        assert result.stderr.startswith(
+            f"error: quadrature onto UniformGrid({grid}): its {phase} "
+            "overflows a double")
+        assert not out.exists()
+
     def test_inputs_never_mutated(self, runner, tmp_path):
         sig = tmp_path / "sig.csv"
         invoke(runner, "generate", *SMALL, "--output", sig)

@@ -25,6 +25,7 @@ from smfrft import (
     ismfrft_direct,
     ismfrft_fast,
     make_angle,
+    modulate_op,
     run_suite,
     smfrft_direct,
     smfrft_fast,
@@ -193,7 +194,8 @@ def scope_probe(monkeypatch):
 class TestReuseScope:
     @staticmethod
     def calls(grid, rng):
-        """Every evaluator that looks up a chirp or a chirp-z plan."""
+        """Every evaluator that looks up a chirp, a carrier or a chirp-z
+        plan."""
         x, y = (SampledSignal(grid, rng.standard_normal(grid.count)
                               + 1j * rng.standard_normal(grid.count))
                 for _ in range(2))
@@ -209,6 +211,7 @@ class TestReuseScope:
                 lambda: frac_convolve(x, y, angle).samples,
                 lambda: frac_correlate(x, y, angle).samples,
                 lambda: frac_product(x, y, angle).samples,
+                lambda: modulate_op(x, 1.3).samples,
                 lambda: theorems._spectrum(x, u, angle, conj=True))
 
     def test_calls_outside_a_scope_equal_calls_inside_one(self, std_grid, rng):
@@ -239,7 +242,9 @@ class TestReuseScope:
             for op in self.calls(std_grid, rng):
                 op()
             arrays = held_arrays(memo)
-        arrays += [*transform._chirp_z_plan(512, -8.0, 0.03, 1.5, 0.2, 256, -1),
+        arrays += [*transform._bluestein_plan(512, -8.0, 0.03, 1.5, 0.2, 256, -1),
+                   *transform._dft_plan(512, -8.0, 0.03, 1.5, 2 * math.pi / 15.36,
+                                        256, -1, -1),
                    time_chirp(std_grid, make_angle(0.4))]
         assert len(arrays) > 10
         for held in arrays:

@@ -82,15 +82,19 @@ def test_command_peaks_at_its_read(traced_peak, files, tmp_path, command, source
 @pytest.mark.parametrize("command, source, options, arrays", [
     ("transform", "signal", [f"--ugrid=-10.0:{20.0 / N!r}:{N}"], 10.5),
     ("invert", "spectrum", ["--start=-32.0", f"--step={64.0 / N!r}", f"--count={N}"],
+     6.5),
+    ("invert", "spectrum", ["--start=-32.0", f"--step={60.0 / N!r}", f"--count={N}"],
      8.5),
 ])
 def test_quadrature_command_peaks_at_its_plan(traced_peak, files, tmp_path,
                                               command, source, options, arrays):
-    # the quadrature onto N points peaks while it builds its chirp-z plan,
-    # over the read's peak: Bluestein's lag chirp and its FFT (2N points
-    # each) beside the input, its chirp and the plan's end chirps; its
-    # product chain runs in one 2N-point buffer (transform 9.5 (11.5),
-    # invert 8.0 (9.2))
+    # the quadrature onto N points peaks while it applies its chirp-z
+    # plan, over the read's peak. Off the FFT-bin lattice that is
+    # Bluestein's: its lag chirp's FFT (2N points, built in place in its
+    # zero-padded buffer) and end chirps beside the input, its chirp, the
+    # 2N-point buffer of the product chain and the output (transform 9.5
+    # (11.5), invert 8.0 (9.2)). On the lattice (the inverse onto the
+    # reciprocal step) it is two phases and one N-point buffer: 5.9
     args = [command, "--input", str(files[source]),
             "--output", str(tmp_path / "out.csv"), f"--angle={ANGLE.phi!r}", *options]
     results = []

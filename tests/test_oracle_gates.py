@@ -5,13 +5,17 @@ operators (chirp-factorized FFT convolutions) must reproduce the dense
 sums of ``dense_oracle`` within 1e-12 relative on random signals, angles
 and grids at N <= 1024, powers of two or not. The quadrature, which may
 be asked for a few u points where the sum cancels, is measured against
-the signal's scale, or its own norm where that is larger.
+the signal's scale, or its own norm where that is larger. The chirp-z's
+two routes are gated apart: the length-N DFT on the FFT-bin lattice, and
+Bluestein's everywhere else.
 """
 
 import math
+from unittest import mock
 
 import numpy as np
-from hypothesis import example, given, settings
+import pytest
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from smfrft import (
@@ -29,6 +33,7 @@ from smfrft import (
     smfrft_fast,
     smfrft_quadrature,
 )
+from smfrft import transform
 
 import dense_oracle
 from dense_oracle import relative_l2_error
@@ -105,6 +110,86 @@ def test_quadrature_gate_fails_a_phase_error(draw):
     skewed = make_angle(math.atan2(1.0, angle.cot_phi * (1 + eps)))
     wrong = dense_oracle.smfrft_quadrature(x, u * (1 + eps), skewed)
     assert quadrature_error(wrong, x, u, angle) > GATE
+
+
+def dft_route():
+    """A context in which a chirp-z that takes Bluestein's route fails."""
+    return mock.patch.object(transform, "_bluestein_plan",
+                             side_effect=AssertionError("took Bluestein's route"))
+
+
+# odd and even N, powers of two or not
+lattice_sizes = st.sampled_from([15, 16, 100, 257, 1000, 1023, 1024])
+
+
+@st.composite
+def lattice_draws(draw):
+    """A random signal and at least a quarter of its FFT-bin u points,
+    shifted by any amount and possibly negated, and an angle. A shift
+    rounds the points, which moves a short range's step off the lattice,
+    so the test assumes the draws that stay on it (about 93%)."""
+    n = draw(lattice_sizes)
+    grid = UniformGrid(-(n // 2) * (32.0 / n), 32.0 / n, n)
+    x = random_signal(grid, draw(st.integers(0, 2**32 - 1)))
+    quarter = (n + 3) // 4
+    lo = draw(st.integers(0, n - quarter))
+    u = fast_ugrid(grid).points()[lo:draw(st.integers(lo + quarter, n))]
+    if draw(st.booleans()):
+        u = -u
+    return x, u + draw(st.floats(-20.0, 20.0)), draw(angles)
+
+
+@given(draw=lattice_draws())
+@settings(max_examples=40, deadline=None)
+def test_dft_route_matches_dense(draw):
+    x, u, angle = draw
+    _, du = transform._even_spacing(u)
+    assume(transform._dft_turn(x.grid.count, x.grid.step, du, len(u), -1))
+    with dft_route():
+        values = smfrft_quadrature(x, u, angle)
+    assert quadrature_error(values, x, u, angle) <= GATE
+
+
+@given(n=lattice_sizes, seed=st.integers(0, 2**32 - 1), angle=angles,
+       shift=st.floats(-20.0, 20.0), start=st.floats(-8.0, 8.0),
+       fraction=st.floats(0.0, 1.0))
+@settings(max_examples=25, deadline=None)
+def test_dft_route_inverse_matches_dense(n, seed, angle, shift, start, fraction):
+    # a shifted FFT-bin spectrum onto any time grid of its reciprocal step
+    # with at most N points
+    grid = UniformGrid(-(n // 2) * (32.0 / n), 32.0 / n, n)
+    bins = fast_ugrid(grid)
+    ugrid = UniformGrid(bins.start + shift, bins.step, n)
+    spectrum = Spectrum(ugrid, random_signal(grid, seed).samples, angle)
+    tgrid = UniformGrid(start, grid.step, max(2, round(fraction * n)))
+    with dft_route():
+        back = ismfrft_direct(spectrum, tgrid).samples
+    assert relative_l2_error(
+        back, dense_oracle.ismfrft_direct(spectrum, tgrid)) <= GATE
+
+
+@pytest.mark.parametrize("n", [257, 1024])
+@pytest.mark.parametrize("off, route", [(np.finfo(np.float64).eps, "_dft_plan"),
+                                        (1e-9, "_bluestein_plan")],
+                         ids=["1-eps", "1e-9"])
+def test_lattice_boundary(n, off, route):
+    # a step 1 eps off the lattice is a DFT, 1e-9 off is not; both, and
+    # their inverses, meet the gate
+    grid = UniformGrid(-(n // 2) * (32.0 / n), 32.0 / n, n)
+    x = random_signal(grid, n)
+    angle = make_angle(1.1)
+    bins = fast_ugrid(grid)
+    u = bins.start + bins.step * (1 + off) * np.arange(n)
+    spectrum = Spectrum(bins, x.samples, angle)
+    tgrid = UniformGrid(grid.start, grid.step * (1 + off), n)
+    with mock.patch.object(transform, route,
+                           wraps=getattr(transform, route)) as plan:
+        values = smfrft_quadrature(x, u, angle)
+        back = ismfrft_direct(spectrum, tgrid).samples
+    assert plan.call_count == 2
+    assert quadrature_error(values, x, u, angle) <= GATE
+    assert relative_l2_error(
+        back, dense_oracle.ismfrft_direct(spectrum, tgrid)) <= GATE
 
 
 @given(n=sizes, seed=st.integers(0, 2**32 - 1), angle=angles,

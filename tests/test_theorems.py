@@ -117,6 +117,28 @@ class TestTimeFrequencyShiftProperty:
             assert relative_l2_error(phase * spectrum, route) <= 1e-12, (
                 conj, v[0], d, q)
 
+    def test_unit_phase_at_zero_delay_changes_no_bit(self, operands,
+                                                     theorem_ugrid, monkeypatch):
+        # at d = 0 the phase e^{-j(v-q)d + (j/2) d^2 cot} is exactly 1, so
+        # every right-hand side that skips it has the bits of one that
+        # evaluates it
+        f, g = operands
+        u = theorem_ugrid.points()
+        angle = make_angle(0.7)
+        cases = [(op, side, q) for op in ("conv", "corr") for side in "LR"
+                 for q in (0.0, 1.0, -2.0)]
+        skipped = [theorems.rhs_tfshift(f, g, angle, 0.0, q, u, op, side)
+                   for op, side, q in cases]
+
+        def evaluated(x, angle, d, q, v, conj=False):
+            phase = np.exp(-1j * (v - q) * d + 0.5j * d * d * angle.cot_phi)
+            return phase, theorems._spectrum(x, v - q - d * angle.cot_phi,
+                                             angle, conj)
+        monkeypatch.setattr(theorems, "_tf_shifted", evaluated)
+        for (op, side, q), want in zip(cases, skipped):
+            got = theorems.rhs_tfshift(f, g, angle, 0.0, q, u, op, side)
+            assert got.tobytes() == want.tobytes(), (op, side, q)
+
 
 class TestIndividualChecks:
     def test_convolution_passes(self, operands, theorem_ugrid):
@@ -408,16 +430,19 @@ class TestSuite:
 
     def test_a_run_builds_each_chirp_z_plan_once(self, monkeypatch):
         # a plan lives for the run, so each of its 9 chirp-z geometries is
-        # built once; the next run builds them again, as nothing outlives it
-        built = []
-
-        def counted(*geometry, _fn=transform._chirp_z_plan):
-            built.append(geometry)
-            return _fn(*geometry)
-        monkeypatch.setattr(transform, "_chirp_z_plan", counted)
+        # built once; the next run builds them again, as nothing outlives it.
+        # Every geometry sits on the FFT-bin lattice: none takes Bluestein
+        built = {"_dft_plan": [], "_bluestein_plan": []}
+        for name in built:
+            def counted(*geometry, _name=name, _fn=getattr(transform, name)):
+                built[_name].append(geometry)
+                return _fn(*geometry)
+            monkeypatch.setattr(transform, name, counted)
         for run in (1, 2):
             run_suite(self.small_config())
-            assert len(built) == len(set(built)) * run == 9 * run
+            lattice = built["_dft_plan"]
+            assert len(lattice) == len(set(lattice)) * run == 9 * run
+            assert built["_bluestein_plan"] == []
 
     def test_reuse_changes_no_number(self):
         # every record equals, bit for bit, the check that computes its

@@ -346,17 +346,28 @@ class TestFastPathBits:
 
     @pytest.mark.parametrize("n", [2048, 2**15])
     def test_quadrature_matches_reference(self, n, rng):
-        # Bluestein's buffer is 2N points: 64 KiB at N = 2048, 1 MiB at 2^15
+        # Bluestein's buffer is 2N points: 64 KiB at N = 2048, 1 MiB at 2^15;
+        # the DFT route's is N points. Each route is pinned both ways: the
+        # shifted u and a reversed sub-range sit on the FFT-bin lattice, a
+        # step of 0.9 du does not; the inverse onto the time grid is on it
         grid = UniformGrid(-13.7, 32.0 / n, n)
         x = random_signal(grid, rng)
         ugrid = fast_ugrid(grid)
+        off_lattice = ugrid.start + 0.9 * ugrid.step * np.arange(n)
+        forward = (ugrid.points() - 0.7, -ugrid.points()[::-1][: n // 3], off_lattice)
+        routes = [transform._dft_turn(n, grid.step, du, len(u), -1)
+                  for u in forward for du in [transform._even_spacing(u)[1]]]
+        assert routes == [-1, -1, 0]
+        inverse = (grid, UniformGrid(-3.0, 0.01, n // 2 + 1))
+        assert [transform._dft_turn(n, ugrid.step, t.step, t.count, 1)
+                for t in inverse] == [1, 0]
         for phi in (0.3, -1.2):
             angle = make_angle(phi)
-            for u in (ugrid.points() - 0.7, -ugrid.points()[::-1][: n // 3]):
+            for u in forward:
                 assert (smfrft_quadrature(x, u, angle).tobytes()
                         == fast_reference.smfrft_quadrature(x, u, angle).tobytes())
             spectrum = smfrft_direct(x, ugrid, angle)
-            for tgrid in (grid, UniformGrid(-3.0, 0.01, n // 2 + 1)):
+            for tgrid in inverse:
                 got = ismfrft_direct(spectrum, tgrid).samples
                 want = fast_reference.ismfrft_direct(spectrum, tgrid).samples
                 assert got.tobytes() == want.tobytes()
@@ -419,6 +430,25 @@ class TestClosedForm:
                     got = smfrft_quadrature(x, u, make_angle(phi))
                     exact = gaussian_chirp.spectrum(u, a, b, c, phi)
                     assert peak_error(got, exact) <= 1e-13
+
+    def test_quadrature_on_the_lattice_at_2_17(self):
+        # the DFT route at the cli-pipeline size, forward onto the FFT-bin
+        # grid and a shift of it, and back: its phases stay below 2*pi
+        # plus the grids' own, where unreduced cross terms would reach
+        # pi*N/2 and err ~8e-12 here (Bluestein's chain erred ~9e-13)
+        grid = FAST_GRIDS[0]
+        t, ugrid = grid.points(), fast_ugrid(grid)
+        for a, b, c in GAUSSIAN_CHIRPS:
+            x = SampledSignal(grid, gaussian_chirp.signal(t, a, b, c))
+            for phi in CLOSED_FORM_ANGLES:
+                angle = make_angle(phi)
+                for u in (ugrid.points(), ugrid.points() + 0.3):
+                    exact = gaussian_chirp.spectrum(u, a, b, c, phi)
+                    assert peak_error(smfrft_quadrature(x, u, angle), exact) <= 2e-13
+                exact = Spectrum(ugrid, gaussian_chirp.spectrum(
+                    ugrid.points(), a, b, c, phi), angle)
+                back = ismfrft_direct(exact, grid).samples
+                assert peak_error(back, x.samples) <= 2e-13
 
     def test_start_too_far_for_its_step_is_refused(self):
         # start/step overflows: no numpy warning, no OverflowError from
