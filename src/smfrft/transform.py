@@ -1,65 +1,56 @@
-"""Forward and inverse transforms: chirp-z quadrature and the FFT-bin fast path.
+"""Forward and inverse transforms: the rectangle-rule quadrature as a chirp-z.
 
-Two routes compute the same simplified fractional transform:
+``smfrft_quadrature`` / ``smfrft_direct`` evaluate the defining integral by
+a left-point rectangle rule on any evenly spaced output grid (shifted,
+negated, a sub-range, or a single point), and ``ismfrft_direct`` the
+inverse onto any uniform time grid: each sum is a chirp-z transform,
+O((N+M) log). ``smfrft_fast`` is the quadrature onto the FFT-bin grid
+``fast_ugrid`` and ``ismfrft_fast`` the inverse onto the originating time
+grid, which it refuses off du * N * dt = 2*pi (to 1e-9 relative): on that
+reciprocal pairing the sum is an exact inverse DFT, and interpolating
+anything else would contaminate downstream residuals. The rectangle rule
+(rather than trapezoid) makes the FFT-bin sum a DFT; for Gaussian-enveloped
+signals the endpoint terms are negligible anyway. The dense O(N*M) sums
+are the test suite's oracle, which gates every evaluator here.
 
-* ``smfrft_quadrature`` / ``smfrft_direct`` evaluate the defining integral
-  by a left-point rectangle rule on any evenly spaced output grid
-  (shifted, negated, a sub-range, or a single point). The sum is a
-  chirp-z transform, O((N+M) log), by one of the two routes below.
-* ``smfrft_fast`` chirps, rolls, FFTs and scales onto the FFT-bin output
-  grid, O(N log N) at any N; ``ismfrft_fast`` undoes each step.
-
-On the FFT-bin grid the two are the same finite sum, so their agreement
-is a rounding-level cross-check, not a discretization statement: the
-rectangle rule (rather than trapezoid) makes the sums identical, and for
-Gaussian-enveloped signals the endpoint terms are negligible anyway. The
-dense O(N*M) sums they replace are the test suite's oracle, which gates
-every evaluator here.
-
-The fast transforms place the origin exactly: with t0 = m*dt + r and
-m = round(t0/dt) (``lattice_split``), e^{-j m dt u_k} on the FFT-bin grid
-is a roll of the samples by m, and only e^{-j r u_k} is computed. Near
-u = 0, u_k cancels two terms of size pi/dt, so e^{-j t0 u_k} would err by
-~|t0| pi/dt * eps (Schatzman, SIAM J. Sci. Comput. 17(5), 1996).
-
-The fast inverse refuses grids off du * N * dt = 2*pi (to 1e-9 relative):
-on that reciprocal pairing the discrete chain is an exact inverse DFT, and
-interpolating anything else would contaminate downstream residuals.
-
-The chirp-z of N inputs onto M outputs has the ratio e^{sign*j*dt*du}.
-On the FFT-bin lattice, dt*du*N = 2*pi with M <= N (the FFT-bin grid
-shifted by any amount, negated, or a sub-range of it, and the inverse
-onto the reciprocal step), that ratio is an N-th root of unity and the
-sum is one length-N DFT between an input and an output phase (Rabiner,
-Schafer & Rader, "The chirp z-transform algorithm", IEEE Trans. Audio
-Electroacoust. 17(2), 1969). Everywhere else it is Bluestein's: one
-linear FFT convolution of size >= N + M - 1 with a chirp over the lags.
-The rule (``_dft_turn``) reads sign*dt*du*N/(2*pi) = +-(1 + delta) and
-takes the DFT at |delta| <= 4 eps. The DFT then drops the phase
-2*pi*delta*k'n'/N, at most pi*N*|delta|/2 at the corner indices
-|k'|, |n'| <= N/2 (1.4e-12 rad at N = 1024 and the full 4 eps). That is
-the order of the rounding of Bluestein's own phases, whose lag chirp
-reaches pi*N rad and is rounded in its rate and in each of its
-products; the lattice grids of ``run_suite`` (measured at N = 256 to
-4096) lie within 1 eps, where it is below it. Against the closed form
-at N = 2^17 the DFT route errs 1e-13 of the peak where Bluestein's
-erred 9e-13. A step 1e-9 off the lattice takes Bluestein's route.
+The chirp-z of N inputs x_m = x0 + m*dx onto M outputs y_k = y0 + k*dy has
+the ratio e^{sign*j*dx*dy}. On the FFT-bin lattice, sign*dx*dy*N = turn*2*pi
+with M <= N (the FFT-bin grid shifted by any amount, negated, or a
+sub-range of it, and the inverse onto the reciprocal step), it is an N-th
+root of unity. With x0 = a*dx + r and y0 = b*dy + s, a and b the nearest
+integers (``lattice_split``), the phase sign*y_k*x_m is
+turn*2*pi*(b + k)*(a + m)/N + sign*s*x_m + sign*r*(y_k - s): the input
+times its phase, rolled by a, one length-N DFT, its N-periodic bins read
+from b on, times the output phase (Rabiner, Schafer & Rader, "The chirp
+z-transform algorithm", IEEE Trans. Audio Electroacoust. 17(2), 1969). The
+DFT holds the integer part exactly, so no phase of size |x0*y0| is formed
+(near u = 0, u_k cancels two terms of size pi/dt, and e^{-j t0 u_k} would
+err by ~|t0| pi/dt * eps; Schatzman, SIAM J. Sci. Comput. 17(5), 1996).
+As |r| <= dx/2 and |s| <= dy/2, the two computed phases stay within
+(dy/2) max|x| and (dx/2) max|y - s|, about pi/2 on grids centred on the
+origin. ``_dft_turn`` reads sign*dx*dy*N/(2*pi) = turn*(1 + delta) and
+takes the DFT at |delta| <= 4 eps, which drops delta times the integer
+part, about delta*|u t| (1.4e-12 rad at N = 1024 on a span of 32 at the
+full 4 eps): the rounding of the kernel phase u*t itself. The lattice
+grids of ``run_suite`` (N = 256 to 4096) lie within 1 eps. Everywhere
+else, a step 1e-9 off the lattice too, the sum is Bluestein's: one linear
+FFT convolution of size >= N + M - 1 with a chirp over the lags. Against
+the closed form at N = 2^17 the lattice route errs 7e-14 of the peak onto
+the FFT-bin grid, where Bluestein's erred 9e-13.
 
 In a reuse scope (``kernel.reused``: ``run_suite``'s 180 quadratures at
 N = 1024 with two angles share 9 chirp-z geometries, all on the lattice)
-the quadrature reuses each geometry's plan (``_dft_plan`` or
-``_bluestein_plan``), with a fresh build's bits; a Bluestein plan is
-built in its one 2N-point buffer. The fast transforms drop each array
-once it has been used. In complex arrays of the signal's length beyond
-the input (tracemalloc; pocketfft's plan and buffer unseen),
-``smfrft_fast`` peaks at three: the shifted FFT, the output phase and
-its argument; ``ismfrft_fast`` at 3.5:
-the rolled sums beside the post-chirp's grid, argument and value. The
-in-place products ``values *= bins``, ``post *= du`` and ``post *= sums``
-have the operand order that the chain ``a * b * c`` gives them at every
-size. numpy's temporary elision, from 256 KiB on, swaps the operands of
-some other products, so those stay expressions; the tests require the
-bits of the chains in ``tests/fast_reference.py``.
+each geometry's plan (``_lattice_plan`` or ``_bluestein_plan``) is built
+once, with a fresh build's bits; a Bluestein plan is built in its one
+2N-point buffer. Each array dies once it has been used: in complex arrays
+of the signal's length beyond the input (tracemalloc; pocketfft unseen),
+``smfrft_fast`` peaks at 2.5 while it builds the time chirp (3.5 beside
+the output phase of a start off the lattice) and ``ismfrft_fast`` at 3.5,
+the sums beside the post-chirp's grid, argument and value. Each product
+has the operand order of its chain in ``tests/fast_reference.py``, whose
+bits the tests require: numpy elides a fresh operand from 256 KiB on
+(``_ELIDED``) and puts it first, so from that size on the input phase is
+the first operand, as in ``values * np.exp(...)``.
 """
 
 from __future__ import annotations
@@ -78,6 +69,9 @@ _EVEN_RTOL = 1e-12
 # a chirp-z whose sign*dx*dy*n/(2*pi) is +-1 to within this is a length-n
 # DFT (see the module docstring for the phase that drops)
 _LATTICE_EPS = 4 * np.finfo(np.float64).eps
+# numpy elides a temporary operand of at least this many bytes, which puts
+# it first in the product
+_ELIDED = 256 * 1024
 
 
 def _fft_size(length: int) -> int:
@@ -144,70 +138,82 @@ def _dft_turn(n: int, dx: float, dy: float, count: int, sign: int) -> int:
     return 0
 
 
-def _dft_plan(n: int, x0: float, dx: float, y0: float, dy: float,
-              count: int, sign: int, turn: int
-              ) -> tuple[ComplexArray, ComplexArray]:
-    """The input and output phases, read-only, that turn one length-n DFT
-    into a chirp-z geometry whose ratio is e^{turn*2*pi*j/n} (see
-    ``_chirp_z``). With both indices counted from the middle of their
-    axis, k'n' = k*m - mid_k*m - k'*mid_n for input m and output k:
-    the DFT holds e^{turn*2*pi*j*k*m/n}, and the two cross terms, reduced
-    mod n as integers before they are scaled by 2*pi/n, move to the
-    input and the output, so neither grows with n."""
-    mid_n, mid_k = (n - 1) // 2, (count - 1) // 2
-    xc = x0 + mid_n * dx
-    yc = y0 + mid_k * dy
-    unit = turn * 2.0 * np.pi / n
-    m = np.arange(n)
-    pre = np.exp(1j * (sign * yc * dx * (m - mid_n) - unit * (mid_k * m % n)))
-    k = np.arange(count) - mid_k
-    post = np.exp(1j * (sign * (yc + k * dy) * xc - unit * (k * mid_n % n)))
-    for plan in (pre, post):
-        plan.setflags(write=False)
-    return pre, post
+def _lattice_plan(n: int, x0: float, dx: float, y0: float, dy: float,
+                  count: int, sign: int, scale: complex | None,
+                  axes: tuple[str, str]):
+    """(a, b, pre, post) of a chirp-z geometry on the FFT-bin lattice (see
+    the module docstring): a and b mod n, split by ``lattice_split`` naming
+    the axis of ``axes``; the input phase e^{sign*j*s*x_m} in the order of
+    the input rolled by a, or None at s = 0; the output phase
+    scale * e^{sign*j*r*(y_k - s)}, or None at r = 0. Both read-only."""
+    a, r = lattice_split(x0, dx, f"{axes[0]} grid start")
+    b, s = lattice_split(y0, dy, f"{axes[1]} grid start")
+    a, b = a % n, b % n
+    pre = post = None
+    if s:
+        x = np.arange(n, dtype=np.float64) * dx + x0
+        pre = np.exp((sign * 1j * s) * np.concatenate((x[n - a:], x[:n - a])))
+        del x
+        pre.setflags(write=False)
+    if r:
+        arg = (sign * 1j * r) * (np.arange(count, dtype=np.float64) * dy + y0 - s)
+        post = np.exp(arg) if scale is None else scale * np.exp(arg)
+        post.setflags(write=False)
+    return a, b, pre, post
 
 
-def _chirp_z(values: np.ndarray, x0: float, dx: float, y0: float, dy: float,
-             count: int, sign: int) -> ComplexArray:
-    """out[k] = sum_n values[n] * exp(sign*j*(y0 + k*dy)*(x0 + n*dx)), k < count.
+def _chirp_z(n: int, x0: float, dx: float, y0: float, dy: float, count: int,
+             sign: int, scale: complex | None, axes: tuple[str, str]):
+    """The function of n values that returns, for k < count,
+    scale * sum_m values[m] * exp(sign*j*(y0 + k*dy)*(x0 + m*dx)) (no
+    scale for None), with its plan ``reused`` per geometry. ``axes`` names
+    the input and the output axis.
 
-    Both indices are counted from the middle of their axis (n', k'),
-    which keeps the phases, and so their rounding, small. Then the phase
-    is sign*(yc*xc + yc*dx*n' + xc*dy*k' + dx*dy*k'*n'), and the last
-    term takes one of two routes:
-
-    * on the FFT-bin lattice (``_dft_turn``: dx*dy*n = 2*pi, count <= n)
-      it is the DFT's own phase up to integer cross terms, so the sum is
-      one length-n FFT between the phases of ``_dft_plan``;
-    * elsewhere, Bluestein's k'*n' = (k'^2 + n'^2 - (k' - n')^2)/2 splits
-      it into a chirp on the input, one linear convolution with a chirp
-      over the lags k' - n', and a chirp on the output. Output k is entry
-      k + N - 1 of that convolution, which a circular FFT convolution of
-      size >= N + count - 1 already holds exactly. The chirps come from
-      ``_bluestein_plan``.
-
-    One buffer takes each product in the chain's order.
+    On the FFT-bin lattice (``_dft_turn``), the chain of the module
+    docstring, its rolls and its n-periodic read done by slices. Elsewhere,
+    Bluestein's k'*n' = (k'^2 + n'^2 - (k' - n')^2)/2, both indices counted
+    from the middle of their axis, splits the phase into a chirp on the
+    input, one linear convolution with a chirp over the lags k' - n', and
+    a chirp on the output. Output k is entry k + N - 1 of that convolution,
+    which a circular FFT convolution of size >= N + count - 1 already holds
+    exactly. One buffer takes each product in the chain's order.
     """
-    n = values.shape[0]
     geometry = (n, x0, dx, y0, dy, count, sign)
     turn = _dft_turn(n, dx, dy, count, sign)
-    if turn:
-        pre, post = reused((_dft_plan, *geometry),
-                           lambda: _dft_plan(*geometry, turn))
-        buf = values * pre
+    if not turn:
+        pre, lag_fft, post = reused((_bluestein_plan, *geometry),
+                                    lambda: _bluestein_plan(*geometry))
+
+        def bluestein(values: np.ndarray) -> ComplexArray:
+            buf = np.zeros(lag_fft.shape[0], dtype=np.complex128)
+            np.multiply(values, pre, out=buf[:n])
+            del values   # each array dies when its stage ends
+            np.fft.fft(buf, out=buf)
+            buf *= lag_fft
+            np.fft.ifft(buf, out=buf)
+            sums = post * buf[n - 1:n - 1 + count]
+            del buf
+            return sums if scale is None else scale * sums
+        return bluestein
+    a, b, pre, post = reused((_lattice_plan, *geometry, scale),
+                             lambda: _lattice_plan(*geometry, scale, axes))
+
+    def lattice(values: np.ndarray) -> ComplexArray:
+        buf = np.concatenate((values[n - a:], values[:n - a]))
+        del values   # each array dies when its stage ends
+        if pre is not None:   # the operands of values * <a fresh phase>
+            np.multiply(*((pre, buf) if pre.nbytes >= _ELIDED else (buf, pre)),
+                        out=buf)
         if turn < 0:
             np.fft.fft(buf, out=buf)
         else:   # the unscaled sum, sum_m buf[m] e^{+2*pi*j*k*m/n}
             np.fft.ifft(buf, out=buf, norm="forward")
-        return post * buf[:count]
-    pre, lag_fft, post = reused((_bluestein_plan, *geometry),
-                                lambda: _bluestein_plan(*geometry))
-    buf = np.zeros(lag_fft.shape[0], dtype=np.complex128)
-    np.multiply(values, pre, out=buf[:n])
-    np.fft.fft(buf, out=buf)
-    buf *= lag_fft
-    np.fft.ifft(buf, out=buf)
-    return post * buf[n - 1:n - 1 + count]
+        sums = np.concatenate((buf[b:b + count], buf[:max(0, b + count - n)]))
+        factor = scale if post is None else post
+        if factor is not None:
+            np.multiply(factor, sums, out=sums)
+        return sums
+    return lattice
 
 
 def _even_spacing(points: np.ndarray) -> tuple[float, float]:
@@ -248,6 +254,17 @@ def fast_ugrid(tgrid: UniformGrid) -> UniformGrid:
     return UniformGrid(-(n // 2) * du, du, n)
 
 
+def _quadrature(x: SampledSignal, u0: float, du: float, count: int,
+                angle: Angle) -> ComplexArray:
+    """dt/sqrt(j*2*pi) * sum_n x[n] e^{(j/2) cot t_n^2} e^{-j t_n (u0 + k*du)},
+    k < count: the chirp-z of the chirped samples, its plan (and so the
+    time grid start's split) made before the chirp."""
+    grid = x.grid
+    chirp_z = _chirp_z(grid.count, grid.start, grid.step, u0, du, count, -1,
+                       grid.step / SQRT_J2PI, ("time", "u"))
+    return chirp_z(x.samples * time_chirp(grid, angle))
+
+
 def smfrft_quadrature(x: SampledSignal, u_points, angle: Angle) -> ComplexArray:
     """Rectangle-rule transform of ``x`` at evenly spaced output points.
 
@@ -262,10 +279,7 @@ def smfrft_quadrature(x: SampledSignal, u_points, angle: Angle) -> ComplexArray:
     if u.shape == (0,):
         return np.zeros(0, dtype=np.complex128)
     u0, du = _even_spacing(u)
-    grid = x.grid
-    chirped = x.samples * time_chirp(grid, angle)
-    sums = _chirp_z(chirped, grid.start, grid.step, u0, du, u.shape[0], -1)
-    return (grid.step / SQRT_J2PI) * sums
+    return _quadrature(x, u0, du, u.shape[0], angle)
 
 
 def _refuse_overflowing_phase(tgrid: UniformGrid, ugrid: UniformGrid,
@@ -287,32 +301,32 @@ def _refuse_overflowing_phase(tgrid: UniformGrid, ugrid: UniformGrid,
 
 
 def smfrft_direct(x: SampledSignal, ugrid: UniformGrid, angle: Angle) -> Spectrum:
-    """Quadrature transform onto a uniform output grid; InvalidGridError
-    naming that grid when a phase of the sum overflows a double."""
+    """Quadrature transform onto a uniform output grid, read by its own
+    start, step and count; InvalidGridError naming that grid when a phase
+    of the sum overflows a double."""
     _refuse_overflowing_phase(x.grid, ugrid, ugrid)
-    return Spectrum(ugrid, _Fresh(smfrft_quadrature(x, ugrid.points(), angle)),
-                    angle, tgrid=x.grid)
+    values = _quadrature(x, ugrid.start, ugrid.step, ugrid.count, angle)
+    return Spectrum(ugrid, _Fresh(values), angle, tgrid=x.grid)
 
 
 def smfrft_fast(x: SampledSignal, angle: Angle) -> Spectrum:
-    """Fast transform: pre-chirp, roll, FFT, residual phase and scale.
+    """Fast transform: the quadrature onto ``fast_ugrid(x.grid)``, by one
+    length-N FFT at any N. No phase of it overflows once the time grid
+    start splits (``lattice_split``)."""
+    ugrid = fast_ugrid(x.grid)
+    values = _quadrature(x, ugrid.start, ugrid.step, ugrid.count, angle)
+    return Spectrum(ugrid, _Fresh(values), angle, tgrid=x.grid)
 
-    Output lands on ``fast_ugrid(x.grid)`` in ascending order and equals
-    the direct quadrature on that grid exactly (same finite sum):
 
-        values[k] = (dt / sqrt(j*2*pi))
-                    * sum_n (x[n] * exp((j/2) t_n^2 cot)) * exp(-j t_n u_k)
-    """
-    grid = x.grid
-    m, r = lattice_split(grid.start, grid.step, "time grid start")
-    chirped = np.roll(x.samples * time_chirp(grid, angle), m % grid.count)
-    bins = np.fft.fftshift(np.fft.fft(chirped))
-    del chirped
-    ugrid = fast_ugrid(grid)
-    values = (grid.step / SQRT_J2PI) * np.exp(-1j * r * ugrid.points())
-    values *= bins  # (scale * phase) * bins, in that order at every size
-    del bins
-    return Spectrum(ugrid, _Fresh(values), angle, tgrid=grid)
+def _inverse(spectrum: Spectrum, tgrid: UniformGrid) -> SampledSignal:
+    """The post-chirped rectangle rule of ``ismfrft_direct``."""
+    ugrid = spectrum.ugrid
+    fourier = _chirp_z(ugrid.count, ugrid.start, ugrid.step, tgrid.start,
+                       tgrid.step, tgrid.count, +1, None, ("u", "time"))(spectrum.values)
+    post = SQRT_J_OVER_2PI * np.conj(time_chirp(tgrid, spectrum.angle))
+    post *= ugrid.step  # (post * du) * fourier, in that order
+    post *= fourier
+    return SampledSignal(tgrid, _Fresh(post))
 
 
 def ismfrft_direct(spectrum: Spectrum, tgrid: UniformGrid) -> SampledSignal:
@@ -325,22 +339,14 @@ def ismfrft_direct(spectrum: Spectrum, tgrid: UniformGrid) -> SampledSignal:
     InvalidGridError naming ``tgrid`` when a phase of the sum overflows a
     double.
     """
-    ugrid = spectrum.ugrid
-    _refuse_overflowing_phase(tgrid, ugrid, tgrid)
-    fourier = _chirp_z(spectrum.values, ugrid.start, ugrid.step,
-                       tgrid.start, tgrid.step, tgrid.count, +1)
-    post = SQRT_J_OVER_2PI * np.conj(time_chirp(tgrid, spectrum.angle))
-    return SampledSignal(tgrid, _Fresh(post * ugrid.step * fourier))
+    _refuse_overflowing_phase(tgrid, spectrum.ugrid, tgrid)
+    return _inverse(spectrum, tgrid)
 
 
 def ismfrft_fast(spectrum: Spectrum) -> SampledSignal:
-    """Fast inverse at the spectrum's angle: residual phase, inverse FFT,
-    roll and post-chirp, exact on reciprocal grids.
-
-    The spectrum must carry the originating time grid and satisfy
-    du * N * dt = 2*pi; then the composition with ``smfrft_fast`` is the
-    identity up to floating point.
-    """
+    """Fast inverse: the quadrature inverse onto the spectrum's originating
+    time grid, which must satisfy du * N * dt = 2*pi; then the composition
+    with ``smfrft_fast`` is the identity up to floating point."""
     tgrid = spectrum.tgrid
     if tgrid is None:
         raise GridCompatibilityError(
@@ -357,14 +363,4 @@ def ismfrft_fast(spectrum: Spectrum) -> SampledSignal:
         raise GridCompatibilityError(
             f"du*N*dt = {product!r} is not 2*pi within {_RECIPROCAL_RTOL} relative"
         )
-    m, r = lattice_split(tgrid.start, tgrid.step, "time grid start")
-    referenced = spectrum.values * np.exp(1j * r * spectrum.ugrid.points())
-    referenced = np.fft.ifftshift(referenced)
-    sums = n * np.fft.ifft(referenced)
-    del referenced
-    sums = np.roll(sums, -m % n)
-    post = SQRT_J_OVER_2PI * np.conj(time_chirp(tgrid, spectrum.angle))
-    post *= spectrum.ugrid.step  # (post * du) * sums, in that order
-    post *= sums
-    del sums
-    return SampledSignal(tgrid, _Fresh(post))
+    return _inverse(spectrum, tgrid)

@@ -13,6 +13,9 @@ with every root on the principal branch (Re A = Re a > 0, where the
 Gaussian integral takes the principal sqrt(pi/A)). Nothing here calls the
 library's evaluators or constants, and ``tests/test_transform.py`` checks
 the formula against a 40-digit quadrature.
+
+Every operand of ``smfrft.corpus.default_pairs`` is such a triple
+(``CORPUS_PAIRS``), written here from the generators' parameters.
 """
 
 import numpy as np
@@ -29,3 +32,23 @@ def spectrum(u, a, b, c, phi):
     big_b = b - 1j * np.asarray(u)
     return (np.exp(c + big_b * big_b / (4.0 * big_a)) * np.sqrt(np.pi / big_a)
             / np.sqrt(2j * np.pi))
+
+
+def gaussian(center, width, carrier):
+    """The triple of ``gen_gaussian(grid, center, width, carrier)``."""
+    return (1 / (2 * width**2), center / width**2 + 1j * carrier,
+            -center**2 / (2 * width**2))
+
+
+def chirp(rate, width, carrier=0.0):
+    """The triple of ``gen_chirp(grid, rate, width)`` times e^{j carrier t}
+    (``corpus.modulated_chirp``)."""
+    return 1 / (2 * width**2) + 0.5j * rate, 1j * carrier, 0.0
+
+
+# corpus.default_pairs as triples, pair by pair
+CORPUS_PAIRS = [
+    (gaussian(0.2, 1.0, 0.7), gaussian(0.4, 0.8, 1.5)),
+    (chirp(14.0, 2.1, 1.2), chirp(-11.0, 2.0)),
+    (chirp(14.0, 2.1, -0.8), chirp(11.0, 2.0)),
+]

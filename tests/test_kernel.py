@@ -243,8 +243,8 @@ class TestReuseScope:
                 op()
             arrays = held_arrays(memo)
         arrays += [*transform._bluestein_plan(512, -8.0, 0.03, 1.5, 0.2, 256, -1),
-                   *transform._dft_plan(512, -8.0, 0.03, 1.5, 2 * math.pi / 15.36,
-                                        256, -1, -1),
+                   *transform._lattice_plan(512, -8.005, 0.03, 1.5, 2 * math.pi / 15.36,
+                                            256, -1, 0.5, ("time", "u"))[2:],
                    time_chirp(std_grid, make_angle(0.4))]
         assert len(arrays) > 10
         for held in arrays:

@@ -42,7 +42,7 @@ def files(signal, tmp_path_factory):
 
 
 def test_smfrft_fast_holds_three_arrays(traced_peak, signal):
-    # the shifted FFT, the output phase and its argument: 3.1 (4.6)
+    # the time chirp's grid, argument and value while it is built: 2.5 (4.6)
     assert traced_peak(lambda: smfrft_fast(signal, ANGLE)) < 4 * ARRAY
 
 
@@ -91,10 +91,10 @@ def test_quadrature_command_peaks_at_its_plan(traced_peak, files, tmp_path,
     # the quadrature onto N points peaks while it applies its chirp-z
     # plan, over the read's peak. Off the FFT-bin lattice that is
     # Bluestein's: its lag chirp's FFT (2N points, built in place in its
-    # zero-padded buffer) and end chirps beside the input, its chirp, the
-    # 2N-point buffer of the product chain and the output (transform 9.5
-    # (11.5), invert 8.0 (9.2)). On the lattice (the inverse onto the
-    # reciprocal step) it is two phases and one N-point buffer: 5.9
+    # zero-padded buffer) and end chirps beside the 2N-point buffer of the
+    # product chain and the output (transform 8.0 (11.5), invert 8.0
+    # (9.2)). On the lattice (the inverse onto the reciprocal step) it is
+    # the fast inverse's chain: 5.9
     args = [command, "--input", str(files[source]),
             "--output", str(tmp_path / "out.csv"), f"--angle={ANGLE.phi!r}", *options]
     results = []

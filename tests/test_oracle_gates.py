@@ -30,6 +30,7 @@ from smfrft import (
     make_angle,
     modulate_op,
     shift_op,
+    smfrft_direct,
     smfrft_fast,
     smfrft_quadrature,
 )
@@ -169,7 +170,7 @@ def test_dft_route_inverse_matches_dense(n, seed, angle, shift, start, fraction)
 
 
 @pytest.mark.parametrize("n", [257, 1024])
-@pytest.mark.parametrize("off, route", [(np.finfo(np.float64).eps, "_dft_plan"),
+@pytest.mark.parametrize("off, route", [(np.finfo(np.float64).eps, "_lattice_plan"),
                                         (1e-9, "_bluestein_plan")],
                          ids=["1-eps", "1e-9"])
 def test_lattice_boundary(n, off, route):
@@ -190,6 +191,21 @@ def test_lattice_boundary(n, off, route):
     assert quadrature_error(values, x, u, angle) <= GATE
     assert relative_l2_error(
         back, dense_oracle.ismfrft_direct(spectrum, tgrid)) <= GATE
+
+
+def test_direct_takes_its_grid_step_onto_the_lattice():
+    # 20 FFT-bin points shifted by 73: the step read back from the rounded
+    # points is 7 eps off the lattice, the grid's own step is on it
+    grid = UniformGrid(-16.0, 1.0 / 32, 1024)
+    bins = fast_ugrid(grid)
+    ugrid = UniformGrid(bins.start + 500 * bins.step + 73.0, bins.step, 20)
+    _, du = transform._even_spacing(ugrid.points())
+    assert transform._dft_turn(grid.count, grid.step, du, ugrid.count, -1) == 0
+    x = random_signal(grid, 20)
+    angle = make_angle(1.1)
+    with dft_route():
+        values = smfrft_direct(x, ugrid, angle).values
+    assert quadrature_error(values, x, ugrid.points(), angle) <= GATE
 
 
 @given(n=sizes, seed=st.integers(0, 2**32 - 1), angle=angles,

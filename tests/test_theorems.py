@@ -432,7 +432,7 @@ class TestSuite:
         # a plan lives for the run, so each of its 9 chirp-z geometries is
         # built once; the next run builds them again, as nothing outlives it.
         # Every geometry sits on the FFT-bin lattice: none takes Bluestein
-        built = {"_dft_plan": [], "_bluestein_plan": []}
+        built = {"_lattice_plan": [], "_bluestein_plan": []}
         for name in built:
             def counted(*geometry, _name=name, _fn=getattr(transform, name)):
                 built[_name].append(geometry)
@@ -440,7 +440,7 @@ class TestSuite:
             monkeypatch.setattr(transform, name, counted)
         for run in (1, 2):
             run_suite(self.small_config())
-            lattice = built["_dft_plan"]
+            lattice = built["_lattice_plan"]
             assert len(lattice) == len(set(lattice)) * run == 9 * run
             assert built["_bluestein_plan"] == []
 

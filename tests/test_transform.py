@@ -1,6 +1,7 @@
 import cmath
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from smfrft import (
     InvalidGridError,
     SampledSignal,
     Spectrum,
+    SuiteConfig,
     UniformGrid,
     fast_ugrid,
     frac_convolve,
@@ -27,6 +29,7 @@ from smfrft import (
     smfrft_quadrature,
 )
 from smfrft import transform
+from smfrft.corpus import default_pairs
 
 import dense_oracle
 import fast_reference
@@ -192,6 +195,21 @@ class TestInverse:
         back = ismfrft_direct(smfrft_fast(x, angle), grid)
         assert relative_l2_error(back.samples, x.samples) <= 1e-9
 
+    def test_fast_inverse_reads_the_spectrum_grid_start(self, rng):
+        # a spectrum on the FFT-bin grid shifted by 0.3 and by five bins:
+        # the fast inverse is the quadrature inverse, not a sum that
+        # assumes the bins start at -N/2
+        grid = UniformGrid(-8.0, 16.0 / 256, 256)
+        bins = fast_ugrid(grid)
+        angle = make_angle(0.9)
+        for shift in (0.3, 5 * bins.step):
+            spectrum = Spectrum(UniformGrid(bins.start + shift, bins.step, 256),
+                                random_signal(grid, rng).samples, angle, tgrid=grid)
+            back = ismfrft_fast(spectrum).samples
+            assert back.tobytes() == ismfrft_direct(spectrum, grid).samples.tobytes()
+            want = dense_oracle.ismfrft_direct(spectrum, grid)
+            assert relative_l2_error(back, want) <= 1e-12
+
     def test_single_bin_spectrum(self):
         # one-term sum: each output sample is a pure phasor times constants
         grid = UniformGrid(-4.0, 8.0 / 16, 16)
@@ -347,7 +365,7 @@ class TestFastPathBits:
     @pytest.mark.parametrize("n", [2048, 2**15])
     def test_quadrature_matches_reference(self, n, rng):
         # Bluestein's buffer is 2N points: 64 KiB at N = 2048, 1 MiB at 2^15;
-        # the DFT route's is N points. Each route is pinned both ways: the
+        # the lattice route's is N points. Each route is pinned both ways: the
         # shifted u and a reversed sub-range sit on the FFT-bin lattice, a
         # step of 0.9 du does not; the inverse onto the time grid is on it
         grid = UniformGrid(-13.7, 32.0 / n, n)
@@ -432,10 +450,9 @@ class TestClosedForm:
                     assert peak_error(got, exact) <= 1e-13
 
     def test_quadrature_on_the_lattice_at_2_17(self):
-        # the DFT route at the cli-pipeline size, forward onto the FFT-bin
-        # grid and a shift of it, and back: its phases stay below 2*pi
-        # plus the grids' own, where unreduced cross terms would reach
-        # pi*N/2 and err ~8e-12 here (Bluestein's chain erred ~9e-13)
+        # the lattice route at the cli-pipeline size, forward onto the
+        # FFT-bin grid and a shift of it, and back: its computed phases stay
+        # within about pi/2 (Bluestein's chain erred ~9e-13)
         grid = FAST_GRIDS[0]
         t, ugrid = grid.points(), fast_ugrid(grid)
         for a, b, c in GAUSSIAN_CHIRPS:
@@ -449,6 +466,38 @@ class TestClosedForm:
                     ugrid.points(), a, b, c, phi), angle)
                 back = ismfrft_direct(exact, grid).samples
                 assert peak_error(back, x.samples) <= 2e-13
+
+    @pytest.mark.parametrize("grid", [SuiteConfig().time_grid(), FAST_GRIDS[1]],
+                             ids=["suite", "off-lattice"])
+    def test_corpus_operands_are_their_triples(self, grid):
+        t = grid.points()
+        for pair, triples in zip(default_pairs(grid), gaussian_chirp.CORPUS_PAIRS,
+                                 strict=True):
+            for x, (a, b, c) in zip(pair, triples, strict=True):
+                assert peak_error(x.samples, gaussian_chirp.signal(t, a, b, c)) <= 1e-14
+
+    @pytest.mark.parametrize("grid", [FAST_GRIDS[1], UniformGrid(-32.0, 1.0 / 64, 4096)],
+                             ids=["off-lattice", "wide"])
+    def test_fast_and_direct_onto_shifted_and_negated_bins(self, grid):
+        # every output grid on the FFT-bin lattice: the bins, shifted off
+        # them, and negated (shifted again); Bluestein's route is refused
+        t, bins = grid.points(), fast_ugrid(grid)
+        last = bins.point(bins.count - 1)
+        ugrids = [bins, UniformGrid(bins.start + 0.3, bins.step, bins.count),
+                  UniformGrid(-last, bins.step, bins.count),
+                  UniformGrid(-last - 7.3, bins.step, bins.count)]
+        with mock.patch.object(transform, "_bluestein_plan",
+                               side_effect=AssertionError("took Bluestein's route")):
+            for a, b, c in GAUSSIAN_CHIRPS:
+                x = SampledSignal(grid, gaussian_chirp.signal(t, a, b, c))
+                for phi in CLOSED_FORM_ANGLES:
+                    angle = make_angle(phi)
+                    spectra = [smfrft_fast(x, angle)] + [
+                        smfrft_direct(x, ugrid, angle) for ugrid in ugrids]
+                    for spectrum in spectra:
+                        exact = gaussian_chirp.spectrum(spectrum.ugrid.points(),
+                                                        a, b, c, phi)
+                        assert peak_error(spectrum.values, exact) <= 1e-13
 
     def test_start_too_far_for_its_step_is_refused(self):
         # start/step overflows: no numpy warning, no OverflowError from
