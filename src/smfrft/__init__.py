@@ -24,7 +24,7 @@ _EXPORTS = {
     "theorems": ("IdentityId", "IdentityReport", "SuiteConfig", "check", "report_rows",
                  "reports_to_json", "run_suite"),
     "transform": ("fast_ugrid", "ismfrft_direct", "ismfrft_fast", "smfrft_direct",
-                  "smfrft_fast", "smfrft_quadrature"),
+                  "smfrft_fast"),
     "corpus": (),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -13,12 +13,13 @@ check computes its two sides from the row by disjoint routes:
 * RHS: ``rhs_tfshift`` for every convolution and correlation family, its
   shifted and modulated operand's spectrum given by the transform's
   time-frequency-shift property (``_tf_shifted``), and ``rhs_product``
-  for the product, with every spectrum at shifted or negated abscissae a
-  quadrature at those exact points. Nothing is interpolated, and no RHS
-  ever calls a time-domain operator.
+  for the product. Every spectrum at a shifted or negated image of the u
+  grid is a quadrature onto that image, handed over as its start, step
+  (negative for -u) and count. Nothing is interpolated, and no RHS ever
+  calls a time-domain operator.
 
 Within ``run_suite`` many right-hand sides need the same operand spectrum
-at the same points (F(u), G(u), the overline F(-u)). The suite runs angle
+on the same grid (F(u), G(u), the overline F(-u)). The suite runs angle
 by angle and pair by pair in one reuse scope (``kernel.reused``), which
 keeps chirps, carriers and chirp-z plans for the run; for one (angle,
 pair) ``_spectrum`` computes each such spectrum once for every builder
@@ -129,59 +130,61 @@ ABSOLUTE_TOLERANCE = 1e-14
 # builder collapses onto the plain, shifted and modulated forms. The
 # correlation forms take the overline spectrum of f (see _spectrum).
 
-def _spectrum(x: SampledSignal, u: np.ndarray, angle: Angle,
-              conj: bool = False) -> ComplexArray:
+def _spectrum(x: SampledSignal, start: float, step: float, count: int,
+              angle: Angle, conj: bool = False) -> ComplexArray:
     """Quadrature spectrum of ``x`` (of its conjugate with ``conj``, the
-    overline spectrum) at the evenly spaced points ``u``.
+    overline spectrum) at the ``count`` points start + k*step.
 
     The overline operator transforms the conjugated signal. That is
     distinct from conjugating the transform, which would also conjugate
     the kernel chirp.
-
-    The quadrature reads only u[0], u[-1] and len(u), so those, to the
-    bit, name the points in the ``reused`` key, beside ``id(x)``.
     """
     def build():
-        values = smfrft_quadrature(x.conjugate() if conj else x, u, angle)
+        values = smfrft_quadrature(x.conjugate() if conj else x, start, step,
+                                   count, angle)
         values.setflags(write=False)
         return x, values
-    key = (_spectrum, id(x), conj, angle, len(u), u[[0, -1]].tobytes())
-    return reused(key, build)[1]
+    return reused((_spectrum, id(x), conj, angle, start, step, count), build)[1]
 
 
 def _tf_shifted(x: SampledSignal, angle: Angle, d: float, q: float,
-                v: np.ndarray, conj: bool = False
+                v: tuple[float, float, int], conj: bool = False
                 ) -> tuple[ComplexArray | float, ComplexArray]:
-    """(phase, spectrum) whose product is the transform, at the points
-    ``v``, of x(t - d) e^{jqt} (of conj(x)(t - d) e^{jqt} with ``conj``):
-    the time-frequency-shift property
+    """(phase, spectrum) whose product is the transform, at the points of
+    ``v`` = (start, step, count), of x(t - d) e^{jqt} (of conj(x)(t - d)
+    e^{jqt} with ``conj``): the time-frequency-shift property
 
         e^{-j(v-q)d + (j/2) d^2 cot} X(v - q - d cot).
 
     At d = 0 the phase is exactly 1, and is returned as the number 1.0.
     """
+    start, step, count = v
     cot = angle.cot_phi
-    spectrum = _spectrum(x, v - q - d * cot, angle, conj)
+    spectrum = _spectrum(x, start - q - d * cot, step, count, angle, conj)
     if d == 0.0:
         return 1.0, spectrum
-    return np.exp(-1j * (v - q) * d + 0.5j * d * d * cot), spectrum
+    points = np.arange(count, dtype=np.float64) * step + start
+    return np.exp(-1j * (points - q) * d + 0.5j * d * d * cot), spectrum
 
 
-def rhs_tfshift(f, g, angle, d, q, u, op, side, negate=True) -> ComplexArray:
+def rhs_tfshift(f, g, angle, d, q, ugrid: UniformGrid, op, side,
+                negate=True) -> ComplexArray:
     """Time-frequency-shifted convolution (``op`` "conv") or correlation
-    ("corr"), with the operand in slot ``side`` shifted and modulated.
+    ("corr") on the u grid, with the operand in slot ``side`` shifted and
+    modulated.
 
     The correlation takes the overline spectrum of f at -u, as the
     derivation gives; ``negate=False`` takes it at +u, the printed left
     form.
     """
     corr = op == "corr"
-    fv = -u if corr and negate else u
+    u = (ugrid.start, ugrid.step, ugrid.count)
+    fv = (-ugrid.start, -ugrid.step, ugrid.count) if corr and negate else u
     if side == "L":
         phase, fs = _tf_shifted(f, angle, d, q, fv, corr)
-        gs = _spectrum(g, u, angle)
+        gs = _spectrum(g, *u, angle)
     else:
-        fs = _spectrum(f, fv, angle, corr)
+        fs = _spectrum(f, *fv, angle, corr)
         phase, gs = _tf_shifted(g, angle, d, q, u)
     return SQRT_J2PI * phase * fs * gs
 
@@ -195,19 +198,19 @@ def rhs_product(f, g, angle, ugrid: UniformGrid) -> ComplexArray:
     the check restricts the residual accordingly.
     """
     origin = _lattice_index(ugrid.start, ugrid.step, "product u grid start")
-    u = ugrid.points()
-    fs = _spectrum(f, u, angle)
-    gs = _spectrum(g, u, angle)
-    window = linear_convolve(fs, gs, -origin, ugrid.count)
+    u = (ugrid.start, ugrid.step, ugrid.count)
+    window = linear_convolve(_spectrum(f, *u, angle), _spectrum(g, *u, angle),
+                             -origin, ugrid.count)
     return SQRT_J_OVER_2PI * ugrid.step * window
 
 
-def rhs_corr_shift_paper(f, g, angle, d, q, u) -> ComplexArray:
+def rhs_corr_shift_paper(f, g, angle, d, q, ugrid: UniformGrid) -> ComplexArray:
     """Left-shifted correlation at pi/2 as printed, with the opposite
     phase sign to the general form (which matches the derivation)."""
-    phase = np.exp(-1j * u * d)
-    return (SQRT_J2PI * phase * _spectrum(f, -u, angle, conj=True)
-            * _spectrum(g, u, angle))
+    phase = np.exp(-1j * ugrid.points() * d)
+    return (SQRT_J2PI * phase
+            * _spectrum(f, -ugrid.start, -ugrid.step, ugrid.count, angle, conj=True)
+            * _spectrum(g, ugrid.start, ugrid.step, ugrid.count, angle))
 
 
 # --------------------------------------------------------------------------
@@ -218,7 +221,7 @@ class _Family:
     """One catalogue row: ``op`` is "conv", "corr" or "prod"; ``operand``
     the slot ("L", "R" or None) that is shifted and modulated; ``sweeps``
     the subset of "dq" the suite runs over. Where ``printed_differs(phi,
-    d, q)`` holds, ``printed_rhs(f, g, angle, d, q, u)`` is the printed
+    d, q)`` holds, ``printed_rhs(f, g, angle, d, q, ugrid)`` is the printed
     form, which departs from the derivation there."""
 
     op: str
@@ -280,7 +283,7 @@ def rhs_values(identity: IdentityId, f: SampledSignal, g: SampledSignal,
     if family.op == "prod":
         return rhs_product(f, g, angle, ugrid)
     # the plain families may take either side: both collapse at d = q = 0
-    return rhs_tfshift(f, g, angle, d, q, ugrid.points(), family.op,
+    return rhs_tfshift(f, g, angle, d, q, ugrid, family.op,
                        family.operand or "L")
 
 
@@ -320,19 +323,20 @@ def _residuals(identity: IdentityId, f: SampledSignal, g: SampledSignal,
     sides near 1e154) becomes inf or NaN here without a warning, and
     ``_residual`` refuses the residual it leaves."""
     family = _FAMILIES[identity]
-    u = ugrid.points()
+    start, count = ugrid.start, ugrid.count
     with np.errstate(over="ignore", invalid="ignore"):
         operator_out = lhs_signal(identity, f, g, angle, d, q)
         derived = rhs_values(identity, f, g, angle, d, q, ugrid)
-        paper = (family.printed_rhs(f, g, angle, d, q, u) if differs
+        paper = (family.printed_rhs(f, g, angle, d, q, ugrid) if differs
                  else derived)
         if family.op == "prod":
             # the product check trusts only the inner half of the u grid,
             # where truncating the spectral-convolution integral leaks nothing
             quarter = ugrid.count // 4
-            inner = slice(quarter, ugrid.count - quarter)
-            u, paper, derived = u[inner], paper[inner], derived[inner]
-        lhs = smfrft_quadrature(operator_out, u, angle)
+            start, count = ugrid.point(quarter), ugrid.count - 2 * quarter
+            inner = slice(quarter, quarter + count)
+            paper, derived = paper[inner], derived[inner]
+        lhs = smfrft_quadrature(operator_out, start, ugrid.step, count, angle)
         r_paper, absolute = _residual(lhs, paper)
         if not differs:
             return r_paper, r_paper, absolute

@@ -1,17 +1,18 @@
 """Forward and inverse transforms: the rectangle-rule quadrature as a chirp-z.
 
 ``smfrft_quadrature`` / ``smfrft_direct`` evaluate the defining integral by
-a left-point rectangle rule on any evenly spaced output grid (shifted,
-negated, a sub-range, or a single point), and ``ismfrft_direct`` the
-inverse onto any uniform time grid: each sum is a chirp-z transform,
-O((N+M) log). ``smfrft_fast`` is the quadrature onto the FFT-bin grid
-``fast_ugrid`` and ``ismfrft_fast`` the inverse onto the originating time
-grid, which it refuses off du * N * dt = 2*pi (to 1e-9 relative): on that
-reciprocal pairing the sum is an exact inverse DFT, and interpolating
-anything else would contaminate downstream residuals. The rectangle rule
-(rather than trapezoid) makes the FFT-bin sum a DFT; for Gaussian-enveloped
-signals the endpoint terms are negligible anyway. The dense O(N*M) sums
-are the test suite's oracle, which gates every evaluator here.
+a left-point rectangle rule on any evenly spaced output grid, read by its
+start, step and count (shifted, negated by a negative step, a sub-range,
+or a single point), and ``ismfrft_direct`` the inverse onto any uniform
+time grid: each sum is a chirp-z transform, O((N+M) log). ``smfrft_fast``
+is the quadrature onto the FFT-bin grid ``fast_ugrid`` and ``ismfrft_fast``
+the inverse onto the originating time grid, which it refuses off
+du * N * dt = 2*pi (to 1e-9 relative): on that reciprocal pairing the sum
+is an exact inverse DFT, and interpolating anything else would
+contaminate downstream residuals. The rectangle rule (rather than
+trapezoid) makes the FFT-bin sum a DFT; for Gaussian-enveloped signals the
+endpoint terms are negligible anyway. The dense O(N*M) sums are the test
+suite's oracle, which gates every evaluator here.
 
 The chirp-z of N inputs x_m = x0 + m*dx onto M outputs y_k = y0 + k*dy has
 the ratio e^{sign*j*dx*dy}. On the FFT-bin lattice, sign*dx*dy*N = turn*2*pi
@@ -46,11 +47,7 @@ once, with a fresh build's bits; a Bluestein plan is built in its one
 of the signal's length beyond the input (tracemalloc; pocketfft unseen),
 ``smfrft_fast`` peaks at 2.5 while it builds the time chirp (3.5 beside
 the output phase of a start off the lattice) and ``ismfrft_fast`` at 3.5,
-the sums beside the post-chirp's grid, argument and value. Each product
-has the operand order of its chain in ``tests/fast_reference.py``, whose
-bits the tests require: numpy elides a fresh operand from 256 KiB on
-(``_ELIDED``) and puts it first, so from that size on the input phase is
-the first operand, as in ``values * np.exp(...)``.
+the sums beside the post-chirp's grid, argument and value.
 """
 
 from __future__ import annotations
@@ -63,15 +60,9 @@ from .kernel import SQRT_J2PI, SQRT_J_OVER_2PI, Angle, reused, time_chirp
 
 # relative slack on du*N*dt == 2*pi for the fast inverse pairing
 _RECIPROCAL_RTOL = 1e-9
-# quadrature points may leave an exact arithmetic progression by this much,
-# relative to their largest magnitude (rounding of shifts and negations)
-_EVEN_RTOL = 1e-12
 # a chirp-z whose sign*dx*dy*n/(2*pi) is +-1 to within this is a length-n
 # DFT (see the module docstring for the phase that drops)
 _LATTICE_EPS = 4 * np.finfo(np.float64).eps
-# numpy elides a temporary operand of at least this many bytes, which puts
-# it first in the product
-_ELIDED = 256 * 1024
 
 
 def _fft_size(length: int) -> int:
@@ -201,9 +192,8 @@ def _chirp_z(n: int, x0: float, dx: float, y0: float, dy: float, count: int,
     def lattice(values: np.ndarray) -> ComplexArray:
         buf = np.concatenate((values[n - a:], values[:n - a]))
         del values   # each array dies when its stage ends
-        if pre is not None:   # the operands of values * <a fresh phase>
-            np.multiply(*((pre, buf) if pre.nbytes >= _ELIDED else (buf, pre)),
-                        out=buf)
+        if pre is not None:
+            np.multiply(pre, buf, out=buf)
         if turn < 0:
             np.fft.fft(buf, out=buf)
         else:   # the unscaled sum, sum_m buf[m] e^{+2*pi*j*k*m/n}
@@ -214,26 +204,6 @@ def _chirp_z(n: int, x0: float, dx: float, y0: float, dy: float, count: int,
             np.multiply(factor, sums, out=sums)
         return sums
     return lattice
-
-
-def _even_spacing(points: np.ndarray) -> tuple[float, float]:
-    """(start, step) of an evenly spaced 1-D array; step may be negative,
-    and is 0 for a single point."""
-    if points.ndim != 1:
-        raise GridCompatibilityError(
-            f"quadrature points must be a 1-D array, got shape {points.shape}"
-        )
-    count = points.shape[0]
-    start = float(points[0])
-    step = (float(points[-1]) - start) / (count - 1) if count > 1 else 0.0
-    line = start + step * np.arange(count, dtype=np.float64)
-    slack = _EVEN_RTOL * float(np.max(np.abs(points)))
-    if not np.all(np.abs(points - line) <= slack):
-        raise GridCompatibilityError(
-            "quadrature points must be evenly spaced (a uniform grid, possibly "
-            "shifted, negated or a contiguous sub-range)"
-        )
-    return start, step
 
 
 def lattice_split(value: float, step: float, what: str) -> tuple[int, float]:
@@ -265,21 +235,16 @@ def _quadrature(x: SampledSignal, u0: float, du: float, count: int,
     return chirp_z(x.samples * time_chirp(grid, angle))
 
 
-def smfrft_quadrature(x: SampledSignal, u_points, angle: Angle) -> ComplexArray:
-    """Rectangle-rule transform of ``x`` at evenly spaced output points.
-
-    values[k] = dt * sum_n x[n] * kernel(t_n, u_k). ``u_points`` is a 1-D
-    arithmetic progression in either direction (or one point); u0 and du
-    are read from it, and anything else raises GridCompatibilityError.
-    The kernel chirp e^{(j/2) t^2 cot} depends only on t, so it is folded
-    into the input vector and the remaining e^{-j u t} sum is a chirp-z
-    transform.
-    """
-    u = np.atleast_1d(np.asarray(u_points, dtype=np.float64))
-    if u.shape == (0,):
-        return np.zeros(0, dtype=np.complex128)
-    u0, du = _even_spacing(u)
-    return _quadrature(x, u0, du, u.shape[0], angle)
+def smfrft_quadrature(x: SampledSignal, start: float, step: float, count: int,
+                      angle: Angle) -> ComplexArray:
+    """Rectangle-rule transform of ``x`` at the ``count`` points
+    start + k*step (step negative for a negated grid, anything for one
+    point): values[k] = dt * sum_n x[n] * kernel(t_n, u_k). The entry
+    point of the certificate's quadratures; ``smfrft_direct`` takes the
+    same sum onto a ``UniformGrid``. The fast and direct transforms call
+    ``_quadrature``, so a wrapper patched in at this name (the benchmark's
+    trace, the dense cross-check) sees the certificate's calls alone."""
+    return _quadrature(x, start, step, count, angle)
 
 
 def _refuse_overflowing_phase(tgrid: UniformGrid, ugrid: UniformGrid,

@@ -6,9 +6,11 @@ the end and do no product in place, and ``chirp_z``, behind
 ``smfrft_quadrature`` and ``ismfrft_direct``, takes the library's route
 for each geometry (``_dft_turn``): the lattice chain (its phases formed
 afresh, its rolls by ``np.roll``) or Bluestein's, each without the
-library's one in-place buffer. Which operands numpy's
-temporary elision (from 256 KiB on) swaps follows from these expression
-shapes; ``tests/test_transform.py`` requires the library's bits to equal
+library's one in-place buffer. Complex products are not bitwise
+commutative, so each expression names its operands in the library's
+order; where a fresh phase meets the samples, the phase comes first, so
+numpy's temporary elision (from 256 KiB on) keeps that order at every
+size. ``tests/test_transform.py`` requires the library's bits to equal
 these at sizes on both sides of that threshold. Do not tidy these
 bodies: their expression shapes are the point.
 """
@@ -22,7 +24,6 @@ from smfrft.transform import (
     _RECIPROCAL_RTOL,
     _bluestein_plan,
     _dft_turn,
-    _even_spacing,
     fast_ugrid,
     lattice_split,
 )
@@ -57,7 +58,7 @@ def ismfrft_fast(spectrum):
         )
     m, r = lattice_split(tgrid.start, tgrid.step, "time grid start")
     u = spectrum.ugrid.points()
-    referenced = spectrum.values * np.exp(1j * r * u)
+    referenced = np.exp(1j * r * u) * spectrum.values
     sums = np.roll(n * np.fft.ifft(np.fft.ifftshift(referenced)), -m)
     chirp = time_chirp(tgrid, spectrum.angle)
     post = SQRT_J_OVER_2PI * np.conj(chirp)
@@ -72,7 +73,7 @@ def chirp_z(values, x0, dx, y0, dy, count, sign, scale):
         b, s = lattice_split(y0, dy, "y0")
         x = np.arange(n, dtype=np.float64) * dx + x0
         y = np.arange(count, dtype=np.float64) * dy + y0
-        phased = values * np.exp((sign * 1j * s) * x) if s else values
+        phased = np.exp((sign * 1j * s) * x) * values if s else values
         if turn < 0:
             bins = np.roll(np.fft.fft(np.roll(phased, a)), -b)[:count]
         else:
@@ -88,12 +89,10 @@ def chirp_z(values, x0, dx, y0, dy, count, sign, scale):
     return sums if scale is None else scale * sums
 
 
-def smfrft_quadrature(x, u_points, angle):
-    u = np.asarray(u_points, dtype=np.float64)
-    u0, du = _even_spacing(u)
+def smfrft_quadrature(x, start, step, count, angle):
     grid = x.grid
     chirped = x.samples * time_chirp(grid, angle)
-    return chirp_z(chirped, grid.start, grid.step, u0, du, u.shape[0], -1,
+    return chirp_z(chirped, grid.start, grid.step, start, step, count, -1,
                    grid.step / SQRT_J2PI)
 
 

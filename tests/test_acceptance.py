@@ -213,24 +213,24 @@ def test_criterion_7_specialization_lattice():
     grid = UniformGrid(-16.0, 32.0 / 1024, 1024)
     f = gen_gaussian(grid, 0.2, 1.0, 0.8)
     g = gen_chirp(grid, 0.9, 1.2)
-    u = fast_ugrid(grid).points()
+    ugrid = fast_ugrid(grid)
     start = time.perf_counter()
     for phi in (PI / 6, PI / 3):
         angle = make_angle(phi)
         for side in ("L", "R"):
             conv_cases = [
-                (theorems.rhs_tfshift(f, g, angle, 0.5, 0.0, u, "conv", side),
-                 closed_forms.rhs_conv_shift(f, g, angle, 0.5, u, side)),
-                (theorems.rhs_tfshift(f, g, angle, 0.0, 1.0, u, "conv", side),
-                 closed_forms.rhs_conv_modulation(f, g, angle, 1.0, u, side)),
-                (theorems.rhs_tfshift(f, g, angle, 0.0, 0.0, u, "conv", side),
-                 closed_forms.rhs_convolution(f, g, angle, u)),
-                (theorems.rhs_tfshift(f, g, angle, 0.5, 0.0, u, "corr", side),
-                 closed_forms.rhs_corr_shift_derived(f, g, angle, 0.5, u, side)),
-                (theorems.rhs_tfshift(f, g, angle, 0.0, 1.0, u, "corr", side),
-                 closed_forms.rhs_corr_modulation(f, g, angle, 1.0, u, side)),
-                (theorems.rhs_tfshift(f, g, angle, 0.0, 0.0, u, "corr", side),
-                 closed_forms.rhs_correlation(f, g, angle, u)),
+                (theorems.rhs_tfshift(f, g, angle, 0.5, 0.0, ugrid, "conv", side),
+                 closed_forms.rhs_conv_shift(f, g, angle, 0.5, ugrid, side)),
+                (theorems.rhs_tfshift(f, g, angle, 0.0, 1.0, ugrid, "conv", side),
+                 closed_forms.rhs_conv_modulation(f, g, angle, 1.0, ugrid, side)),
+                (theorems.rhs_tfshift(f, g, angle, 0.0, 0.0, ugrid, "conv", side),
+                 closed_forms.rhs_convolution(f, g, angle, ugrid)),
+                (theorems.rhs_tfshift(f, g, angle, 0.5, 0.0, ugrid, "corr", side),
+                 closed_forms.rhs_corr_shift_derived(f, g, angle, 0.5, ugrid, side)),
+                (theorems.rhs_tfshift(f, g, angle, 0.0, 1.0, ugrid, "corr", side),
+                 closed_forms.rhs_corr_modulation(f, g, angle, 1.0, ugrid, side)),
+                (theorems.rhs_tfshift(f, g, angle, 0.0, 0.0, ugrid, "corr", side),
+                 closed_forms.rhs_correlation(f, g, angle, ugrid)),
             ]
             for specialized, simpler in conv_cases:
                 assert relative_l2_error(specialized, simpler) <= 1e-12

@@ -29,10 +29,10 @@ from smfrft import (
     run_suite,
     smfrft_direct,
     smfrft_fast,
-    smfrft_quadrature,
 )
 from smfrft import kernel, transform
 from smfrft.kernel import time_chirp
+from smfrft.transform import smfrft_quadrature
 
 from dense_oracle import frft_kernel, smfrft_kernel
 
@@ -201,10 +201,11 @@ class TestReuseScope:
                 for _ in range(2))
         angle = make_angle(0.9)
         ugrid = fast_ugrid(grid)
-        u = ugrid.points() - 0.7
+        u = (ugrid.start - 0.7, ugrid.step, ugrid.count)
         spectrum = smfrft_direct(x, ugrid, angle)
-        return (lambda: smfrft_quadrature(x, u, angle),
-                lambda: smfrft_quadrature(x, -u[::-1][:100], angle),
+        return (lambda: smfrft_quadrature(x, *u, angle),
+                lambda: smfrft_quadrature(x, 0.7 - ugrid.start, -ugrid.step, 100,
+                                          angle),
                 lambda: ismfrft_direct(spectrum, grid).samples,
                 lambda: smfrft_fast(x, angle).values,
                 lambda: ismfrft_fast(smfrft_fast(x, angle)).samples,
@@ -212,7 +213,7 @@ class TestReuseScope:
                 lambda: frac_correlate(x, y, angle).samples,
                 lambda: frac_product(x, y, angle).samples,
                 lambda: modulate_op(x, 1.3).samples,
-                lambda: theorems._spectrum(x, u, angle, conj=True))
+                lambda: theorems._spectrum(x, *u, angle, conj=True))
 
     def test_calls_outside_a_scope_equal_calls_inside_one(self, std_grid, rng):
         for op in self.calls(std_grid, rng):

@@ -15,7 +15,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from smfrft import (
@@ -32,9 +32,9 @@ from smfrft import (
     shift_op,
     smfrft_direct,
     smfrft_fast,
-    smfrft_quadrature,
 )
 from smfrft import transform
+from smfrft.transform import smfrft_quadrature
 
 import dense_oracle
 from dense_oracle import relative_l2_error
@@ -53,22 +53,31 @@ def random_signal(grid, seed):
     return SampledSignal(grid, data)
 
 
+def points(start, step, count):
+    """The points start + k*step, k < count, of a (start, step, count) grid."""
+    return np.arange(count, dtype=np.float64) * step + start
+
+
 @st.composite
-def u_grids(draw, grid):
-    """Fast-bin u points, shifted, possibly negated, possibly a sub-range."""
-    u = fast_ugrid(grid).points()
-    lo = draw(st.integers(0, grid.count - 1))
-    hi = draw(st.integers(lo + 1, grid.count))
+def u_grids(draw, grid, min_count=1):
+    """The fast-bin u grid as (start, step, count): possibly a sub-range of
+    at least ``min_count`` points, possibly negated, shifted by any
+    amount. Its step stays the FFT-bin step."""
+    bins = fast_ugrid(grid)
+    lo = draw(st.integers(0, grid.count - min_count))
+    hi = draw(st.integers(lo + min_count, grid.count))
+    start, step, count = bins.start, bins.step, grid.count
     if draw(st.booleans()):
-        u = u[lo:hi]
+        start, count = bins.point(lo), hi - lo
     if draw(st.booleans()):
-        u = -u
-    return u + draw(st.floats(-20.0, 20.0))
+        start, step = -start, -step
+    return start + draw(st.floats(-20.0, 20.0)), step, count
 
 
 @st.composite
 def quadrature_draws(draw):
-    """A random signal on a span-32 grid, evenly spaced u points, an angle."""
+    """A random signal on a span-32 grid, an evenly spaced u grid as
+    (start, step, count), an angle."""
     n = draw(sizes)
     grid = UniformGrid(-(n // 2) * (32.0 / n), 32.0 / n, n)
     x = random_signal(grid, draw(st.integers(0, 2**32 - 1)))
@@ -90,15 +99,16 @@ def quadrature_error(values, x, u, angle) -> float:
 # a cancellation point: |X| there is ~150x below its typical value, so
 # |fast - dense| / |dense| reads 1.5e-11 while the scaled error reads 2e-15
 CANCELLING = (random_signal(UniformGrid(-16.0, 1 / 32, 1024), 0),
-              np.array([-82.86]), make_angle(math.pi / 8))
+              (-82.86, 0.0, 1), make_angle(math.pi / 8))
 
 
 @given(draw=quadrature_draws())
 @example(draw=CANCELLING)
 @settings(max_examples=40, deadline=None)
 def test_quadrature_matches_dense(draw):
-    x, u, angle = draw
-    assert quadrature_error(smfrft_quadrature(x, u, angle), x, u, angle) <= GATE
+    x, ugrid, angle = draw
+    values = smfrft_quadrature(x, *ugrid, angle)
+    assert quadrature_error(values, x, points(*ugrid), angle) <= GATE
 
 
 @given(draw=quadrature_draws())
@@ -106,7 +116,8 @@ def test_quadrature_matches_dense(draw):
 @settings(max_examples=40, deadline=None)
 def test_quadrature_gate_fails_a_phase_error(draw):
     # every kernel phase (cot/2) t^2 - t u off by 1e-9 relative
-    x, u, angle = draw
+    x, ugrid, angle = draw
+    u = points(*ugrid)
     eps = 1e-9
     skewed = make_angle(math.atan2(1.0, angle.cot_phi * (1 + eps)))
     wrong = dense_oracle.smfrft_quadrature(x, u * (1 + eps), skewed)
@@ -125,30 +136,23 @@ lattice_sizes = st.sampled_from([15, 16, 100, 257, 1000, 1023, 1024])
 
 @st.composite
 def lattice_draws(draw):
-    """A random signal and at least a quarter of its FFT-bin u points,
-    shifted by any amount and possibly negated, and an angle. A shift
-    rounds the points, which moves a short range's step off the lattice,
-    so the test assumes the draws that stay on it (about 93%)."""
+    """A random signal, a grid of at least a quarter of its FFT-bin u
+    points as (start, step, count), shifted by any amount and possibly
+    negated, and an angle. The grid keeps the FFT-bin step, so every draw
+    lies on the lattice."""
     n = draw(lattice_sizes)
     grid = UniformGrid(-(n // 2) * (32.0 / n), 32.0 / n, n)
     x = random_signal(grid, draw(st.integers(0, 2**32 - 1)))
-    quarter = (n + 3) // 4
-    lo = draw(st.integers(0, n - quarter))
-    u = fast_ugrid(grid).points()[lo:draw(st.integers(lo + quarter, n))]
-    if draw(st.booleans()):
-        u = -u
-    return x, u + draw(st.floats(-20.0, 20.0)), draw(angles)
+    return x, draw(u_grids(grid, min_count=(n + 3) // 4)), draw(angles)
 
 
 @given(draw=lattice_draws())
 @settings(max_examples=40, deadline=None)
 def test_dft_route_matches_dense(draw):
-    x, u, angle = draw
-    _, du = transform._even_spacing(u)
-    assume(transform._dft_turn(x.grid.count, x.grid.step, du, len(u), -1))
+    x, ugrid, angle = draw
     with dft_route():
-        values = smfrft_quadrature(x, u, angle)
-    assert quadrature_error(values, x, u, angle) <= GATE
+        values = smfrft_quadrature(x, *ugrid, angle)
+    assert quadrature_error(values, x, points(*ugrid), angle) <= GATE
 
 
 @given(n=lattice_sizes, seed=st.integers(0, 2**32 - 1), angle=angles,
@@ -180,15 +184,15 @@ def test_lattice_boundary(n, off, route):
     x = random_signal(grid, n)
     angle = make_angle(1.1)
     bins = fast_ugrid(grid)
-    u = bins.start + bins.step * (1 + off) * np.arange(n)
+    u = (bins.start, bins.step * (1 + off), n)
     spectrum = Spectrum(bins, x.samples, angle)
     tgrid = UniformGrid(grid.start, grid.step * (1 + off), n)
     with mock.patch.object(transform, route,
                            wraps=getattr(transform, route)) as plan:
-        values = smfrft_quadrature(x, u, angle)
+        values = smfrft_quadrature(x, *u, angle)
         back = ismfrft_direct(spectrum, tgrid).samples
     assert plan.call_count == 2
-    assert quadrature_error(values, x, u, angle) <= GATE
+    assert quadrature_error(values, x, points(*u), angle) <= GATE
     assert relative_l2_error(
         back, dense_oracle.ismfrft_direct(spectrum, tgrid)) <= GATE
 
@@ -199,7 +203,8 @@ def test_direct_takes_its_grid_step_onto_the_lattice():
     grid = UniformGrid(-16.0, 1.0 / 32, 1024)
     bins = fast_ugrid(grid)
     ugrid = UniformGrid(bins.start + 500 * bins.step + 73.0, bins.step, 20)
-    _, du = transform._even_spacing(ugrid.points())
+    u = ugrid.points()
+    du = (u[-1] - u[0]) / (ugrid.count - 1)
     assert transform._dft_turn(grid.count, grid.step, du, ugrid.count, -1) == 0
     x = random_signal(grid, 20)
     angle = make_angle(1.1)

@@ -28,9 +28,9 @@ from smfrft import (
     run_suite,
     shift_op,
     smfrft_direct,
-    smfrft_quadrature,
 )
 from smfrft.corpus import PAIR_COUNT, default_pairs
+from smfrft.transform import smfrft_quadrature
 
 import closed_forms
 import dense_oracle
@@ -62,7 +62,8 @@ class TestConjTransform:
         f = gen_gaussian(theorem_grid, 0.3, 1.0, 0.0)
         ugrid = fast_ugrid(theorem_grid)
         angle = make_angle(PI / 3)
-        overline = theorems._spectrum(f, ugrid.points(), angle, conj=True)
+        overline = theorems._spectrum(f, ugrid.start, ugrid.step, ugrid.count,
+                                      angle, conj=True)
         plain = smfrft_direct(f, ugrid, angle)
         np.testing.assert_array_equal(overline, plain.values)
 
@@ -71,7 +72,8 @@ class TestConjTransform:
         jf = SampledSignal(theorem_grid, 1j * g.samples)
         ugrid = fast_ugrid(theorem_grid)
         angle = make_angle(PI / 3)
-        overline = theorems._spectrum(jf, ugrid.points(), angle, conj=True)
+        overline = theorems._spectrum(jf, ugrid.start, ugrid.step, ugrid.count,
+                                      angle, conj=True)
         plain = smfrft_direct(g, ugrid, angle)
         # rounding level against the spectrum's scale: entries in the
         # ~1e-16 tails carry rounding of the whole FFT sum
@@ -86,13 +88,15 @@ class TestConjTransform:
         f = gen_gaussian(theorem_grid, 0.4, 1.0, 1.5)   # complex, non-even
         g = gen_gaussian(theorem_grid, -0.2, 0.8, -0.7)
         angle = make_angle(PI / 4)
-        u = fast_ugrid(theorem_grid).points()
-        lhs = smfrft_quadrature(frac_correlate(f, g, angle), u, angle)
+        ugrid = fast_ugrid(theorem_grid)
+        u = (ugrid.start, ugrid.step, ugrid.count)
+        minus_u = (-ugrid.start, -ugrid.step, ugrid.count)
+        lhs = smfrft_quadrature(frac_correlate(f, g, angle), *u, angle)
         c2pi = theorems.SQRT_J2PI
-        true_rhs = c2pi * smfrft_quadrature(f.conjugate(), -u, angle) \
-            * smfrft_quadrature(g, u, angle)
-        naive_rhs = c2pi * np.conj(smfrft_quadrature(f, -u, angle)) \
-            * smfrft_quadrature(g, u, angle)
+        true_rhs = c2pi * smfrft_quadrature(f.conjugate(), *minus_u, angle) \
+            * smfrft_quadrature(g, *u, angle)
+        naive_rhs = c2pi * np.conj(smfrft_quadrature(f, *minus_u, angle)) \
+            * smfrft_quadrature(g, *u, angle)
         assert relative_l2_error(lhs, true_rhs) <= 1e-4
         assert relative_l2_error(lhs, naive_rhs) > 1e-2
 
@@ -105,14 +109,16 @@ class TestTimeFrequencyShiftProperty:
     def test_matches_time_domain_route(self, n, phi):
         grid = UniformGrid(-16.0, 32.0 / n, n)
         angle = make_angle(phi)
-        u = fast_ugrid(grid).points()
+        ugrid = fast_ugrid(grid)
+        u = (ugrid.start, ugrid.step, ugrid.count)
+        minus_u = (-ugrid.start, -ugrid.step, ugrid.count)
         signals = (gen_gaussian(grid, 0.2, 1.0, 0.8),
                    gen_chirp(grid, 0.9, 1.2))
         for x, conj, v, d, q in itertools.product(
-                signals, (False, True), (u, -u), (0.0, 0.5, -1.0),
+                signals, (False, True), (u, minus_u), (0.0, 0.5, -1.0),
                 (0.0, 1.0, -2.0)):
             moved = modulate_op(shift_op(x.conjugate() if conj else x, d), q)
-            route = smfrft_quadrature(moved, v, angle)
+            route = smfrft_quadrature(moved, *v, angle)
             phase, spectrum = theorems._tf_shifted(x, angle, d, q, v, conj)
             assert relative_l2_error(phase * spectrum, route) <= 1e-12, (
                 conj, v[0], d, q)
@@ -123,20 +129,23 @@ class TestTimeFrequencyShiftProperty:
         # every right-hand side that skips it has the bits of one that
         # evaluates it
         f, g = operands
-        u = theorem_ugrid.points()
         angle = make_angle(0.7)
         cases = [(op, side, q) for op in ("conv", "corr") for side in "LR"
                  for q in (0.0, 1.0, -2.0)]
-        skipped = [theorems.rhs_tfshift(f, g, angle, 0.0, q, u, op, side)
+        skipped = [theorems.rhs_tfshift(f, g, angle, 0.0, q, theorem_ugrid, op,
+                                        side)
                    for op, side, q in cases]
 
         def evaluated(x, angle, d, q, v, conj=False):
-            phase = np.exp(-1j * (v - q) * d + 0.5j * d * d * angle.cot_phi)
-            return phase, theorems._spectrum(x, v - q - d * angle.cot_phi,
-                                             angle, conj)
+            start, step, count = v
+            points = np.arange(count, dtype=np.float64) * step + start
+            phase = np.exp(-1j * (points - q) * d + 0.5j * d * d * angle.cot_phi)
+            return phase, theorems._spectrum(x, start - q - d * angle.cot_phi,
+                                             step, count, angle, conj)
         monkeypatch.setattr(theorems, "_tf_shifted", evaluated)
         for (op, side, q), want in zip(cases, skipped):
-            got = theorems.rhs_tfshift(f, g, angle, 0.0, q, u, op, side)
+            got = theorems.rhs_tfshift(f, g, angle, 0.0, q, theorem_ugrid, op,
+                                       side)
             assert got.tobytes() == want.tobytes(), (op, side, q)
 
 
@@ -327,10 +336,10 @@ class TestAdjudication:
         # printed, written out on its own in closed_forms
         f, g = operands
         angle = make_angle(phi)
-        u = fast_ugrid(theorem_grid).points()
+        ugrid = fast_ugrid(theorem_grid)
         row = theorems._FAMILIES[IdentityId.CORR_TFSHIFT_L]
-        printed = closed_forms.rhs_corr_tfshift_printed(f, g, angle, d, q, u)
-        assert relative_l2_error(row.printed_rhs(f, g, angle, d, q, u),
+        printed = closed_forms.rhs_corr_tfshift_printed(f, g, angle, d, q, ugrid)
+        assert relative_l2_error(row.printed_rhs(f, g, angle, d, q, ugrid),
                                  printed) <= 1e-12
 
 
@@ -339,31 +348,31 @@ class TestSpecializationLattice:
     def test_conv_tfshift_specializes(self, operands, theorem_grid):
         f, g = operands
         angle = make_angle(PI / 4)
-        u = fast_ugrid(theorem_grid).points()
+        ugrid = fast_ugrid(theorem_grid)
         for side in ("L", "R"):
-            tf = theorems.rhs_tfshift(f, g, angle, 0.5, 0.0, u, "conv", side)
-            sh = closed_forms.rhs_conv_shift(f, g, angle, 0.5, u, side)
+            tf = theorems.rhs_tfshift(f, g, angle, 0.5, 0.0, ugrid, "conv", side)
+            sh = closed_forms.rhs_conv_shift(f, g, angle, 0.5, ugrid, side)
             assert relative_l2_error(tf, sh) <= 1e-12
-            tf = theorems.rhs_tfshift(f, g, angle, 0.0, 1.0, u, "conv", side)
-            mod = closed_forms.rhs_conv_modulation(f, g, angle, 1.0, u, side)
+            tf = theorems.rhs_tfshift(f, g, angle, 0.0, 1.0, ugrid, "conv", side)
+            mod = closed_forms.rhs_conv_modulation(f, g, angle, 1.0, ugrid, side)
             assert relative_l2_error(tf, mod) <= 1e-12
-            tf = theorems.rhs_tfshift(f, g, angle, 0.0, 0.0, u, "conv", side)
-            base = closed_forms.rhs_convolution(f, g, angle, u)
+            tf = theorems.rhs_tfshift(f, g, angle, 0.0, 0.0, ugrid, "conv", side)
+            base = closed_forms.rhs_convolution(f, g, angle, ugrid)
             assert relative_l2_error(tf, base) <= 1e-12
 
     def test_corr_tfshift_specializes(self, operands, theorem_grid):
         f, g = operands
         angle = make_angle(PI / 3)
-        u = fast_ugrid(theorem_grid).points()
+        ugrid = fast_ugrid(theorem_grid)
         for side in ("L", "R"):
-            tf = theorems.rhs_tfshift(f, g, angle, 0.5, 0.0, u, "corr", side)
-            sh = closed_forms.rhs_corr_shift_derived(f, g, angle, 0.5, u, side)
+            tf = theorems.rhs_tfshift(f, g, angle, 0.5, 0.0, ugrid, "corr", side)
+            sh = closed_forms.rhs_corr_shift_derived(f, g, angle, 0.5, ugrid, side)
             assert relative_l2_error(tf, sh) <= 1e-12
-            tf = theorems.rhs_tfshift(f, g, angle, 0.0, 1.0, u, "corr", side)
-            mod = closed_forms.rhs_corr_modulation(f, g, angle, 1.0, u, side)
+            tf = theorems.rhs_tfshift(f, g, angle, 0.0, 1.0, ugrid, "corr", side)
+            mod = closed_forms.rhs_corr_modulation(f, g, angle, 1.0, ugrid, side)
             assert relative_l2_error(tf, mod) <= 1e-12
-            tf = theorems.rhs_tfshift(f, g, angle, 0.0, 0.0, u, "corr", side)
-            base = closed_forms.rhs_correlation(f, g, angle, u)
+            tf = theorems.rhs_tfshift(f, g, angle, 0.0, 0.0, ugrid, "corr", side)
+            base = closed_forms.rhs_correlation(f, g, angle, ugrid)
             assert relative_l2_error(tf, base) <= 1e-12
 
 
@@ -376,7 +385,6 @@ class TestIndependence:
         f, g = operands
         angle = make_angle(PI / 4)
         ugrid = fast_ugrid(theorem_grid)
-        u = ugrid.points()
 
         def boom(*args, **kwargs):
             raise AssertionError("RHS builder invoked a time-domain operator")
@@ -387,8 +395,8 @@ class TestIndependence:
         for identity in IdentityId:
             theorems.rhs_values(identity, f, g, angle, 0.5, 1.0, ugrid)
         rows = theorems._FAMILIES
-        rows[IdentityId.CORR_SHIFT_L].printed_rhs(f, g, angle, 0.5, 0.0, u)
-        rows[IdentityId.CORR_TFSHIFT_L].printed_rhs(f, g, angle, 0.5, 1.0, u)
+        rows[IdentityId.CORR_SHIFT_L].printed_rhs(f, g, angle, 0.5, 0.0, ugrid)
+        rows[IdentityId.CORR_TFSHIFT_L].printed_rhs(f, g, angle, 0.5, 1.0, ugrid)
         with pytest.raises(AssertionError):
             theorems.lhs_signal(IdentityId.CONV, f, g, angle, 0.0, 0.0)
 
@@ -460,22 +468,23 @@ class TestSuite:
         assert kernel._reuse.get() is None
 
     def test_spectrum_memo_tells_inputs_apart(self, operands, theorem_grid):
-        # points with the same start and length but another step, the
+        # a grid with the same start and count but another step, the
         # conjugate, another angle and another operand are all misses
         f, g = operands
-        u = fast_ugrid(theorem_grid).points()
+        ugrid = fast_ugrid(theorem_grid)
+        u = (ugrid.start, ugrid.step, ugrid.count)
         calls = [(f, u, PI / 4, False), (f, u, PI / 4, True),
-                 (f, u[0] + 2 * (u - u[0]), PI / 4, False),
+                 (f, (ugrid.start, 2 * ugrid.step, ugrid.count), PI / 4, False),
                  (f, u, PI / 3, False), (g, u, PI / 4, False),
                  (f, u, PI / 4, False)]
         memo = {}
         token = kernel._reuse.set(memo)
         try:
-            for x, points, phi, conj in calls:
+            for x, grid, phi, conj in calls:
                 angle = make_angle(phi)
                 fresh = smfrft_quadrature(x.conjugate() if conj else x,
-                                          points, angle)
-                got = theorems._spectrum(x, points, angle, conj=conj)
+                                          *grid, angle)
+                got = theorems._spectrum(x, *grid, angle, conj=conj)
                 assert got.tobytes() == fresh.tobytes()
         finally:
             kernel._reuse.reset(token)
@@ -585,8 +594,11 @@ class TestTruncationFreeWindow:
         # 175 records at the default tolerances, but not this gate
         def scaled(x, angle, d, q, v, conj=False):
             cot = angle.cot_phi * (1 + 1e-6)
-            phase = np.exp(-1j * (v - q) * d + 0.5j * d * d * cot)
-            return phase, theorems._spectrum(x, v - q - d * cot, angle, conj)
+            start, step, count = v
+            points = np.arange(count, dtype=np.float64) * step + start
+            phase = np.exp(-1j * (points - q) * d + 0.5j * d * d * cot)
+            return phase, theorems._spectrum(x, start - q - d * cot, step,
+                                             count, angle, conj)
 
         monkeypatch.setattr(theorems, "_tf_shifted", scaled)
         worst, passed = self.worst_residual()
@@ -631,8 +643,13 @@ class TestDenseCrossCheck:
         cfg = SuiteConfig(n=1024, angles=(PI / 3, PI / 2))
         fft_rows = report_rows(run_suite(cfg))
         calls = collections.Counter()
-        for name in ("smfrft_quadrature", "frac_convolve", "frac_correlate"):
-            def dense(*args, _name=name, _fn=getattr(dense_oracle, name)):
+        def dense_quadrature(x, start, step, count, angle):
+            u = start + step * np.arange(count, dtype=np.float64)
+            return dense_oracle.smfrft_quadrature(x, u, angle)
+        for name, fn in (("smfrft_quadrature", dense_quadrature),
+                         ("frac_convolve", dense_oracle.frac_convolve),
+                         ("frac_correlate", dense_oracle.frac_correlate)):
+            def dense(*args, _name=name, _fn=fn):
                 calls[_name] += 1
                 return _fn(*args)
             monkeypatch.setattr(theorems, name, dense)

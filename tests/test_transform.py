@@ -26,9 +26,9 @@ from smfrft import (
     make_angle,
     smfrft_direct,
     smfrft_fast,
-    smfrft_quadrature,
 )
 from smfrft import transform
+from smfrft.transform import smfrft_quadrature
 from smfrft.corpus import default_pairs
 
 import dense_oracle
@@ -72,14 +72,8 @@ class TestDirectQuadrature:
         # ascending, descending and a single point
         x = gen_gaussian(small_grid, 0.3, 0.9, 1.2)
         u = u0 + du * np.arange(count)
-        got = smfrft_quadrature(x, u, quarter_angle)
+        got = smfrft_quadrature(x, u0, du, count, quarter_angle)
         assert_matches_kernel_sum(got, x, u, quarter_angle)
-
-    def test_uneven_points_rejected(self, small_grid, quarter_angle):
-        x = gen_gaussian(small_grid, 0.3, 0.9, 1.2)
-        with pytest.raises(GridCompatibilityError):
-            smfrft_quadrature(x, np.array([-2.0, -0.3, 0.0, 1.7]),
-                              quarter_angle)
 
     def test_zero_signal(self, small_grid, quarter_angle):
         x = SampledSignal(small_grid, np.zeros(small_grid.count, complex))
@@ -91,7 +85,7 @@ class TestDirectQuadrature:
         # transform at u = 0 collapses to exp(-j*pi/4)
         grid = UniformGrid(-16.0, 32.0 / 2048, 2048)
         x = gen_gaussian(grid, 0.0, 1.0, 0.0)
-        val = smfrft_quadrature(x, np.array([0.0]), make_angle(PI / 2))[0]
+        val = smfrft_quadrature(x, 0.0, 0.0, 1, make_angle(PI / 2))[0]
         assert val == pytest.approx(cmath.exp(-0.25j * PI), rel=1e-6)
         assert val == pytest.approx(0.7071067811865476 - 0.7071067811865475j,
                                     rel=1e-6)
@@ -99,8 +93,8 @@ class TestDirectQuadrature:
     def test_gaussian_right_angle_closed_form(self):
         grid = UniformGrid(-16.0, 32.0 / 2048, 2048)
         x = gen_gaussian(grid, 0.0, 1.0, 0.0)
-        u = np.linspace(-4.0, 4.0, 41)
-        got = smfrft_quadrature(x, u, make_angle(PI / 2))
+        u = -4.0 + 0.2 * np.arange(41)
+        got = smfrft_quadrature(x, -4.0, 0.2, 41, make_angle(PI / 2))
         expected = cmath.exp(-0.25j * PI) * np.exp(-u * u / 2.0)
         assert relative_l2_error(got, expected) < 1e-6
 
@@ -329,8 +323,9 @@ class TestDeterminism:
         x = random_signal(grid, rng)
         y = random_signal(grid, rng)
         angle = make_angle(1.0)
-        u = fast_ugrid(grid).points() - 0.3
-        for op in (lambda: smfrft_quadrature(x, u, angle),
+        ugrid = fast_ugrid(grid)
+        for op in (lambda: smfrft_quadrature(x, ugrid.start - 0.3, ugrid.step,
+                                             ugrid.count, angle),
                    lambda: frac_convolve(x, y, angle).samples,
                    lambda: frac_correlate(x, y, angle).samples):
             assert np.array_equal(op(), op())
@@ -340,9 +335,10 @@ class TestFastPathBits:
     """The fast transforms and the quadrature give the bits of
     ``fast_reference``, which keeps every temporary and writes each chain
     of products as one expression.
-    numpy elides a temporary from 256 KiB on, which swaps a product's
-    operands: at N = 2048 no complex array reaches that size, at 16384
-    every complex array does (the float t*t does not) and at 2^17 all do."""
+    numpy elides a temporary from 256 KiB on, which would swap the
+    operands of a product written the other way round: at N = 2048 no
+    complex array reaches that size, at 16384 every complex array does
+    (the float t*t does not) and at 2^17 all do."""
 
     @pytest.mark.parametrize("n", [2048, 16384, 2**17])
     def test_forward_and_inverse_match_reference(self, n, rng):
@@ -366,24 +362,26 @@ class TestFastPathBits:
     def test_quadrature_matches_reference(self, n, rng):
         # Bluestein's buffer is 2N points: 64 KiB at N = 2048, 1 MiB at 2^15;
         # the lattice route's is N points. Each route is pinned both ways: the
-        # shifted u and a reversed sub-range sit on the FFT-bin lattice, a
-        # step of 0.9 du does not; the inverse onto the time grid is on it
+        # shifted u, a reversed sub-range of -u and -u itself (the inverse
+        # DFT) sit on the FFT-bin lattice, a step of 0.9 du does not; the
+        # inverse onto the time grid is on it
         grid = UniformGrid(-13.7, 32.0 / n, n)
         x = random_signal(grid, rng)
         ugrid = fast_ugrid(grid)
-        off_lattice = ugrid.start + 0.9 * ugrid.step * np.arange(n)
-        forward = (ugrid.points() - 0.7, -ugrid.points()[::-1][: n // 3], off_lattice)
-        routes = [transform._dft_turn(n, grid.step, du, len(u), -1)
-                  for u in forward for du in [transform._even_spacing(u)[1]]]
-        assert routes == [-1, -1, 0]
+        forward = ((ugrid.start - 0.7, ugrid.step, n),
+                   (-ugrid.point(n - 1), ugrid.step, n // 3),
+                   (-ugrid.start, -ugrid.step, n),
+                   (ugrid.start, 0.9 * ugrid.step, n))
+        assert [transform._dft_turn(n, grid.step, step, count, -1)
+                for _, step, count in forward] == [-1, -1, 1, 0]
         inverse = (grid, UniformGrid(-3.0, 0.01, n // 2 + 1))
         assert [transform._dft_turn(n, ugrid.step, t.step, t.count, 1)
                 for t in inverse] == [1, 0]
         for phi in (0.3, -1.2):
             angle = make_angle(phi)
             for u in forward:
-                assert (smfrft_quadrature(x, u, angle).tobytes()
-                        == fast_reference.smfrft_quadrature(x, u, angle).tobytes())
+                assert (smfrft_quadrature(x, *u, angle).tobytes()
+                        == fast_reference.smfrft_quadrature(x, *u, angle).tobytes())
             spectrum = smfrft_direct(x, ugrid, angle)
             for tgrid in inverse:
                 got = ismfrft_direct(spectrum, tgrid).samples
@@ -441,11 +439,13 @@ class TestClosedForm:
     def test_quadrature(self):
         grid = FAST_GRIDS[1]
         t = grid.points()
-        for u in (fast_ugrid(grid).points(), np.linspace(-6.3, 5.9, 301)):
+        for ugrid in (fast_ugrid(grid), UniformGrid(-6.3, 12.2 / 300, 301)):
+            u = ugrid.points()
             for a, b, c in GAUSSIAN_CHIRPS:
                 x = SampledSignal(grid, gaussian_chirp.signal(t, a, b, c))
                 for phi in CLOSED_FORM_ANGLES:
-                    got = smfrft_quadrature(x, u, make_angle(phi))
+                    got = smfrft_quadrature(x, ugrid.start, ugrid.step,
+                                            ugrid.count, make_angle(phi))
                     exact = gaussian_chirp.spectrum(u, a, b, c, phi)
                     assert peak_error(got, exact) <= 1e-13
 
@@ -459,9 +459,12 @@ class TestClosedForm:
             x = SampledSignal(grid, gaussian_chirp.signal(t, a, b, c))
             for phi in CLOSED_FORM_ANGLES:
                 angle = make_angle(phi)
-                for u in (ugrid.points(), ugrid.points() + 0.3):
-                    exact = gaussian_chirp.spectrum(u, a, b, c, phi)
-                    assert peak_error(smfrft_quadrature(x, u, angle), exact) <= 2e-13
+                for shifted in (ugrid, UniformGrid(ugrid.start + 0.3, ugrid.step,
+                                                   ugrid.count)):
+                    exact = gaussian_chirp.spectrum(shifted.points(), a, b, c, phi)
+                    got = smfrft_quadrature(x, shifted.start, shifted.step,
+                                            shifted.count, angle)
+                    assert peak_error(got, exact) <= 2e-13
                 exact = Spectrum(ugrid, gaussian_chirp.spectrum(
                     ugrid.points(), a, b, c, phi), angle)
                 back = ismfrft_direct(exact, grid).samples
