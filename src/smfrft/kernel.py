@@ -89,9 +89,9 @@ def reused(key, build):
     read-only value an equal ``key`` built there; a value holds the object
     of any ``id`` in its key. Outside a scope nothing is kept. A scope
     holds the chirps (``time_chirp``), the carriers e^{jqt}
-    (``operators.modulate_op``), the chirp-z plans of every quadrature
-    (``transform._lattice_plan`` on the FFT-bin lattice, ``_bluestein_plan``
-    off it) and the operand spectra of one angle and pair (``theorems``)."""
+    (``operators.modulate_op``), the chirp-z plans of the quadratures on
+    the FFT-bin lattice (``transform._lattice_plan``) and the operand
+    spectra of one angle and pair (``theorems``)."""
     memo = _reuse.get()
     if memo is None:
         return build()

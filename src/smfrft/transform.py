@@ -34,20 +34,25 @@ takes the DFT at |delta| <= 4 eps, which drops delta times the integer
 part, about delta*|u t| (1.4e-12 rad at N = 1024 on a span of 32 at the
 full 4 eps): the rounding of the kernel phase u*t itself. The lattice
 grids of ``run_suite`` (N = 256 to 4096) lie within 1 eps. Everywhere
-else, a step 1e-9 off the lattice too, the sum is Bluestein's: one linear
-FFT convolution of size >= N + M - 1 with a chirp over the lags. Against
-the closed form at N = 2^17 the lattice route errs 7e-14 of the peak onto
-the FFT-bin grid, where Bluestein's erred 9e-13.
+else, a step 1e-9 off the lattice too, the sum is Bluestein's: the
+chirped input's linear convolution with a chirp over the lags, by
+``linear_convolve``, the FFT convolution that the weighted operators take
+too (size >= N + M - 1). Against the closed form at N = 2^17 the lattice
+route errs 7e-14 of the peak onto the FFT-bin grid, where Bluestein's
+erred 9e-13.
 
 In a reuse scope (``kernel.reused``: ``run_suite``'s 180 quadratures at
 N = 1024 with two angles share 9 chirp-z geometries, all on the lattice)
-each geometry's plan (``_lattice_plan`` or ``_bluestein_plan``) is built
-once, with a fresh build's bits; a Bluestein plan is built in its one
-2N-point buffer. Each array dies once it has been used: in complex arrays
-of the signal's length beyond the input (tracemalloc; pocketfft unseen),
-``smfrft_fast`` peaks at 2.5 while it builds the time chirp (3.5 beside
-the output phase of a start off the lattice) and ``ismfrft_fast`` at 3.5,
-the sums beside the post-chirp's grid, argument and value.
+each lattice geometry's plan (``_lattice_plan``) is built once, with a
+fresh build's bits; Bluestein's chirps are formed by each call, as no
+quadrature of ``run_suite`` takes that route. Each array dies once it has
+been used: in complex arrays of the signal's length beyond the input
+(tracemalloc; pocketfft unseen), ``smfrft_fast`` peaks at 2.5 while it
+builds the time chirp (3.5 beside the output phase of a start off the
+lattice) and ``ismfrft_fast`` at 3.5, the sums beside the post-chirp's
+grid, argument and value. Bluestein's quadrature onto N points peaks at
+its chirped input and 2N - 1 lag chirp beside the convolution's 2N-point
+buffer and the lag chirp's FFT.
 """
 
 from __future__ import annotations
@@ -73,49 +78,27 @@ def linear_convolve(a: np.ndarray, b: np.ndarray, offset: int,
                     count: int) -> ComplexArray:
     """out[k] = (a * b)[k + offset] for k < count, where a * b is the full
     linear convolution of two 1-D arrays (zero-extended, never circular,
-    len(a) + len(b) - 1 values) by one zero-padded FFT product; zero where
-    k + offset leaves it."""
+    len(a) + len(b) - 1 values); zero where k + offset leaves it, and no FFT
+    when the whole window does. One zero-padded buffer takes a, its FFT,
+    the product with the FFT of b and the inverse FFT in turn; the window
+    is copied out once the FFT of b has died. The buffer's size, a power of
+    two, holds each operand and keeps the circular wrap off the entries
+    read: at least len(a) + len(b) - 1 - max(offset, 0) and more than the
+    last index read. That is 2N for the operators' two N-point operands at
+    power-of-two N, and N + count - 1 rounded up for Bluestein's window."""
     length = a.shape[0] + b.shape[0] - 1
-    size = _fft_size(length)
-    full = np.fft.ifft(np.fft.fft(a, size) * np.fft.fft(b, size))
-    out = np.zeros(count, dtype=np.complex128)
     lo, hi = max(0, -offset), min(count, length - offset)
-    if lo < hi:
-        out[lo:hi] = full[lo + offset:hi + offset]
+    if lo >= hi:
+        return np.zeros(count, dtype=np.complex128)
+    size = _fft_size(max(a.shape[0], b.shape[0], length - max(offset, 0), offset + hi))
+    buf = np.zeros(size, dtype=np.complex128)
+    buf[:a.shape[0]] = a
+    np.fft.fft(buf, out=buf)
+    buf *= np.fft.fft(b, size)
+    np.fft.ifft(buf, out=buf)
+    out = np.zeros(count, dtype=np.complex128)
+    out[lo:hi] = buf[lo + offset:hi + offset]
     return out
-
-
-def _bluestein_plan(n: int, x0: float, dx: float, y0: float, dy: float,
-                    count: int, sign: int
-                    ) -> tuple[ComplexArray, ComplexArray, ComplexArray]:
-    """The input chirp, the FFT of the lag chirp exp(-(j/2) rate l^2)
-    (zero-padded to the transform size, its length) and the output chirp
-    of one chirp-z geometry (see ``_chirp_z``), all read-only. Keys that
-    differ only in the sign of a zero give the same bits, since
-    exp(1j * -0.0) is exp(1j * 0.0). The lag chirp is written into its
-    zero-padded buffer and transformed there, its float lags dropped
-    first, so a build holds that one buffer of 2N points."""
-    mid_n, mid_k = (n - 1) // 2, (count - 1) // 2
-    rate = sign * dx * dy
-    xc = x0 + mid_n * dx
-    yc = y0 + mid_k * dy
-    i = np.arange(n, dtype=np.float64) - mid_n
-    pre = np.exp(1j * (sign * yc * dx * i + 0.5 * rate * i * i))
-    del i
-    lags = np.arange(-(n - 1), count, dtype=np.float64) - (mid_k - mid_n)
-    lag_fft = np.zeros(_fft_size(lags.shape[0]), dtype=np.complex128)
-    chirp = lag_fft[:lags.shape[0]]
-    chirp[:] = lags   # the products of exp(-0.5j * rate * lags * lags), in place
-    chirp *= -0.5j * rate
-    chirp *= lags
-    del lags
-    np.exp(chirp, out=chirp)
-    np.fft.fft(lag_fft, out=lag_fft)
-    k = np.arange(count, dtype=np.float64) - mid_k
-    post = np.exp(1j * (sign * (yc + k * dy) * xc + 0.5 * rate * k * k))
-    for plan in (pre, lag_fft, post):
-        plan.setflags(write=False)
-    return pre, lag_fft, post
 
 
 def _dft_turn(n: int, dx: float, dy: float, count: int, sign: int) -> int:
@@ -157,33 +140,42 @@ def _chirp_z(n: int, x0: float, dx: float, y0: float, dy: float, count: int,
              sign: int, scale: complex | None, axes: tuple[str, str]):
     """The function of n values that returns, for k < count,
     scale * sum_m values[m] * exp(sign*j*(y0 + k*dy)*(x0 + m*dx)) (no
-    scale for None), with its plan ``reused`` per geometry. ``axes`` names
-    the input and the output axis.
+    scale for None). ``axes`` names the input and the output axis.
 
     On the FFT-bin lattice (``_dft_turn``), the chain of the module
-    docstring, its rolls and its n-periodic read done by slices. Elsewhere,
-    Bluestein's k'*n' = (k'^2 + n'^2 - (k' - n')^2)/2, both indices counted
-    from the middle of their axis, splits the phase into a chirp on the
-    input, one linear convolution with a chirp over the lags k' - n', and
-    a chirp on the output. Output k is entry k + N - 1 of that convolution,
-    which a circular FFT convolution of size >= N + count - 1 already holds
-    exactly. One buffer takes each product in the chain's order.
+    docstring, its rolls and its n-periodic read done by slices, with its
+    plan ``reused`` per geometry. Elsewhere, Bluestein's
+    k'*n' = (k'^2 + n'^2 - (k' - n')^2)/2, both indices counted from the
+    middle of their axis, splits the phase into a chirp on the input, one
+    linear convolution with the chirp exp(-(j/2) rate l^2) over the lags
+    l = k' - n', and a chirp on the output. Output k is entry k + N - 1 of
+    that convolution, the window ``linear_convolve`` reads. The closure
+    forms all three chirps and rebinds its input to the chirped product,
+    so that an input the caller no longer holds dies there.
     """
     geometry = (n, x0, dx, y0, dy, count, sign)
     turn = _dft_turn(n, dx, dy, count, sign)
     if not turn:
-        pre, lag_fft, post = reused((_bluestein_plan, *geometry),
-                                    lambda: _bluestein_plan(*geometry))
+        mid_n, mid_k = (n - 1) // 2, (count - 1) // 2
+        rate = sign * dx * dy
+        xc, yc = x0 + mid_n * dx, y0 + mid_k * dy
 
         def bluestein(values: np.ndarray) -> ComplexArray:
-            buf = np.zeros(lag_fft.shape[0], dtype=np.complex128)
-            np.multiply(values, pre, out=buf[:n])
-            del values   # each array dies when its stage ends
-            np.fft.fft(buf, out=buf)
-            buf *= lag_fft
-            np.fft.ifft(buf, out=buf)
-            sums = post * buf[n - 1:n - 1 + count]
-            del buf
+            # the lag chirp first, so that the input's chirp takes the heap
+            # its float lags freed: 1 to 3 MB less peak RSS at 2^17 points
+            lags = np.arange(-(n - 1), count, dtype=np.float64) - (mid_k - mid_n)
+            lag = lags * (-0.5j * rate)   # exp(-0.5j * rate * lags * lags)
+            lag *= lags
+            del lags
+            np.exp(lag, out=lag)
+            i = np.arange(n, dtype=np.float64) - mid_n
+            values = np.multiply(values, np.exp(1j * (sign * yc * dx * i
+                                                      + 0.5 * rate * i * i)))
+            del i
+            sums = linear_convolve(values, lag, n - 1, count)
+            del values, lag   # each array dies when its stage ends
+            k = np.arange(count, dtype=np.float64) - mid_k
+            sums = np.exp(1j * (sign * (yc + k * dy) * xc + 0.5 * rate * k * k)) * sums
             return sums if scale is None else scale * sums
         return bluestein
     a, b, pre, post = reused((_lattice_plan, *geometry, scale),

@@ -5,8 +5,9 @@ bit-level reference.
 the end and do no product in place, and ``chirp_z``, behind
 ``smfrft_quadrature`` and ``ismfrft_direct``, takes the library's route
 for each geometry (``_dft_turn``): the lattice chain (its phases formed
-afresh, its rolls by ``np.roll``) or Bluestein's, each without the
-library's one in-place buffer. Complex products are not bitwise
+afresh, its rolls by ``np.roll``) or Bluestein's (its chirps and the FFT
+of its lag chirp written out here, not ``linear_convolve``), each without
+the library's one in-place buffer. Complex products are not bitwise
 commutative, so each expression names its operands in the library's
 order; where a fresh phase meets the samples, the phase comes first, so
 numpy's temporary elision (from 256 KiB on) keeps that order at every
@@ -22,7 +23,6 @@ from smfrft.grid import SampledSignal, Spectrum
 from smfrft.kernel import SQRT_J2PI, SQRT_J_OVER_2PI, time_chirp
 from smfrft.transform import (
     _RECIPROCAL_RTOL,
-    _bluestein_plan,
     _dft_turn,
     fast_ugrid,
     lattice_split,
@@ -83,8 +83,17 @@ def chirp_z(values, x0, dx, y0, dy, count, sign, scale):
         if r:
             return scale * np.exp((sign * 1j * r) * (y - s)) * bins
         return bins if scale is None else scale * bins
-    pre, lag_fft, post = _bluestein_plan(n, x0, dx, y0, dy, count, sign)
-    size = lag_fft.shape[0]
+    mid_n, mid_k = (n - 1) // 2, (count - 1) // 2
+    rate = sign * dx * dy
+    xc = x0 + mid_n * dx
+    yc = y0 + mid_k * dy
+    i = np.arange(n, dtype=np.float64) - mid_n
+    pre = np.exp(1j * (sign * yc * dx * i + 0.5 * rate * i * i))
+    lags = np.arange(-(n - 1), count, dtype=np.float64) - (mid_k - mid_n)
+    size = 1 << (lags.shape[0] - 1).bit_length()
+    lag_fft = np.fft.fft(np.exp(lags * (-0.5j * rate) * lags), size)
+    k = np.arange(count, dtype=np.float64) - mid_k
+    post = np.exp(1j * (sign * (yc + k * dy) * xc + 0.5 * rate * k * k))
     sums = post * np.fft.ifft(np.fft.fft(values * pre, size) * lag_fft)[n - 1:n - 1 + count]
     return sums if scale is None else scale * sums
 

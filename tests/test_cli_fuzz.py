@@ -1,5 +1,6 @@
-"""The CLI contract as a property, for `verify --config` and the
-quadrature options of `transform --ugrid` and `invert --step/--count`.
+"""The CLI contract as a property, for `verify --config`, the quadrature
+options of `transform --ugrid` and `invert --step/--count`, and the grid
+and signal options of `generate`.
 
 Whatever JSON object the config file holds, `verify` runs in-process
 (through click's `CliRunner`, under the suite's ``error::RuntimeWarning``)
@@ -19,7 +20,9 @@ Whatever output grid the quadrature options name (NaN, infinities,
 +-1e308, subnormal and negative steps, counts up to 4096), `transform`
 and `invert` run in-process, let no exception other than `SystemExit`
 escape and exit 0 or 2; exit 0 writes a file that reads back finite on
-the named grid, and exit 2 writes none.
+the named grid, and exit 2 writes none. `generate` keeps the same contract
+whatever its grid (as above) and its --width, --rate, --carrier and
+--center (NaN, infinities, +-1e308, negative and zero).
 """
 
 import dataclasses
@@ -181,3 +184,46 @@ def test_quadrature_options_keep_the_exit_code_contract(quadrature_inputs, inver
         written = read(output)
         grid = written.grid if invert else written[0]
         assert grid.count == count and math.isclose(grid.start, start)
+
+
+# generator parameters that overflow, are not numbers, or are negative or
+# zero, and ordinary ones
+PARAMETERS = st.sampled_from([math.nan, math.inf, -math.inf, 1e308, -1e308,
+                              -1.0, 0.0, -0.0]) | st.floats(-50.0, 50.0)
+# the options of each kind; one of the other kind is a usage error
+KIND_OPTIONS = {"gaussian": ("center", "width", "carrier"), "chirp": ("rate", "width")}
+
+
+def generate_options(kind):
+    """``kind`` and some of its options, each drawn or left at its default."""
+    grid = {"start": STARTS, "step": STEPS, "count": COUNTS}
+    return st.tuples(st.just(kind), st.fixed_dictionaries({}, optional={
+        **grid, **{name: PARAMETERS for name in KIND_OPTIONS[kind]}}))
+
+
+@given(draw=st.sampled_from(sorted(KIND_OPTIONS)).flatmap(generate_options))
+@example(draw=("gaussian", {"start": -1e308, "step": 1e308, "count": 2}))
+@example(draw=("chirp", {"start": -1e154, "step": 1e152, "count": 64,
+                         "rate": 1e-3}))
+@example(draw=("chirp", {"rate": math.nan, "count": 4096}))
+@example(draw=("chirp", {"carrier": 1.0}))
+@settings(max_examples=150, deadline=None)
+def test_generate_keeps_the_exit_code_contract(draw):
+    kind, values = draw
+    options = [f"--{name}={value!r}" for name, value in values.items()]
+    with tempfile.TemporaryDirectory() as tmp:
+        output = Path(tmp) / "x.csv"
+        result = CliRunner().invoke(cli, ["generate", "--kind", kind, *options,
+                                          "--output", str(output)])
+        assert result.exception is None or isinstance(result.exception,
+                                                      SystemExit), (
+            result.exception)
+        assert result.exit_code in (0, 2), result.output
+        if result.exit_code == 2:
+            assert not output.exists()
+            return
+        # the reader refuses a value that is not finite; the default grid
+        # is 2048 points from -16
+        grid = io_csv.read_signal_csv(output).grid
+        assert grid.count == values.get("count", 2048)
+        assert math.isclose(grid.start, values.get("start", -16.0))

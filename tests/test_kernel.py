@@ -243,11 +243,10 @@ class TestReuseScope:
             for op in self.calls(std_grid, rng):
                 op()
             arrays = held_arrays(memo)
-        arrays += [*transform._bluestein_plan(512, -8.0, 0.03, 1.5, 0.2, 256, -1),
-                   *transform._lattice_plan(512, -8.005, 0.03, 1.5, 2 * math.pi / 15.36,
+        arrays += [*transform._lattice_plan(512, -8.005, 0.03, 1.5, 2 * math.pi / 15.36,
                                             256, -1, 0.5, ("time", "u"))[2:],
                    time_chirp(std_grid, make_angle(0.4))]
-        assert len(arrays) > 10
+        assert len(arrays) > 7
         for held in arrays:
             with pytest.raises(ValueError):
                 held[0] = 0.0

@@ -88,13 +88,12 @@ def test_command_peaks_at_its_read(traced_peak, files, tmp_path, command, source
 ])
 def test_quadrature_command_peaks_at_its_plan(traced_peak, files, tmp_path,
                                               command, source, options, arrays):
-    # the quadrature onto N points peaks while it applies its chirp-z
-    # plan, over the read's peak. Off the FFT-bin lattice that is
-    # Bluestein's: its lag chirp's FFT (2N points, built in place in its
-    # zero-padded buffer) and end chirps beside the 2N-point buffer of the
-    # product chain and the output (transform 8.0 (11.5), invert 8.0
-    # (9.2)). On the lattice (the inverse onto the reciprocal step) it is
-    # the fast inverse's chain: 5.9
+    # the quadrature onto N points peaks in its chirp-z, over the read's
+    # peak. Off the FFT-bin lattice that is Bluestein's convolution: the
+    # chirped input and its 2N-point lag chirp beside linear_convolve's
+    # 2N-point buffer and the lag chirp's FFT (transform 8.0 (11.5),
+    # invert 8.0 (10.5)). On the lattice (the inverse onto the reciprocal
+    # step) it is the fast inverse's chain: 5.9
     args = [command, "--input", str(files[source]),
             "--output", str(tmp_path / "out.csv"), f"--angle={ANGLE.phi!r}", *options]
     results = []

@@ -126,7 +126,7 @@ def test_quadrature_gate_fails_a_phase_error(draw):
 
 def dft_route():
     """A context in which a chirp-z that takes Bluestein's route fails."""
-    return mock.patch.object(transform, "_bluestein_plan",
+    return mock.patch.object(transform, "linear_convolve",
                              side_effect=AssertionError("took Bluestein's route"))
 
 
@@ -175,7 +175,7 @@ def test_dft_route_inverse_matches_dense(n, seed, angle, shift, start, fraction)
 
 @pytest.mark.parametrize("n", [257, 1024])
 @pytest.mark.parametrize("off, route", [(np.finfo(np.float64).eps, "_lattice_plan"),
-                                        (1e-9, "_bluestein_plan")],
+                                        (1e-9, "linear_convolve")],
                          ids=["1-eps", "1e-9"])
 def test_lattice_boundary(n, off, route):
     # a step 1 eps off the lattice is a DFT, 1e-9 off is not; both, and

@@ -439,8 +439,10 @@ class TestSuite:
     def test_a_run_builds_each_chirp_z_plan_once(self, monkeypatch):
         # a plan lives for the run, so each of its 9 chirp-z geometries is
         # built once; the next run builds them again, as nothing outlives it.
-        # Every geometry sits on the FFT-bin lattice: none takes Bluestein
-        built = {"_lattice_plan": [], "_bluestein_plan": []}
+        # Every geometry sits on the FFT-bin lattice: none takes Bluestein's
+        # route, the one caller of transform.linear_convolve (the operators
+        # and rhs_product call their own imported name)
+        built = {"_lattice_plan": [], "linear_convolve": []}
         for name in built:
             def counted(*geometry, _name=name, _fn=getattr(transform, name)):
                 built[_name].append(geometry)
@@ -450,7 +452,7 @@ class TestSuite:
             run_suite(self.small_config())
             lattice = built["_lattice_plan"]
             assert len(lattice) == len(set(lattice)) * run == 9 * run
-            assert built["_bluestein_plan"] == []
+            assert built["linear_convolve"] == []
 
     def test_reuse_changes_no_number(self):
         # every record equals, bit for bit, the check that computes its

@@ -297,24 +297,51 @@ class TestConventionalTransform:
         assert np.all(values == 0)
 
 
+def complex_normal(rng, size):
+    return rng.standard_normal(size) + 1j * rng.standard_normal(size)
+
+
 class TestLinearConvolve:
+    @staticmethod
+    def assert_window(a, b, offset, count):
+        """linear_convolve's window against np.convolve, zero outside it."""
+        full = np.convolve(a, b)
+        expected = np.zeros(count, complex)
+        for k in range(count):
+            if 0 <= k + offset < full.shape[0]:
+                expected[k] = full[k + offset]
+        got = transform.linear_convolve(a, b, offset, count)
+        assert got.shape == (count,)
+        np.testing.assert_allclose(got, expected, rtol=0,
+                                   atol=1e-13 * np.max(np.abs(full)))
+        assert np.all(got[expected == 0] == 0)
+
     def test_window_matches_numpy_with_zero_fill(self, rng):
-        a = rng.standard_normal(9) + 1j * rng.standard_normal(9)
-        b = rng.standard_normal(12) + 1j * rng.standard_normal(12)
-        full = np.convolve(a, b)   # 20 values
-        count = 10
+        a, b = complex_normal(rng, 9), complex_normal(rng, 12)   # 20 values
         # wholly before, straddling the start, inside, straddling the end,
         # wholly past the end
         for offset in (-15, -4, 3, 15, 25):
-            expected = np.zeros(count, complex)
-            for k in range(count):
-                if 0 <= k + offset < full.shape[0]:
-                    expected[k] = full[k + offset]
-            got = transform.linear_convolve(a, b, offset, count)
-            assert got.shape == (count,)
-            np.testing.assert_allclose(got, expected, rtol=0,
-                                       atol=1e-13 * np.max(np.abs(full)))
-            assert np.all(got[expected == 0] == 0)
+            self.assert_window(a, b, offset, 10)
+
+    @pytest.mark.parametrize("sizes", [(100, 2), (2, 100)], ids=["a", "b"])
+    def test_window_narrower_than_an_operand(self, sizes, rng):
+        # one value from the middle: the buffer still holds the longer operand
+        a, b = (complex_normal(rng, size) for size in sizes)
+        self.assert_window(a, b, 50, 1)
+
+    def test_odd_bluestein_window(self, rng):
+        # N inputs, a lag chirp of N + M - 1 and the M values from N - 1 on:
+        # a buffer of N + M - 1 = 113 values rounded up, the wrap never read
+        n, m = 37, 77
+        self.assert_window(complex_normal(rng, n), complex_normal(rng, n + m - 1),
+                           n - 1, m)
+
+    def test_empty_window_takes_no_fft(self, rng):
+        a, b = complex_normal(rng, 9), complex_normal(rng, 12)
+        with mock.patch.object(np.fft, "fft", side_effect=AssertionError("FFT")):
+            for offset, count in ((-15, 10), (20, 10), (0, 0)):
+                got = transform.linear_convolve(a, b, offset, count)
+                assert got.shape == (count,) and not np.any(got)
 
 
 class TestDeterminism:
@@ -489,7 +516,7 @@ class TestClosedForm:
         ugrids = [bins, UniformGrid(bins.start + 0.3, bins.step, bins.count),
                   UniformGrid(-last, bins.step, bins.count),
                   UniformGrid(-last - 7.3, bins.step, bins.count)]
-        with mock.patch.object(transform, "_bluestein_plan",
+        with mock.patch.object(transform, "linear_convolve",
                                side_effect=AssertionError("took Bluestein's route")):
             for a, b, c in GAUSSIAN_CHIRPS:
                 x = SampledSignal(grid, gaussian_chirp.signal(t, a, b, c))
