@@ -90,8 +90,8 @@ def reused(key, build):
     of any ``id`` in its key. Outside a scope nothing is kept. A scope
     holds the chirps (``time_chirp``), the carriers e^{jqt}
     (``operators.modulate_op``), the chirp-z plans of the quadratures on
-    the FFT-bin lattice (``transform._lattice_plan``) and the operand
-    spectra of one angle and pair (``theorems``)."""
+    the FFT-bin lattice (``transform._lattice_plan``), and the operand
+    spectra and the identity checks of one angle and pair (``theorems``)."""
     memo = _reuse.get()
     if memo is None:
         return build()

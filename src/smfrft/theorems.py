@@ -19,11 +19,13 @@ check computes its two sides from the row by disjoint routes:
   calls a time-domain operator.
 
 Within ``run_suite`` many right-hand sides need the same operand spectrum
-on the same grid (F(u), G(u), the overline F(-u)). The suite runs angle
-by angle and pair by pair in one reuse scope (``kernel.reused``), which
-keeps chirps, carriers and chirp-z plans for the run; for one (angle,
-pair) ``_spectrum`` computes each such spectrum once for every builder
-that asks. Left-hand transforms, and every call outside ``run_suite``, are
+on the same grid (F(u), G(u), the overline F(-u)), and many records the
+same check. The suite runs angle by angle and pair by pair in one reuse
+scope (``kernel.reused``), which keeps chirps, carriers and chirp-z plans
+for the run; for one (angle, pair) ``_spectrum`` computes each such
+spectrum once for every builder that asks, and ``_residuals`` each check
+(the left side and the derived residual) once for every record that
+reads it, printed forms included. Every call outside ``run_suite`` is
 computed afresh.
 
 The rows hold no evaluator; each is looked up in this module when a
@@ -204,15 +206,6 @@ def rhs_product(f, g, angle, ugrid: UniformGrid) -> ComplexArray:
     return SQRT_J_OVER_2PI * ugrid.step * window
 
 
-def rhs_corr_shift_paper(f, g, angle, d, q, ugrid: UniformGrid) -> ComplexArray:
-    """Left-shifted correlation at pi/2 as printed, with the opposite
-    phase sign to the general form (which matches the derivation)."""
-    phase = np.exp(-1j * ugrid.points() * d)
-    return (SQRT_J2PI * phase
-            * _spectrum(f, -ugrid.start, -ugrid.step, ugrid.count, angle, conj=True)
-            * _spectrum(g, ugrid.start, ugrid.step, ugrid.count, angle))
-
-
 # --------------------------------------------------------------------------
 # the catalogue
 
@@ -246,7 +239,8 @@ _FAMILIES = {
     IdentityId.CORR: _Family("corr", None, ""),
     IdentityId.CORR_SHIFT_L: _Family(
         "corr", "L", "d", lambda phi, d, q: phi == PI_HALF and d != 0.0,
-        lambda *args: rhs_corr_shift_paper(*args)),
+        lambda f, g, angle, d, q, ugrid: rhs_tfshift(f, g, angle, -d, q, ugrid,
+                                                     "corr", "L")),
     IdentityId.CORR_SHIFT_R: _Family("corr", "R", "d"),
     IdentityId.CORR_MOD_L: _Family("corr", "L", "q"),
     IdentityId.CORR_MOD_R: _Family("corr", "R", "q"),
@@ -315,44 +309,57 @@ def _residual(lhs: ComplexArray, rhs: ComplexArray) -> tuple[float, bool]:
 
 
 def _residuals(identity: IdentityId, f: SampledSignal, g: SampledSignal,
-               angle: Angle, d: float, q: float, ugrid: UniformGrid,
-               differs: bool) -> tuple[float, float, bool]:
+               angle: Angle, d: float, q: float,
+               ugrid: UniformGrid) -> tuple[float, float, bool]:
     """(paper residual, derived residual, both absolute) for one pair.
 
-    A value past a double (such as a phase q d near 1e308, or the norm of
-    sides near 1e154) becomes inf or NaN here without a warning, and
-    ``_residual`` refuses the residual it leaves."""
+    The general builders collapse onto the simpler families, so the left
+    side and the derived residual are one check, ``reused`` by every family
+    with the same operator, shifted operand (immaterial at d = q = 0),
+    angle, (d, q) and pair. The check keeps its left side only where a
+    printed form that shares it reads it. A value past a double (such as a
+    phase q d near 1e308, or the norm of sides near 1e154) becomes inf or
+    NaN here without a warning, and ``_residual`` refuses the residual it
+    leaves."""
     family = _FAMILIES[identity]
-    start, count = ugrid.start, ugrid.count
-    with np.errstate(over="ignore", invalid="ignore"):
+    operand = family.operand if d or q else None
+
+    def build():
+        start, count = ugrid.start, ugrid.count
         operator_out = lhs_signal(identity, f, g, angle, d, q)
         derived = rhs_values(identity, f, g, angle, d, q, ugrid)
-        paper = (family.printed_rhs(f, g, angle, d, q, ugrid) if differs
-                 else derived)
         if family.op == "prod":
             # the product check trusts only the inner half of the u grid,
             # where truncating the spectral-convolution integral leaks nothing
             quarter = ugrid.count // 4
             start, count = ugrid.point(quarter), ugrid.count - 2 * quarter
-            inner = slice(quarter, quarter + count)
-            paper, derived = paper[inner], derived[inner]
+            derived = derived[quarter:quarter + count]
         lhs = smfrft_quadrature(operator_out, start, ugrid.step, count, angle)
-        r_paper, absolute = _residual(lhs, paper)
-        if not differs:
-            return r_paper, r_paper, absolute
-        r_derived, abs_d = _residual(lhs, derived)
-    return r_paper, r_derived, absolute and abs_d
+        lhs.setflags(write=False)
+        read = any(row.op == family.op and operand in (None, row.operand)
+                   and row.printed_differs(angle.phi, d, q)
+                   for row in _FAMILIES.values())
+        return (f, g, lhs if read else None, *_residual(lhs, derived))
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        _, _, lhs, r_derived, absolute = reused(
+            (check, id(f), id(g), angle, family.op, operand, d, q), build)
+        if not family.printed_differs(angle.phi, d, q):
+            return r_derived, r_derived, absolute
+        r_paper, abs_p = _residual(
+            lhs, family.printed_rhs(f, g, angle, d, q, ugrid))
+    return r_paper, r_derived, absolute and abs_p
 
 
 def _report(identity: IdentityId, phi: float, d: float, q: float, n: int,
-            per_pair: list[tuple[float, float, bool]], tolerance: float,
-            differs: bool) -> IdentityReport:
+            per_pair: list[tuple[float, float, bool]],
+            tolerance: float) -> IdentityReport:
     """Worst case over the operand pairs for one parameter combination."""
     r_paper = max(p for p, _, _ in per_pair)
     r_derived = max(r for _, r, _ in per_pair)
     tolerance = max(ABSOLUTE_TOLERANCE if absolute else tolerance
                     for _, _, absolute in per_pair)
-    chosen = ("agree" if not differs
+    chosen = ("agree" if not _FAMILIES[identity].printed_differs(phi, d, q)
               else "derived" if r_derived <= r_paper else "paper")
     return IdentityReport(
         identity=identity, phi=phi, d=d, q=q, n=n,
@@ -371,10 +378,9 @@ def check(identity: IdentityId, f: SampledSignal, g: SampledSignal,
     for name, value in (("d", d), ("q", q)):
         if value != 0.0 and name not in family.sweeps:
             raise InvalidParameterError(f"{identity.value} takes no {name}")
-    differs = family.printed_differs(angle.phi, d, q)
-    residuals = _residuals(identity, f, g, angle, d, q, ugrid, differs)
+    residuals = _residuals(identity, f, g, angle, d, q, ugrid)
     return _report(identity, angle.phi, d, q, f.grid.count, [residuals],
-                   tolerance, differs)
+                   tolerance)
 
 
 # --------------------------------------------------------------------------
@@ -503,48 +509,39 @@ def run_suite(cfg: SuiteConfig = SuiteConfig()) -> list[IdentityReport]:
     ugrid = fast_ugrid(tgrid)
     pairs = default_pairs(tgrid)
     selected = [pairs[i] for i in cfg.pair_indices]
-    # the general builder collapses onto the simpler families, so one check
-    # serves every record with the same angle, operator, shifted operand
-    # (immaterial at d = q = 0) and (d, q), unless its printed form differs
-    records = []   # (identity, phi, d, q, differs, check key), config order
-    checks = {}    # check key -> (identity, d, q, differs) of its first record
+    per_pair: dict = {}   # (identity, phi, d, q) -> residuals, config order
     for identity in cfg.identities:
-        family = _FAMILIES[identity]
+        sweeps = _FAMILIES[identity].sweeps
         for phi in cfg.angles:
-            for d in (cfg.d_values if "d" in family.sweeps else (0.0,)):
-                for q in (cfg.q_values if "q" in family.sweeps else (0.0,)):
-                    differs = family.printed_differs(phi, d, q)
-                    key = ((phi, identity, d, q) if differs else
-                           (phi, family.op,
-                            family.operand if d or q else None, d, q))
-                    records.append((identity, phi, d, q, differs, key))
-                    checks.setdefault(key, (identity, d, q, differs))
-    per_pair: dict = {key: [] for key in checks}
+            for d in (cfg.d_values if "d" in sweeps else (0.0,)):
+                for q in (cfg.q_values if "q" in sweeps else (0.0,)):
+                    per_pair[identity, phi, d, q] = []
     memo = {}   # the reuse scope: chirps, carriers and plans live for the run
     token = _reuse.set(memo)
     try:
         for phi in cfg.angles:
             angle = make_angle(phi)
             for f, g in selected:
-                for key, (identity, d, q, differs) in checks.items():
-                    if key[0] != phi:
+                for (identity, at, d, q), residuals in per_pair.items():
+                    if at != phi:
                         continue
                     try:
-                        per_pair[key].append(_residuals(
-                            identity, f, g, angle, d, q, ugrid, differs))
+                        residuals.append(_residuals(identity, f, g, angle, d,
+                                                    q, ugrid))
                     except Exception as exc:
                         where = f"{identity.value} at phi={phi} d={d} q={q}"
                         if isinstance(exc, SmfrftError):
                             raise type(exc)(f"{where}: {exc}") from exc
                         raise RuntimeError(f"{where} failed") from exc
-                # the operand spectra die with their (angle, pair)
-                for spectrum in [k for k in memo if k[0] is _spectrum]:
-                    del memo[spectrum]
+                # the operand spectra and the checks die with their
+                # (angle, pair)
+                for key in [k for k in memo if k[0] in (_spectrum, check)]:
+                    del memo[key]
     finally:
         _reuse.reset(token)
-    return [_report(identity, phi, d, q, tgrid.count, per_pair[key],
-                    cfg.tolerance_for(identity, phi), differs)
-            for identity, phi, d, q, differs, key in records]
+    return [_report(identity, phi, d, q, tgrid.count, residuals,
+                    cfg.tolerance_for(identity, phi))
+            for (identity, phi, d, q), residuals in per_pair.items()]
 
 
 def report_rows(reports: list[IdentityReport]) -> list[dict]:

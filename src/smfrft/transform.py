@@ -41,7 +41,7 @@ too (size >= N + M - 1). Against the closed form at N = 2^17 the lattice
 route errs 7e-14 of the peak onto the FFT-bin grid, where Bluestein's
 erred 9e-13.
 
-In a reuse scope (``kernel.reused``: ``run_suite``'s 180 quadratures at
+In a reuse scope (``kernel.reused``: ``run_suite``'s 162 quadratures at
 N = 1024 with two angles share 9 chirp-z geometries, all on the lattice)
 each lattice geometry's plan (``_lattice_plan``) is built once, with a
 fresh build's bits; Bluestein's chirps are formed by each call, as no

@@ -5,8 +5,9 @@ one time-frequency-shifted builder, ``rhs_tfshift``, which takes the
 shifted and modulated operand's spectrum from the transform's
 time-frequency-shift property. This module keeps the six specialized
 right-hand sides it replaced (plain, shifted and modulated convolution
-and correlation), and the printed left time-frequency-shifted
-correlation, each written out from its own formula and not from the
+and correlation), and the printed left shifted correlation at pi/2 and
+left time-frequency-shifted correlation, each written out from its own
+formula and not from the
 general builder, so that the builder collapsing onto them at d = 0
 and/or q = 0, or reproducing the printed form, is evidence for both.
 Correlation forms take the overline spectrum: the transform of the
@@ -83,6 +84,14 @@ def rhs_corr_modulation(f, g, angle, q, ugrid, side):
         fs = _at(f.conjugate(), angle, ugrid, sign=-1.0)
         gs = _at(g, angle, ugrid, shift=q)
     return SQRT_J2PI * fs * gs
+
+
+def rhs_corr_shift_printed(f, g, angle, d, ugrid):
+    # the left form at pi/2 as printed: phase e^{-jud}, with no d^2 cot
+    # term, and the overline spectrum at -u
+    phase = np.exp(-1j * ugrid.points() * d)
+    return (SQRT_J2PI * phase * _at(f.conjugate(), angle, ugrid, sign=-1.0)
+            * _at(g, angle, ugrid))
 
 
 def rhs_corr_tfshift_printed(f, g, angle, d, q, ugrid):

@@ -1,6 +1,7 @@
 """The CLI contract as a property, for `verify --config`, the quadrature
-options of `transform --ugrid` and `invert --step/--count`, and the grid
-and signal options of `generate`.
+options of `transform --ugrid` and `invert --step/--count`, the grid and
+signal options of `generate`, the options of `filter`, and the input
+files of `transform`, `filter` and `invert`.
 
 Whatever JSON object the config file holds, `verify` runs in-process
 (through click's `CliRunner`, under the suite's ``error::RuntimeWarning``)
@@ -22,13 +23,21 @@ and `invert` run in-process, let no exception other than `SystemExit`
 escape and exit 0 or 2; exit 0 writes a file that reads back finite on
 the named grid, and exit 2 writes none. `generate` keeps the same contract
 whatever its grid (as above) and its --width, --rate, --carrier and
---center (NaN, infinities, +-1e308, negative and zero).
+--center (NaN, infinities, +-1e308, negative and zero), `filter` whatever
+its --passband (not numbers, infinite, empty, swapped, huge or around one
+u point) and its --angle or --order (NaN, infinities, 0, multiples of pi
+and +-1e308) on inputs of up to 4096 samples, and `transform`, `filter`
+and `invert` whatever their input file holds (a header alone, truncated
+rows, lone and mixed line ends, a blank line between rows, a non-uniform
+axis, underscores in a number, non-ASCII bytes and the control bytes
+\\x0b, \\x0c and \\x1c-\\x1f).
 """
 
 import dataclasses
 import json
 import math
 import tempfile
+from contextlib import suppress
 from pathlib import Path
 
 import pytest
@@ -36,7 +45,8 @@ from click.testing import CliRunner
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from smfrft import UniformGrid, gen_chirp, io_csv, make_angle, smfrft_fast
+from smfrft import (UniformGrid, fast_ugrid, gen_chirp, io_csv, make_angle,
+                    smfrft_fast)
 from smfrft.cli import cli
 from smfrft.theorems import IdentityId, SuiteConfig
 
@@ -132,6 +142,20 @@ def test_verify_config_keeps_the_exit_code_contract(config):
         assert result.exit_code == (1 if failed else 0)
 
 
+def run_command(args, output):
+    """Invoke the CLI in-process; assert that it lets nothing but
+    SystemExit escape, exits 0 or 2 and writes no output when it exits 2.
+    Returns whether it exited 0."""
+    result = CliRunner().invoke(cli, [*args, "--output", str(output)])
+    assert result.exception is None or isinstance(result.exception,
+                                                  SystemExit), (
+        result.exception)
+    assert result.exit_code in (0, 2), result.output
+    if result.exit_code == 2:
+        assert not output.exists()
+    return result.exit_code == 0
+
+
 # grid values that overflow, vanish or are not numbers, and ordinary ones
 EDGES = st.sampled_from([math.nan, math.inf, -math.inf, 1e308, -1e308,
                          5e-324, -5e-324, 2.2e-308, 1e-300, 0.0, -0.0, 1e154,
@@ -170,15 +194,9 @@ def test_quadrature_options_keep_the_exit_code_contract(quadrature_inputs, inver
         options = [f"--ugrid={start!r}:{step!r}:{count}"]
     with tempfile.TemporaryDirectory() as tmp:
         output = Path(tmp) / "out.csv"
-        result = CliRunner().invoke(cli, [
-            "invert" if invert else "transform", *options, f"--angle={phi!r}",
-            "--input", str(quadrature_inputs / source), "--output", str(output)])
-        assert result.exception is None or isinstance(result.exception,
-                                                      SystemExit), (
-            result.exception)
-        assert result.exit_code in (0, 2), result.output
-        if result.exit_code == 2:
-            assert not output.exists()
+        if not run_command(["invert" if invert else "transform", *options,
+                            f"--angle={phi!r}", "--input",
+                            str(quadrature_inputs / source)], output):
             return
         # the readers refuse a value that is not finite
         written = read(output)
@@ -213,17 +231,144 @@ def test_generate_keeps_the_exit_code_contract(draw):
     options = [f"--{name}={value!r}" for name, value in values.items()]
     with tempfile.TemporaryDirectory() as tmp:
         output = Path(tmp) / "x.csv"
-        result = CliRunner().invoke(cli, ["generate", "--kind", kind, *options,
-                                          "--output", str(output)])
-        assert result.exception is None or isinstance(result.exception,
-                                                      SystemExit), (
-            result.exception)
-        assert result.exit_code in (0, 2), result.output
-        if result.exit_code == 2:
-            assert not output.exists()
+        if not run_command(["generate", "--kind", kind, *options], output):
             return
         # the reader refuses a value that is not finite; the default grid
         # is 2048 points from -16
         grid = io_csv.read_signal_csv(output).grid
         assert grid.count == values.get("count", 2048)
         assert math.isclose(grid.start, values.get("start", -16.0))
+
+
+# passband bounds that are not numbers, overflow or are missing, and
+# ordinary ones
+BOUNDS = (st.sampled_from(["nan", "inf", "-inf", "", "1e308", "-1e308", "0"])
+          | st.floats(-20.0, 20.0).map(repr))
+# rotation angles (or orders) that are not numbers, overflow, vanish or put
+# the angle on a multiple of pi, and ordinary ones
+ROTATIONS = (st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0,
+                              math.pi, -math.pi, 2 * math.pi, 3 * math.pi,
+                              1e6 * math.pi, 1e308, -1e308, 2.0, 4.0])
+             | st.floats(-4.0, 4.0))
+
+
+@st.composite
+def filter_runs(draw):
+    """A signal count, a passband and an --angle or --order option."""
+    count = draw(st.sampled_from([2, 3, 4096]) | st.integers(2, 4096))
+    ugrid = fast_ugrid(UniformGrid(-(count // 2) * 0.25, 0.25, count))
+    form = draw(st.sampled_from(["bounds", "swapped", "point", "malformed"]))
+    if form == "bounds":
+        band = f"{draw(BOUNDS)}:{draw(BOUNDS)}"
+    elif form == "malformed":
+        band = draw(st.sampled_from(["", ":", "1.0", "1:2:3", "a:b"]))
+    else:
+        # around one u point (or exactly on it), or a band given hi:lo
+        point = ugrid.point(draw(st.integers(0, count - 1)))
+        half = draw(st.sampled_from([0.0, 0.25, 0.5])) * ugrid.step
+        lo, hi = point - half, point + half
+        band = f"{hi!r}:{lo!r}" if form == "swapped" else f"{lo!r}:{hi!r}"
+    option = draw(st.sampled_from(["--angle", "--order"]))
+    return count, band, f"{option}={draw(ROTATIONS)!r}"
+
+
+@given(run=filter_runs())
+@example(run=(4096, "-1e308:1e308", "--angle=1e308"))
+@example(run=(64, "nan:1", "--order=1.0"))
+@example(run=(64, "0.0:0.0", "--angle=0.7"))
+@example(run=(64, "-1:1", f"--angle={math.pi!r}"))
+@settings(max_examples=150, deadline=None)
+def test_filter_keeps_the_exit_code_contract(run):
+    count, band, rotation = run
+    grid = UniformGrid(-(count // 2) * 0.25, 0.25, count)
+    with tempfile.TemporaryDirectory() as tmp:
+        source, output = Path(tmp) / "x.csv", Path(tmp) / "y.csv"
+        io_csv.write_signal_csv(source, gen_chirp(grid, 1.3, 2.0))
+        if run_command(["filter", f"--passband={band}", rotation,
+                        "--input", str(source)], output):
+            # the reader refuses a value that is not finite
+            assert io_csv.read_signal_csv(output).grid == grid
+
+
+# one command form per route through the readers: (arguments, source file,
+# reader of the output)
+FILE_COMMANDS = [
+    (["transform", "--angle=0.7"], "x.csv", io_csv.read_spectrum_csv),
+    (["transform", "--angle=0.7", "--ugrid=-4.0:0.5:16"], "x.csv",
+     io_csv.read_spectrum_csv),
+    (["filter", "--angle=0.7", "--passband=-2:2"], "x.csv",
+     io_csv.read_signal_csv),
+    (["invert", "--angle=0.7"], "s.csv", io_csv.read_signal_csv),
+    (["invert", "--angle=0.7", "--step=0.25", "--count=64"], "s.csv",
+     io_csv.read_signal_csv),
+]
+# what is dropped into a row: control bytes, non-ASCII ones, a lone \r
+# and an underscore between digits
+STRAY = st.sampled_from([b"\x0b", b"\x0c", b"\x1c", b"\x1d", b"\x1e", b"\x1f",
+                         b"\xc3\xa9", b"\xff", b"\xc2\xa0", b"\xef\xbc\x91",
+                         b"\r", b"1_0"])
+ROW, AT = st.integers(1, 64), st.integers(0, 64)
+# one damage to a CSV file: its kind and where (a row past the end is the
+# last row, a position past the end of a row is its end)
+DAMAGE = (st.tuples(st.just("header"))
+          | st.tuples(st.just("truncate"), ROW, AT, st.booleans())
+          | st.tuples(st.just("blank"), ROW)
+          | st.tuples(st.just("axis"), ROW, st.sampled_from([1e-6, 0.01, 0.5]))
+          | st.tuples(st.just("field"), ROW, st.integers(0, 2))
+          | st.tuples(st.just("stray"), ROW, AT, STRAY))
+# the line ends, taken in turn
+ENDS = st.lists(st.sampled_from([b"\n", b"\r\n", b"\r"]), min_size=1,
+                max_size=3)
+
+
+def damage(text, damages, ends):
+    """``text`` (a CSV file) with each of ``damages`` done in turn, its
+    lines joined by ``ends`` in turn."""
+    lines = text.encode().splitlines()
+    for kind, *where in damages:
+        if kind == "header":
+            del lines[1:]
+        if len(lines) < 2:
+            continue
+        row = min(where[0], len(lines) - 1)
+        line = lines[row]
+        if kind == "truncate":
+            lines[row] = line[:min(where[1], max(len(line) - 1, 0))]
+            if where[2]:
+                del lines[row + 1:]
+        elif kind == "blank":
+            lines.insert(row, b"")
+        elif kind == "axis":
+            axis, comma, rest = line.partition(b",")
+            with suppress(ValueError):
+                lines[row] = repr(float(axis) + where[1]).encode() + comma + rest
+        elif kind == "field":
+            fields = line.split(b",")
+            fields[min(where[1], len(fields) - 1)] = b"1_0"
+            lines[row] = b",".join(fields)
+        elif kind == "stray":
+            at = min(where[1], len(line))
+            lines[row] = line[:at] + where[2] + line[at:]
+    return b"".join(line + ends[i % len(ends)] for i, line in enumerate(lines))
+
+
+@given(command=st.sampled_from(FILE_COMMANDS),
+       damages=st.lists(DAMAGE, max_size=2), ends=ENDS)
+@example(command=FILE_COMMANDS[0], damages=[("header",)], ends=[b"\n"])
+@example(command=FILE_COMMANDS[2], damages=[], ends=[b"\r"])
+@example(command=FILE_COMMANDS[3], damages=[], ends=[b"\n", b"\r\n", b"\r"])
+@example(command=FILE_COMMANDS[4], damages=[("blank", 9)], ends=[b"\n"])
+@example(command=FILE_COMMANDS[1], damages=[("field", 5, 0)], ends=[b"\n"])
+@example(command=FILE_COMMANDS[0], damages=[("stray", 7, 0, b"\x1f")],
+         ends=[b"\n"])
+@settings(max_examples=200, deadline=None)
+def test_input_files_keep_the_exit_code_contract(quadrature_inputs, command,
+                                                 damages, ends):
+    args, source, read = command
+    text = (quadrature_inputs / source).read_text()
+    with tempfile.TemporaryDirectory() as tmp:
+        damaged, output = Path(tmp) / source, Path(tmp) / "out.csv"
+        damaged.write_bytes(damage(text, damages, ends))
+        if run_command([*args, "--input", str(damaged)], output):
+            # the readers refuse a value that is not finite
+            read(output)

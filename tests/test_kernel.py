@@ -174,8 +174,8 @@ def held_arrays(memo):
 def scope_probe(monkeypatch):
     """Patch ``run_suite``'s checks to record, after each, weak references
     to the arrays its reuse scope holds, and the angles and operand ids of
-    its spectra, the check's angle and operand ids, and the keys of its
-    other entries; returns both lists."""
+    its spectra and checks, the number of checks, the check's angle and
+    operand ids, and the keys of its other entries; returns both lists."""
     refs, spectra = [], []
 
     def probed(identity, f, g, angle, *args, _fn=theorems._residuals):
@@ -185,8 +185,12 @@ def scope_probe(monkeypatch):
             memo = kernel._reuse.get()
             refs.extend(weakref.ref(a) for a in held_arrays(memo))
             spectral = [k for k in memo if k[0] is theorems._spectrum]
-            spectra.append(({k[3] for k in spectral}, {k[1] for k in spectral},
-                            angle, {id(f), id(g)}, set(memo) - set(spectral)))
+            checks = [k for k in memo if k[0] is theorems.check]
+            spectra.append(({k[3] for k in spectral + checks},
+                             {k[1] for k in spectral + checks}
+                             | {k[2] for k in checks}, len(checks),
+                             angle, {id(f), id(g)},
+                             set(memo) - set(spectral) - set(checks)))
     monkeypatch.setattr(theorems, "_residuals", probed)
     return refs, spectra
 
@@ -239,14 +243,19 @@ class TestReuseScope:
             assert kept < 16 * std_grid.count
 
     def test_reused_arrays_are_read_only(self, std_grid, rng):
+        f, g = (SampledSignal(std_grid, rng.standard_normal(std_grid.count))
+                for _ in range(2))
         with reuse_scope() as memo:
             for op in self.calls(std_grid, rng):
                 op()
+            # a check that keeps its left side for the printed form
+            theorems._residuals(theorems.IdentityId.CORR_TFSHIFT_L, f, g,
+                                make_angle(0.9), 0.5, 1.0, fast_ugrid(std_grid))
             arrays = held_arrays(memo)
         arrays += [*transform._lattice_plan(512, -8.005, 0.03, 1.5, 2 * math.pi / 15.36,
                                             256, -1, 0.5, ("time", "u"))[2:],
                    time_chirp(std_grid, make_angle(0.4))]
-        assert len(arrays) > 7
+        assert len(arrays) > 8
         for held in arrays:
             with pytest.raises(ValueError):
                 held[0] = 0.0
@@ -270,15 +279,18 @@ class TestReuseScope:
 
     def test_spectra_live_for_one_angle_and_pair(self, monkeypatch):
         # chirps and chirp-z plans live for the run; the operand spectra
-        # of one (angle, pair) are dropped when it ends
+        # and the checks of one (angle, pair) are dropped when it ends
         _, spectra = scope_probe(monkeypatch)
         run_suite(SuiteConfig(n=64, angles=(math.pi / 4, math.pi / 2),
                               pair_indices=(0, 1)))
         assert len(spectra) > 20
         kept = set()
-        for angles, operands, angle, pair, others in spectra:
-            assert angles == {angle} and operands == pair
+        for angles, operands, checks, angle, pair, others in spectra:
+            assert checks and angles == {angle} and operands == pair
             assert others >= kept
             kept = others
         assert {k[2].phi for k in kept if k[0] is time_chirp} == {math.pi / 4,
                                                                   math.pi / 2}
+        # an (angle, pair) ends with its 15 checks: per operator the plain
+        # one and three (d, q) for each shifted operand, and the product
+        assert spectra[-1][2] == 15

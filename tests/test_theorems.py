@@ -305,6 +305,19 @@ class TestAdjudication:
         assert report.residual_derived_form <= 1e-6
         assert report.residual_paper_form > 1e-2
 
+    @pytest.mark.parametrize("d", [0.5, -1.0])
+    def test_shifted_correlation_printed_form(self, operands, theorem_grid, d):
+        # the printed pi/2 form is the derived one at -d: the phase is the
+        # printed e^{-jud}, and cot(pi/2) leaves the d cot terms below
+        # rounding
+        f, g = operands
+        angle = make_angle(PI / 2)
+        ugrid = fast_ugrid(theorem_grid)
+        row = theorems._FAMILIES[IdentityId.CORR_SHIFT_L]
+        printed = closed_forms.rhs_corr_shift_printed(f, g, angle, d, ugrid)
+        assert relative_l2_error(row.printed_rhs(f, g, angle, d, 0.0, ugrid),
+                                 printed) <= 1e-12
+
     def test_shifted_correlation_fractional_angles_agree(self, operands,
                                                          theorem_ugrid):
         f, g = operands
@@ -423,8 +436,9 @@ class TestSuite:
 
     def test_shared_checks_do_the_same_work(self, monkeypatch):
         # records share one computed check where the general builders
-        # collapse onto a simpler family, and the right-hand sides of one
-        # (angle, pair) share their operand spectra; these counts pin both
+        # collapse onto a simpler family, printed forms included, and the
+        # right-hand sides of one (angle, pair) share their operand
+        # spectra; these counts pin both
         counts = collections.Counter()
         for name in ("smfrft_quadrature", "frac_convolve", "frac_correlate",
                      "frac_product"):
@@ -433,8 +447,8 @@ class TestSuite:
                 return _fn(*args)
             monkeypatch.setattr(theorems, name, counted)
         run_suite(self.small_config())
-        assert counts == {"smfrft_quadrature": 60, "frac_convolve": 14,
-                          "frac_correlate": 20, "frac_product": 2}
+        assert counts == {"smfrft_quadrature": 54, "frac_convolve": 14,
+                          "frac_correlate": 14, "frac_product": 2}
 
     def test_a_run_builds_each_chirp_z_plan_once(self, monkeypatch):
         # a plan lives for the run, so each of its 9 chirp-z geometries is
@@ -491,6 +505,35 @@ class TestSuite:
         finally:
             kernel._reuse.reset(token)
         assert len([k for k in memo if k[0] is theorems._spectrum]) == 5
+
+    def test_check_memo_tells_keys_apart(self, operands, theorem_grid):
+        # another operand, (d, q), angle, operator or operand order is a
+        # miss; a family that collapses onto a computed check is a hit,
+        # and a printed form reads the left side that another family built
+        f, g = operands
+        ugrid = fast_ugrid(theorem_grid)
+        tf_l, tf_r = IdentityId.CONV_TFSHIFT_L, IdentityId.CONV_TFSHIFT_R
+        calls = [(tf_l, f, g, PI / 4, 0.5, 1.0), (tf_r, f, g, PI / 4, 0.5, 1.0),
+                 (tf_l, f, g, PI / 4, 0.5, 0.0), (tf_l, f, g, PI / 4, 0.0, 1.0),
+                 (tf_l, f, g, PI / 3, 0.5, 1.0), (tf_l, g, f, PI / 4, 0.5, 1.0),
+                 (IdentityId.CORR_TFSHIFT_R, f, g, PI / 4, 0.5, 1.0),
+                 (IdentityId.CORR, f, g, PI / 4, 0.0, 0.0),
+                 (IdentityId.CONV_SHIFT_L, f, g, PI / 4, 0.5, 0.0),
+                 (IdentityId.CONV_MOD_L, f, g, PI / 4, 0.0, 1.0),
+                 (IdentityId.CORR_MOD_R, f, g, PI / 4, 0.0, 0.0),
+                 (IdentityId.CORR_TFSHIFT_L, f, g, PI / 4, 0.0, 0.0),
+                 (IdentityId.CORR_SHIFT_L, f, g, PI / 2, 0.5, 0.0),
+                 (IdentityId.CORR_TFSHIFT_L, f, g, PI / 2, 0.5, 0.0)]
+        calls = [(identity, x, y, make_angle(phi), d, q, ugrid)
+                 for identity, x, y, phi, d, q in calls]
+        fresh = [theorems._residuals(*args) for args in calls]
+        memo = {}
+        token = kernel._reuse.set(memo)
+        try:
+            assert [theorems._residuals(*args) for args in calls] == fresh
+        finally:
+            kernel._reuse.reset(token)
+        assert len([k for k in memo if k[0] is theorems.check]) == 9
 
     def test_empty_corpus_is_refused(self):
         # no certificate of nothing: the config refuses before any work
