@@ -87,11 +87,16 @@ _reuse = contextvars.ContextVar("_reuse", default=None)
 def reused(key, build):
     """``build()``, or in the reuse scope that ``run_suite`` opens per run the
     read-only value an equal ``key`` built there; a value holds the object
-    of any ``id`` in its key. Outside a scope nothing is kept. A scope
-    holds the chirps (``time_chirp``), the carriers e^{jqt}
-    (``operators.modulate_op``), the chirp-z plans of the quadratures on
-    the FFT-bin lattice (``transform._lattice_plan``), and the operand
-    spectra and the identity checks of one angle and pair (``theorems``)."""
+    of any ``id`` in its key. Outside a scope nothing is kept, and a build
+    that raises keeps nothing either, so its checks run on every key's
+    first build. A scope holds, for the run, the chirps (``time_chirp``),
+    the carriers e^{jqt} (``operators.modulate_op``), the chirp-z plans of
+    the quadratures on the FFT-bin lattice (``transform._lattice_plan``)
+    and the time-frequency-shift phases (``theorems._tf_shifted``); and,
+    for one angle and pair, the shifted and modulated operands
+    (``operators.shift_op``, ``modulate_op``), the chirped operands' FFTs
+    that the weighted operators multiply (``operators._operand_spectrum``),
+    and the operand spectra and the identity checks (``theorems``)."""
     memo = _reuse.get()
     if memo is None:
         return build()
@@ -104,12 +109,12 @@ def time_chirp(grid, angle: Angle) -> np.ndarray:
     """exp((j/2) cot(phi) t^2) at the points of a ``UniformGrid``, read-only
     and ``reused`` per (grid, angle). InvalidGridError when the largest
     phase |cot(phi)| t^2 / 2 overflows a double."""
-    t_max = max(abs(grid.start), abs(grid.point(grid.count - 1)))
-    if not math.isfinite(0.5 * abs(angle.cot_phi) * t_max * t_max):
-        raise InvalidGridError(
-            f"chirp phase cot(phi) t^2 / 2 overflows a double on {grid} "
-            f"at phi={angle.phi!r}")
     def build():
+        t_max = max(abs(grid.start), abs(grid.point(grid.count - 1)))
+        if not math.isfinite(0.5 * abs(angle.cot_phi) * t_max * t_max):
+            raise InvalidGridError(
+                f"chirp phase cot(phi) t^2 / 2 overflows a double on {grid} "
+                f"at phi={angle.phi!r}")
         t = grid.points()
         chirp = np.exp(0.5j * angle.cot_phi * t * t)
         chirp.setflags(write=False)

@@ -25,9 +25,24 @@ linear (zero-extended, never circular) FFT convolution or correlation of
 length 2N - 1, and post-chirp with e^{-(j/2) cot t^2}. The dense lagged
 sums they replace are kept only as the test suite's oracle.
 
+Each operator composes the steps of ``transform.linear_convolve`` (one
+size rule, ``convolution_window``; a ``padded_fft`` per operand; one
+``inverse_window``) from the FFTs of its chirped operands,
+``_operand_spectrum``: x*c, which the convolution takes on either side
+and the correlation on its right, and the reversed conj(x)*c of the
+correlation's left.
+
 In a reuse scope (``kernel.reused``, which ``run_suite`` opens) the
 chirps and the modulation carriers e^{jqt} are built once per grid and
-angle, or grid and carrier, and live for the run.
+angle, or grid and carrier, and live for the run. ``shift_op`` and
+``modulate_op`` return one signal per operand and shift or carrier, so
+that an operand keeps its identity from one check to the next, and each
+chirped operand's FFT is taken once per (operand, angle, kind, FFT
+size); an operator then does only the product, the inverse FFT and the
+window. The 14 weighted operators of one (angle, pair) of ``run_suite``
+read 12 distinct chirped operands: 12 forward FFTs of 2N points, where
+each call taking its own took 28. ``run_suite`` drops these entries when
+their (angle, pair) ends.
 """
 
 from __future__ import annotations
@@ -37,9 +52,9 @@ import math
 import numpy as np
 
 from .errors import AlignmentError, InvalidParameterError, ShapeMismatchError
-from .grid import SampledSignal, _Fresh
+from .grid import ComplexArray, SampledSignal, _Fresh
 from .kernel import Angle, reused, time_chirp
-from .transform import lattice_split, linear_convolve
+from .transform import convolution_window, inverse_window, lattice_split, padded_fft
 
 _ALIGN_RTOL = 1e-9
 
@@ -62,7 +77,8 @@ def _lattice_index(value: float, step: float, what: str) -> int:
 def shift_op(x: SampledSignal, d: float) -> SampledSignal:
     """Delay by d: output(t) = x(t - d), zero-filled where x is off-grid.
 
-    d must be a whole number of samples, |d| < N*step.
+    d must be a whole number of samples, |d| < N*step. In a reuse scope
+    each (x, k samples) has one such signal, ``reused`` holding x.
     """
     k = _lattice_index(float(d), x.grid.step, "shift delay")
     n = x.grid.count
@@ -70,6 +86,11 @@ def shift_op(x: SampledSignal, d: float) -> SampledSignal:
         raise InvalidParameterError(
             f"shift of {k} samples exceeds the grid length {n}"
         )
+    return reused((_shifted, id(x), k), lambda: (x, _shifted(x, k)))[1]
+
+
+def _shifted(x: SampledSignal, k: int) -> SampledSignal:
+    n = x.grid.count
     shifted = np.zeros(n, dtype=np.complex128)
     if k >= 0:
         shifted[k:] = x.samples[: n - k]
@@ -81,18 +102,38 @@ def shift_op(x: SampledSignal, d: float) -> SampledSignal:
 def modulate_op(x: SampledSignal, q: float) -> SampledSignal:
     """Multiply by the unimodular carrier e^{j*q*t}, read-only and
     ``reused`` per (grid, q); InvalidParameterError when q*t is not finite
-    on the grid."""
+    on the grid. In a reuse scope each (x, q) has one such signal,
+    ``reused`` holding x."""
+    return reused((_modulated, id(x), q), lambda: (x, _modulated(x, q)))[1]
+
+
+def _modulated(x: SampledSignal, q: float) -> SampledSignal:
     grid = x.grid
-    t_max = max(abs(grid.start), abs(grid.point(grid.count - 1)))
-    if not math.isfinite(q * t_max):
-        raise InvalidParameterError(
-            f"carrier phase q*t is not finite: q={q!r} on {grid}")
+
     def build():
+        t_max = max(abs(grid.start), abs(grid.point(grid.count - 1)))
+        if not math.isfinite(q * t_max):
+            raise InvalidParameterError(
+                f"carrier phase q*t is not finite: q={q!r} on {grid}")
         carrier = np.exp(1j * q * grid.points())
         carrier.setflags(write=False)
         return carrier
     carrier = reused((modulate_op, grid, q), build)
     return SampledSignal(grid, _Fresh(x.samples * carrier))
+
+
+def _operand_spectrum(x: SampledSignal, angle: Angle, chirp: np.ndarray,
+                      reverse: bool, size: int) -> ComplexArray:
+    """The ``size``-point FFT of x*c zero-padded, c = ``chirp`` the
+    ``time_chirp`` at ``angle``; with ``reverse``, of conj(x)*c reversed,
+    the correlation's left operand. Read-only and ``reused`` per (x, angle,
+    kind, size), holding x."""
+    def build():
+        spectrum = padded_fft((np.conj(x.samples) * chirp)[::-1] if reverse
+                              else x.samples * chirp, size)
+        spectrum.setflags(write=False)
+        return x, spectrum
+    return reused((_operand_spectrum, id(x), angle, reverse, size), build)[1]
 
 
 def frac_product(f: SampledSignal, g: SampledSignal,
@@ -101,6 +142,24 @@ def frac_product(f: SampledSignal, g: SampledSignal,
     _require_common_grid(f, g)
     weight = time_chirp(f.grid, angle)
     return SampledSignal(f.grid, _Fresh(f.samples * g.samples * weight))
+
+
+def _weighted(f: SampledSignal, g: SampledSignal, angle: Angle,
+              reverse: bool, offset: int) -> SampledSignal:
+    """dt * conj(c) times the window at ``offset`` of the linear
+    convolution of f*c (reversed conj(f)*c with ``reverse``) with g*c: the
+    inverse FFT of the product of the two ``_operand_spectrum`` values."""
+    n = f.grid.count
+    chirp = time_chirp(f.grid, angle)
+    size, lo, hi = convolution_window(n, n, offset, n)
+    if lo < hi:
+        window = inverse_window(
+            np.multiply(_operand_spectrum(f, angle, chirp, reverse, size),
+                        _operand_spectrum(g, angle, chirp, False, size)),
+            offset, n, lo, hi)
+    else:
+        window = np.zeros(n, dtype=np.complex128)
+    return SampledSignal(f.grid, _Fresh(f.grid.step * np.conj(chirp) * window))
 
 
 def frac_convolve(f: SampledSignal, g: SampledSignal,
@@ -118,10 +177,7 @@ def frac_convolve(f: SampledSignal, g: SampledSignal,
     """
     _require_common_grid(f, g)
     origin = _lattice_index(g.grid.start, g.grid.step, "grid start")
-    n = f.grid.count
-    chirp = time_chirp(f.grid, angle)
-    window = linear_convolve(f.samples * chirp, g.samples * chirp, -origin, n)
-    return SampledSignal(f.grid, _Fresh(f.grid.step * np.conj(chirp) * window))
+    return _weighted(f, g, angle, False, -origin)
 
 
 def frac_correlate(f: SampledSignal, g: SampledSignal,
@@ -136,8 +192,4 @@ def frac_correlate(f: SampledSignal, g: SampledSignal,
     """
     _require_common_grid(f, g)
     origin = _lattice_index(g.grid.start, g.grid.step, "grid start")
-    n = f.grid.count
-    chirp = time_chirp(f.grid, angle)
-    window = linear_convolve((np.conj(f.samples) * chirp)[::-1],
-                             g.samples * chirp, origin + n - 1, n)
-    return SampledSignal(f.grid, _Fresh(f.grid.step * np.conj(chirp) * window))
+    return _weighted(f, g, angle, True, origin + f.grid.count - 1)

@@ -21,9 +21,11 @@ check computes its two sides from the row by disjoint routes:
 Within ``run_suite`` many right-hand sides need the same operand spectrum
 on the same grid (F(u), G(u), the overline F(-u)), and many records the
 same check. The suite runs angle by angle and pair by pair in one reuse
-scope (``kernel.reused``), which keeps chirps, carriers and chirp-z plans
-for the run; for one (angle, pair) ``_spectrum`` computes each such
-spectrum once for every builder that asks, and ``_residuals`` each check
+scope (``kernel.reused``), which keeps chirps, carriers, chirp-z plans
+and time-frequency-shift phases for the run; for one (angle, pair)
+``_spectrum`` computes each such spectrum once for every builder that
+asks, the operators share their shifted and modulated operands and the
+FFTs of their chirped operands, and ``_residuals`` computes each check
 (the left side and the derived residual) once for every record that
 reads it, printed forms included. Every call outside ``run_suite`` is
 computed afresh.
@@ -65,6 +67,9 @@ from .grid import ComplexArray, SampledSignal, UniformGrid
 from .kernel import SQRT_J2PI, SQRT_J_OVER_2PI, Angle, _reuse, make_angle, reused
 from .operators import (
     _lattice_index,
+    _modulated,
+    _operand_spectrum,
+    _shifted,
     frac_convolve,
     frac_correlate,
     frac_product,
@@ -158,15 +163,22 @@ def _tf_shifted(x: SampledSignal, angle: Angle, d: float, q: float,
 
         e^{-j(v-q)d + (j/2) d^2 cot} X(v - q - d cot).
 
-    At d = 0 the phase is exactly 1, and is returned as the number 1.0.
+    At d = 0 the phase is exactly 1, and is returned as the number 1.0;
+    elsewhere it is read-only and ``reused`` per (angle, d, q, v), for
+    every operand pair.
     """
     start, step, count = v
     cot = angle.cot_phi
     spectrum = _spectrum(x, start - q - d * cot, step, count, angle, conj)
     if d == 0.0:
         return 1.0, spectrum
-    points = np.arange(count, dtype=np.float64) * step + start
-    return np.exp(-1j * (points - q) * d + 0.5j * d * d * cot), spectrum
+
+    def build():
+        points = np.arange(count, dtype=np.float64) * step + start
+        phase = np.exp(-1j * (points - q) * d + 0.5j * d * d * cot)
+        phase.setflags(write=False)
+        return phase
+    return reused((_tf_shifted, angle, d, q, start, step, count), build), spectrum
 
 
 def rhs_tfshift(f, g, angle, d, q, ugrid: UniformGrid, op, side,
@@ -496,6 +508,12 @@ class SuiteConfig:
         return self.tolerance_fractional
 
 
+# the tags of the reuse scope's entries that read one operand pair at one
+# angle: the operands' spectra on the u grid and chirped for the operators,
+# the shifted and modulated operands, and the checks
+_PAIR_LIVED = (_spectrum, _operand_spectrum, _shifted, _modulated, check)
+
+
 def run_suite(cfg: SuiteConfig = SuiteConfig()) -> list[IdentityReport]:
     """Run every configured identity over the parameter grid.
 
@@ -533,9 +551,9 @@ def run_suite(cfg: SuiteConfig = SuiteConfig()) -> list[IdentityReport]:
                         if isinstance(exc, SmfrftError):
                             raise type(exc)(f"{where}: {exc}") from exc
                         raise RuntimeError(f"{where} failed") from exc
-                # the operand spectra and the checks die with their
-                # (angle, pair)
-                for key in [k for k in memo if k[0] in (_spectrum, check)]:
+                # the spectra, the shifted and modulated operands and the
+                # checks die with their (angle, pair)
+                for key in [k for k in memo if k[0] in _PAIR_LIVED]:
                     del memo[key]
     finally:
         _reuse.reset(token)

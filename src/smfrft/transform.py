@@ -36,10 +36,10 @@ full 4 eps): the rounding of the kernel phase u*t itself. The lattice
 grids of ``run_suite`` (N = 256 to 4096) lie within 1 eps. Everywhere
 else, a step 1e-9 off the lattice too, the sum is Bluestein's: the
 chirped input's linear convolution with a chirp over the lags, by
-``linear_convolve``, the FFT convolution that the weighted operators take
-too (size >= N + M - 1). Against the closed form at N = 2^17 the lattice
-route errs 7e-14 of the peak onto the FFT-bin grid, where Bluestein's
-erred 9e-13.
+``linear_convolve``, the FFT convolution whose steps the weighted
+operators compose too (size >= N + M - 1). Against the closed form at
+N = 2^17 the lattice route errs 7e-14 of the peak onto the FFT-bin grid,
+where Bluestein's erred 9e-13.
 
 In a reuse scope (``kernel.reused``: ``run_suite``'s 162 quadratures at
 N = 1024 with two angles share 9 chirp-z geometries, all on the lattice)
@@ -51,8 +51,9 @@ been used: in complex arrays of the signal's length beyond the input
 builds the time chirp (3.5 beside the output phase of a start off the
 lattice) and ``ismfrft_fast`` at 3.5, the sums beside the post-chirp's
 grid, argument and value. Bluestein's quadrature onto N points peaks at
-its chirped input and 2N - 1 lag chirp beside the convolution's 2N-point
-buffer and the lag chirp's FFT.
+its chirped input beside the lag chirp's 2N-point FFT and the input's
+2N-point buffer: the 2N - 1 lag chirp, handed over to ``linear_convolve``,
+dies once transformed.
 """
 
 from __future__ import annotations
@@ -74,31 +75,66 @@ def _fft_size(length: int) -> int:
     return 1 << max(0, length - 1).bit_length()
 
 
+def convolution_window(len_a: int, len_b: int, offset: int,
+                       count: int) -> tuple[int, int, int]:
+    """(size, lo, hi) of the window out[k] = (a * b)[k + offset], k < count,
+    of the linear convolution of a len_a-point and a len_b-point array
+    (zero-extended, never circular, len_a + len_b - 1 values): entries
+    lo <= k < hi lie inside it (none when lo >= hi), and size is the FFT
+    size, the one rule of every FFT convolution. A power of two, it holds
+    each operand and keeps the circular wrap off the entries read: at least
+    len_a + len_b - 1 - max(offset, 0) and more than the last index read.
+    That is 2N for the operators' two N-point operands at power-of-two N,
+    and N + count - 1 rounded up for Bluestein's window."""
+    length = len_a + len_b - 1
+    lo, hi = max(0, -offset), min(count, length - offset)
+    return (_fft_size(max(len_a, len_b, length - max(offset, 0), offset + hi)),
+            lo, hi)
+
+
+def padded_fft(a: np.ndarray, size: int) -> ComplexArray:
+    """The FFT of ``a`` zero-padded to ``size`` points, in one buffer that
+    takes ``a`` and then its FFT; an ``a`` that the caller hands over (a
+    temporary it does not hold) dies once copied."""
+    buf = np.zeros(size, dtype=np.complex128)
+    buf[:a.shape[0]] = a
+    del a
+    np.fft.fft(buf, out=buf)
+    return buf
+
+
+def inverse_window(product: np.ndarray, offset: int, count: int, lo: int,
+                   hi: int) -> ComplexArray:
+    """The window of ``convolution_window`` from the product of the two
+    operands' FFTs: its inverse FFT, in place, read from entry lo + offset
+    into entries lo..hi-1 of a fresh array of ``count``, zero elsewhere."""
+    np.fft.ifft(product, out=product)
+    out = np.zeros(count, dtype=np.complex128)
+    out[lo:hi] = product[lo + offset:hi + offset]
+    return out
+
+
 def linear_convolve(a: np.ndarray, b: np.ndarray, offset: int,
                     count: int) -> ComplexArray:
     """out[k] = (a * b)[k + offset] for k < count, where a * b is the full
-    linear convolution of two 1-D arrays (zero-extended, never circular,
-    len(a) + len(b) - 1 values); zero where k + offset leaves it, and no FFT
-    when the whole window does. One zero-padded buffer takes a, its FFT,
-    the product with the FFT of b and the inverse FFT in turn; the window
-    is copied out once the FFT of b has died. The buffer's size, a power of
-    two, holds each operand and keeps the circular wrap off the entries
-    read: at least len(a) + len(b) - 1 - max(offset, 0) and more than the
-    last index read. That is 2N for the operators' two N-point operands at
-    power-of-two N, and N + count - 1 rounded up for Bluestein's window."""
-    length = a.shape[0] + b.shape[0] - 1
-    lo, hi = max(0, -offset), min(count, length - offset)
+    linear convolution of two 1-D arrays; zero where k + offset leaves it,
+    and no FFT when the whole window does. The steps that the weighted
+    operators compose from their reused operand spectra: the
+    ``convolution_window``, a ``padded_fft`` of each operand, their product
+    in the buffer of a and the ``inverse_window``. b is transformed first,
+    and an operand that the caller hands over (a temporary it does not
+    hold) dies once transformed: Bluestein's lag chirp, and the product
+    identity's spectra outside a reuse scope."""
+    size, lo, hi = convolution_window(a.shape[0], b.shape[0], offset, count)
     if lo >= hi:
         return np.zeros(count, dtype=np.complex128)
-    size = _fft_size(max(a.shape[0], b.shape[0], length - max(offset, 0), offset + hi))
-    buf = np.zeros(size, dtype=np.complex128)
-    buf[:a.shape[0]] = a
-    np.fft.fft(buf, out=buf)
-    buf *= np.fft.fft(b, size)
-    np.fft.ifft(buf, out=buf)
-    out = np.zeros(count, dtype=np.complex128)
-    out[lo:hi] = buf[lo + offset:hi + offset]
-    return out
+    spectrum = padded_fft(b, size)
+    del b
+    product = padded_fft(a, size)
+    del a
+    product *= spectrum
+    del spectrum
+    return inverse_window(product, offset, count, lo, hi)
 
 
 def _dft_turn(n: int, dx: float, dy: float, count: int, sign: int) -> int:
@@ -151,7 +187,9 @@ def _chirp_z(n: int, x0: float, dx: float, y0: float, dy: float, count: int,
     l = k' - n', and a chirp on the output. Output k is entry k + N - 1 of
     that convolution, the window ``linear_convolve`` reads. The closure
     forms all three chirps and rebinds its input to the chirped product,
-    so that an input the caller no longer holds dies there.
+    so that an input the caller no longer holds dies there, and hands the
+    lag chirp over to ``linear_convolve``, which drops it once
+    transformed.
     """
     geometry = (n, x0, dx, y0, dy, count, sign)
     turn = _dft_turn(n, dx, dy, count, sign)
@@ -160,20 +198,21 @@ def _chirp_z(n: int, x0: float, dx: float, y0: float, dy: float, count: int,
         rate = sign * dx * dy
         xc, yc = x0 + mid_n * dx, y0 + mid_k * dy
 
-        def bluestein(values: np.ndarray) -> ComplexArray:
-            # the lag chirp first, so that the input's chirp takes the heap
-            # its float lags freed: 1 to 3 MB less peak RSS at 2^17 points
+        def lag_chirp() -> ComplexArray:
             lags = np.arange(-(n - 1), count, dtype=np.float64) - (mid_k - mid_n)
             lag = lags * (-0.5j * rate)   # exp(-0.5j * rate * lags * lags)
             lag *= lags
             del lags
-            np.exp(lag, out=lag)
+            return np.exp(lag, out=lag)
+
+        def bluestein(values: np.ndarray) -> ComplexArray:
             i = np.arange(n, dtype=np.float64) - mid_n
             values = np.multiply(values, np.exp(1j * (sign * yc * dx * i
                                                       + 0.5 * rate * i * i)))
             del i
-            sums = linear_convolve(values, lag, n - 1, count)
-            del values, lag   # each array dies when its stage ends
+            # the lag chirp is handed over, so it dies once transformed
+            sums = linear_convolve(values, lag_chirp(), n - 1, count)
+            del values   # each array dies when its stage ends
             k = np.arange(count, dtype=np.float64) - mid_k
             sums = np.exp(1j * (sign * (yc + k * dy) * xc + 0.5 * rate * k * k)) * sums
             return sums if scale is None else scale * sums

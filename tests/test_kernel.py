@@ -1,4 +1,5 @@
 import cmath
+import collections
 import contextlib
 import gc
 import math
@@ -14,10 +15,13 @@ import smfrft.theorems as theorems
 from smfrft import (
     SQRT_J2PI,
     SQRT_J_OVER_2PI,
+    Angle,
     DegenerateAngleError,
+    InvalidGridError,
     InvalidParameterError,
     SampledSignal,
     SuiteConfig,
+    UniformGrid,
     fast_ugrid,
     frac_convolve,
     frac_correlate,
@@ -27,10 +31,11 @@ from smfrft import (
     make_angle,
     modulate_op,
     run_suite,
+    shift_op,
     smfrft_direct,
     smfrft_fast,
 )
-from smfrft import kernel, transform
+from smfrft import kernel, operators, transform
 from smfrft.kernel import time_chirp
 from smfrft.transform import smfrft_quadrature
 
@@ -165,18 +170,24 @@ def reuse_scope():
 
 
 def held_arrays(memo):
-    """Every array that a scope's values hold."""
-    return [a for value in memo.values()
-            for a in (value if isinstance(value, tuple) else (value,))
-            if isinstance(a, np.ndarray)]
+    """Every array that a scope's values hold, the samples of its signals
+    included."""
+    held = [item for value in memo.values()
+            for item in (value if isinstance(value, tuple) else (value,))]
+    return [item.samples if isinstance(item, SampledSignal) else item
+            for item in held if isinstance(item, (np.ndarray, SampledSignal))]
 
 
 def scope_probe(monkeypatch):
     """Patch ``run_suite``'s checks to record, after each, weak references
-    to the arrays its reuse scope holds, and the angles and operand ids of
-    its spectra and checks, the number of checks, the check's angle and
-    operand ids, and the keys of its other entries; returns both lists."""
+    to the arrays its reuse scope holds and, of the entries that one
+    (angle, pair) reads (``theorems._PAIR_LIVED``), their angles, the ids
+    of the operands they hold, each shifted or modulated operand traced
+    back to its source, and their number per tag; beside the check's
+    angle and operand ids and the keys of the scope's other entries.
+    Returns both lists."""
     refs, spectra = [], []
+    derived = (operators._shifted, operators._modulated)
 
     def probed(identity, f, g, angle, *args, _fn=theorems._residuals):
         try:
@@ -184,13 +195,19 @@ def scope_probe(monkeypatch):
         finally:
             memo = kernel._reuse.get()
             refs.extend(weakref.ref(a) for a in held_arrays(memo))
-            spectral = [k for k in memo if k[0] is theorems._spectrum]
-            checks = [k for k in memo if k[0] is theorems.check]
-            spectra.append(({k[3] for k in spectral + checks},
-                             {k[1] for k in spectral + checks}
-                             | {k[2] for k in checks}, len(checks),
-                             angle, {id(f), id(g)},
-                             set(memo) - set(spectral) - set(checks)))
+            lived = {k: v for k, v in memo.items()
+                     if k[0] in theorems._PAIR_LIVED}
+            source = {id(v[1]): v[0] for k, v in lived.items() if k[0] in derived}
+
+            def root(x):
+                while id(x) in source:
+                    x = source[id(x)]
+                return id(x)
+            spectra.append(({a for k in lived for a in k if isinstance(a, Angle)},
+                            {root(x) for v in lived.values() for x in v
+                             if isinstance(x, SampledSignal)},
+                            collections.Counter(k[0].__name__ for k in lived),
+                            angle, {id(f), id(g)}, set(memo) - set(lived)))
     monkeypatch.setattr(theorems, "_residuals", probed)
     return refs, spectra
 
@@ -198,8 +215,8 @@ def scope_probe(monkeypatch):
 class TestReuseScope:
     @staticmethod
     def calls(grid, rng):
-        """Every evaluator that looks up a chirp, a carrier or a chirp-z
-        plan."""
+        """Every evaluator that looks up a chirp, a carrier, a chirp-z plan,
+        an operand spectrum or a shifted or modulated operand."""
         x, y = (SampledSignal(grid, rng.standard_normal(grid.count)
                               + 1j * rng.standard_normal(grid.count))
                 for _ in range(2))
@@ -207,6 +224,7 @@ class TestReuseScope:
         ugrid = fast_ugrid(grid)
         u = (ugrid.start - 0.7, ugrid.step, ugrid.count)
         spectrum = smfrft_direct(x, ugrid, angle)
+        d = 3 * grid.step
         return (lambda: smfrft_quadrature(x, *u, angle),
                 lambda: smfrft_quadrature(x, 0.7 - ugrid.start, -ugrid.step, 100,
                                           angle),
@@ -215,6 +233,10 @@ class TestReuseScope:
                 lambda: ismfrft_fast(smfrft_fast(x, angle)).samples,
                 lambda: frac_convolve(x, y, angle).samples,
                 lambda: frac_correlate(x, y, angle).samples,
+                lambda: frac_convolve(shift_op(x, d), modulate_op(y, 1.3),
+                                      angle).samples,
+                lambda: frac_correlate(modulate_op(shift_op(x, d), -1.3),
+                                       shift_op(y, -d), angle).samples,
                 lambda: frac_product(x, y, angle).samples,
                 lambda: modulate_op(x, 1.3).samples,
                 lambda: theorems._spectrum(x, *u, angle, conj=True))
@@ -252,10 +274,17 @@ class TestReuseScope:
             theorems._residuals(theorems.IdentityId.CORR_TFSHIFT_L, f, g,
                                 make_angle(0.9), 0.5, 1.0, fast_ugrid(std_grid))
             arrays = held_arrays(memo)
+        # the operand spectra of both kinds, the shifted and modulated
+        # operands' samples and a time-frequency-shift phase among them
+        tags = collections.Counter(k[0] for k in memo)
+        assert {k[3] for k in memo if k[0] is operators._operand_spectrum} == {
+            False, True}
+        assert tags[operators._shifted] and tags[operators._modulated]
+        assert tags[theorems._tf_shifted]
         arrays += [*transform._lattice_plan(512, -8.005, 0.03, 1.5, 2 * math.pi / 15.36,
                                             256, -1, 0.5, ("time", "u"))[2:],
                    time_chirp(std_grid, make_angle(0.4))]
-        assert len(arrays) > 8
+        assert len(arrays) > 50
         for held in arrays:
             with pytest.raises(ValueError):
                 held[0] = 0.0
@@ -278,19 +307,43 @@ class TestReuseScope:
         assert kernel._reuse.get() is None
 
     def test_spectra_live_for_one_angle_and_pair(self, monkeypatch):
-        # chirps and chirp-z plans live for the run; the operand spectra
+        # chirps, carriers, chirp-z plans and time-frequency-shift phases
+        # live for the run; the spectra, the shifted and modulated operands
         # and the checks of one (angle, pair) are dropped when it ends
         _, spectra = scope_probe(monkeypatch)
         run_suite(SuiteConfig(n=64, angles=(math.pi / 4, math.pi / 2),
                               pair_indices=(0, 1)))
         assert len(spectra) > 20
         kept = set()
-        for angles, operands, checks, angle, pair, others in spectra:
-            assert checks and angles == {angle} and operands == pair
+        for angles, operands, counts, angle, pair, others in spectra:
+            assert counts["check"] and angles == {angle} and operands == pair
             assert others >= kept
             kept = others
         assert {k[2].phi for k in kept if k[0] is time_chirp} == {math.pi / 4,
                                                                   math.pi / 2}
-        # an (angle, pair) ends with its 15 checks: per operator the plain
-        # one and three (d, q) for each shifted operand, and the product
-        assert spectra[-1][2] == 15
+        assert {k[1].phi for k in kept if k[0] is theorems._tf_shifted} == {
+            math.pi / 4, math.pi / 2}
+        # an (angle, pair) ends with its 15 checks (per operator the plain
+        # one and three (d, q) for each shifted operand, and the product)
+        # and 8 spectra on u grids; with 2 shifted and 6 modulated
+        # operands and the operators' 12 chirped operand spectra: f, g and
+        # their 6 images, and f and the 3 images of it that the correlation
+        # conjugates and reverses
+        assert spectra[-1][2] == {"check": 15, "_spectrum": 8, "_shifted": 2,
+                                  "_modulated": 6, "_operand_spectrum": 12}
+
+    def test_refusals_are_not_memoized(self):
+        # a chirp or a carrier whose phase overflows is refused on the first
+        # call and again on a repeated one, and nothing is kept for it
+        wide = UniformGrid(-1e200, 1e199, 4)
+        x = SampledSignal(wide, np.ones(4))
+        angle = make_angle(0.9)
+        with reuse_scope() as memo:
+            for _ in range(2):
+                with pytest.raises(InvalidGridError, match="chirp phase"):
+                    time_chirp(wide, angle)
+                with pytest.raises(InvalidGridError, match="chirp phase"):
+                    frac_convolve(x, x, angle)
+                with pytest.raises(InvalidParameterError, match="carrier phase"):
+                    modulate_op(x, 1e200)
+            assert not memo

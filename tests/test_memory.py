@@ -1,5 +1,6 @@
 """Memory gates: what the fast transforms, the CSV readers and the commands
-hold at their peak, traced with tracemalloc at N = 2^16.
+hold at their peak, traced with tracemalloc at N = 2^16, and what the
+identity suite's reuse scope holds at N = 1024.
 
 numpy reports its array buffers to tracemalloc, so a traced peak counts
 every array that a call holds at once; pocketfft's plans and work buffers
@@ -14,9 +15,9 @@ import math
 import pytest
 from click.testing import CliRunner
 
-from smfrft import UniformGrid, gen_chirp, io_csv, make_angle
+from smfrft import SuiteConfig, UniformGrid, gen_chirp, io_csv, make_angle, run_suite
 from smfrft.cli import cli
-from smfrft.transform import ismfrft_fast, smfrft_fast
+from smfrft.transform import ismfrft_direct, ismfrft_fast, smfrft_direct, smfrft_fast
 
 N = 2**16
 ARRAY = 16 * N  # bytes of one complex array
@@ -39,6 +40,22 @@ def files(signal, tmp_path_factory):
     io_csv.write_signal_csv(paths["signal"], signal)
     io_csv.write_spectrum_csv(paths["spectrum"], spectrum.ugrid, spectrum.values)
     return paths
+
+
+@pytest.mark.parametrize("direction", ["forward", "inverse"])
+def test_bluestein_drops_its_lag_chirp(traced_peak, signal, direction):
+    # off the FFT-bin lattice: the chirped input beside the 2N-point FFT of
+    # the lag chirp, which linear_convolve was handed and dropped once it
+    # was transformed, and the input's 2N-point buffer: 5.0 (7.0 with the
+    # lag chirp held through the convolution)
+    if direction == "forward":
+        ugrid = UniformGrid(-10.0, 20.0 / N, N)
+        call = lambda: smfrft_direct(signal, ugrid, ANGLE)
+    else:
+        spectrum = smfrft_fast(signal, ANGLE)
+        tgrid = UniformGrid(-32.0, 60.0 / N, N)
+        call = lambda: ismfrft_direct(spectrum, tgrid)
+    assert traced_peak(call) < 6 * ARRAY
 
 
 def test_smfrft_fast_holds_three_arrays(traced_peak, signal):
@@ -90,10 +107,12 @@ def test_quadrature_command_peaks_at_its_plan(traced_peak, files, tmp_path,
                                               command, source, options, arrays):
     # the quadrature onto N points peaks in its chirp-z, over the read's
     # peak. Off the FFT-bin lattice that is Bluestein's convolution: the
-    # chirped input and its 2N-point lag chirp beside linear_convolve's
-    # 2N-point buffer and the lag chirp's FFT (transform 8.0 (11.5),
-    # invert 8.0 (10.5)). On the lattice (the inverse onto the reciprocal
-    # step) it is the fast inverse's chain: 5.9
+    # chirped input beside the 2N-point FFT of the lag chirp, which was
+    # handed over to linear_convolve and dropped once transformed, and the
+    # input's 2N-point buffer (transform 6.0 (11.5), invert 6.0 (10.5);
+    # 8.0 with the lag chirp held through the convolution). On the lattice
+    # (the inverse onto the reciprocal step) it is the fast inverse's
+    # chain: 5.9
     args = [command, "--input", str(files[source]),
             "--output", str(tmp_path / "out.csv"), f"--angle={ANGLE.phi!r}", *options]
     results = []
@@ -115,3 +134,15 @@ def test_generate_peaks_below_a_read(traced_peak, tmp_path):
     peak = traced_peak(lambda: results.append(CliRunner().invoke(cli, args)))
     assert results[0].exit_code == 0, results[0].output
     assert peak < out.stat().st_size + TABLE + ARRAY
+
+
+def test_suite_peaks_at_one_angle_and_pair(traced_peak):
+    # the verify workload's run: its reuse scope holds, for one (angle,
+    # pair), 8 spectra on u grids, 12 chirped operand spectra of 2N, 8
+    # shifted or modulated operands and the kept left sides, 52 arrays of
+    # N = 1024, over the chirps, carriers, plans and phases that live for
+    # the run and the corpus: 77.5 (43.2 with no operand spectra shared,
+    # 298 with every (angle, pair) held to the end of the run)
+    cfg = SuiteConfig(n=1024, angles=(0.8, math.pi / 2))
+    run_suite(cfg)   # numpy's one-time set-up
+    assert traced_peak(lambda: run_suite(cfg)) < 88 * 16 * cfg.n

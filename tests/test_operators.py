@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -281,3 +282,17 @@ class TestFracCorrelate:
         f, _ = gaussian_pair
         zero = SampledSignal(small_grid, np.zeros(small_grid.count, complex))
         assert np.all(frac_correlate(f, zero, quarter_angle).samples == 0)
+
+
+@pytest.mark.parametrize("operator, oracle", [(frac_convolve, conv_loop_oracle),
+                                              (frac_correlate, corr_loop_oracle)],
+                         ids=["convolve", "correlate"])
+def test_lags_off_the_support_take_no_fft(operator, oracle, quarter_angle, rng):
+    # a grid that starts N steps past the origin: every lag t -+ tau falls
+    # off the second operand's support, so the window is empty and zero
+    grid = UniformGrid(64 * 0.125, 0.125, 64)
+    f, g = (SampledSignal(grid, rng.standard_normal(64) + 1j * rng.standard_normal(64))
+            for _ in range(2))
+    with mock.patch.object(np.fft, "fft", side_effect=AssertionError("FFT")):
+        got = operator(f, g, quarter_angle)
+    assert not np.any(got.samples) and not np.any(oracle(f, g, quarter_angle))

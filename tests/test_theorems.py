@@ -450,12 +450,27 @@ class TestSuite:
         assert counts == {"smfrft_quadrature": 54, "frac_convolve": 14,
                           "frac_correlate": 14, "frac_product": 2}
 
+    def test_a_run_makes_a_pinned_number_of_ffts(self, monkeypatch):
+        # per (angle, pair): the 27 quadratures one FFT each (24 forward,
+        # 3 inverse), the 14 weighted operators one inverse FFT each and one
+        # forward FFT per distinct chirped operand (12, shared through the
+        # reuse scope; 28 if each call took its own), and the product's
+        # spectral convolution two forward and one inverse
+        counts = collections.Counter()
+        for name in ("fft", "ifft"):
+            def counted(*args, _name=name, _fn=getattr(np.fft, name), **kwargs):
+                counts[_name] += 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(np.fft, name, counted)
+        run_suite(self.small_config())
+        assert counts == {"fft": 2 * (24 + 12 + 2), "ifft": 2 * (3 + 14 + 1)}
+
     def test_a_run_builds_each_chirp_z_plan_once(self, monkeypatch):
         # a plan lives for the run, so each of its 9 chirp-z geometries is
         # built once; the next run builds them again, as nothing outlives it.
         # Every geometry sits on the FFT-bin lattice: none takes Bluestein's
-        # route, the one caller of transform.linear_convolve (the operators
-        # and rhs_product call their own imported name)
+        # route, the one caller of transform.linear_convolve (rhs_product
+        # calls its own imported name, and the operators compose its steps)
         built = {"_lattice_plan": [], "linear_convolve": []}
         for name in built:
             def counted(*geometry, _name=name, _fn=getattr(transform, name)):
