@@ -93,12 +93,16 @@ def _freeze(obj, field: str, count: int, noun: str) -> None:
     object.__setattr__(obj, field, values)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class SampledSignal:
     """Complex samples of a time-domain signal on a uniform grid.
 
     The signal is zero outside [start, start + (count-1)*step]; operators
     use that zero-extension, never periodic wrap-around.
+
+    Equality and hash are by identity: a signal equals only itself, not a
+    copy with the same samples, and it serves as a dict key (as in the
+    keys of ``kernel.reused``).
     """
 
     grid: UniformGrid

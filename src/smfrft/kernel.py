@@ -86,17 +86,21 @@ _reuse = contextvars.ContextVar("_reuse", default=None)
 
 def reused(key, build):
     """``build()``, or in the reuse scope that ``run_suite`` opens per run the
-    read-only value an equal ``key`` built there; a value holds the object
-    of any ``id`` in its key. Outside a scope nothing is kept, and a build
-    that raises keeps nothing either, so its checks run on every key's
-    first build. A scope holds, for the run, the chirps (``time_chirp``),
-    the carriers e^{jqt} (``operators.modulate_op``), the chirp-z plans of
-    the quadratures on the FFT-bin lattice (``transform._lattice_plan``)
-    and the time-frequency-shift phases (``theorems._tf_shifted``); and,
-    for one angle and pair, the shifted and modulated operands
+    read-only value an equal ``key`` built there. A key is a tuple led by
+    its tag, the library function that names the entry. Outside a
+    scope nothing is kept, and a build that raises keeps nothing either, so
+    its checks run on every key's first build.
+
+    The key sets the entry's lifetime. An entry whose key names an operand
+    (a ``SampledSignal``, equal only to itself) right after its tag lives
+    for one angle and pair: the shifted and modulated operands
     (``operators.shift_op``, ``modulate_op``), the chirped operands' FFTs
     that the weighted operators multiply (``operators._operand_spectrum``),
-    and the operand spectra and the identity checks (``theorems``)."""
+    and the operand spectra and the identity checks (``theorems``). Every
+    other entry lives for the run: the chirps (``time_chirp``), the
+    carriers e^{jqt} (``operators.modulate_op``), the chirp-z plans of the
+    quadratures on the FFT-bin lattice (``transform._lattice_plan``) and
+    the time-frequency-shift phases (``theorems._tf_shifted``)."""
     memo = _reuse.get()
     if memo is None:
         return build()

@@ -41,7 +41,8 @@ chirped operand's FFT is taken once per (operand, angle, kind, FFT
 size); an operator then does only the product, the inverse FFT and the
 window. The 14 weighted operators of one (angle, pair) of ``run_suite``
 read 12 distinct chirped operands: 12 forward FFTs of 2N points, where
-each call taking its own took 28. ``run_suite`` drops these entries when
+each call taking its own took 28. These entries are keyed by the operand
+itself (a signal equals only itself), so ``run_suite`` drops them when
 their (angle, pair) ends.
 """
 
@@ -78,7 +79,7 @@ def shift_op(x: SampledSignal, d: float) -> SampledSignal:
     """Delay by d: output(t) = x(t - d), zero-filled where x is off-grid.
 
     d must be a whole number of samples, |d| < N*step. In a reuse scope
-    each (x, k samples) has one such signal, ``reused`` holding x.
+    each (x, k samples) has one such signal.
     """
     k = _lattice_index(float(d), x.grid.step, "shift delay")
     n = x.grid.count
@@ -86,7 +87,7 @@ def shift_op(x: SampledSignal, d: float) -> SampledSignal:
         raise InvalidParameterError(
             f"shift of {k} samples exceeds the grid length {n}"
         )
-    return reused((_shifted, id(x), k), lambda: (x, _shifted(x, k)))[1]
+    return reused((_shifted, x, k), lambda: _shifted(x, k))
 
 
 def _shifted(x: SampledSignal, k: int) -> SampledSignal:
@@ -102,9 +103,8 @@ def _shifted(x: SampledSignal, k: int) -> SampledSignal:
 def modulate_op(x: SampledSignal, q: float) -> SampledSignal:
     """Multiply by the unimodular carrier e^{j*q*t}, read-only and
     ``reused`` per (grid, q); InvalidParameterError when q*t is not finite
-    on the grid. In a reuse scope each (x, q) has one such signal,
-    ``reused`` holding x."""
-    return reused((_modulated, id(x), q), lambda: (x, _modulated(x, q)))[1]
+    on the grid. In a reuse scope each (x, q) has one such signal."""
+    return reused((_modulated, x, q), lambda: _modulated(x, q))
 
 
 def _modulated(x: SampledSignal, q: float) -> SampledSignal:
@@ -127,13 +127,13 @@ def _operand_spectrum(x: SampledSignal, angle: Angle, chirp: np.ndarray,
     """The ``size``-point FFT of x*c zero-padded, c = ``chirp`` the
     ``time_chirp`` at ``angle``; with ``reverse``, of conj(x)*c reversed,
     the correlation's left operand. Read-only and ``reused`` per (x, angle,
-    kind, size), holding x."""
+    kind, size)."""
     def build():
         spectrum = padded_fft((np.conj(x.samples) * chirp)[::-1] if reverse
                               else x.samples * chirp, size)
         spectrum.setflags(write=False)
-        return x, spectrum
-    return reused((_operand_spectrum, id(x), angle, reverse, size), build)[1]
+        return spectrum
+    return reused((_operand_spectrum, x, angle, reverse, size), build)
 
 
 def frac_product(f: SampledSignal, g: SampledSignal,

@@ -22,13 +22,14 @@ Within ``run_suite`` many right-hand sides need the same operand spectrum
 on the same grid (F(u), G(u), the overline F(-u)), and many records the
 same check. The suite runs angle by angle and pair by pair in one reuse
 scope (``kernel.reused``), which keeps chirps, carriers, chirp-z plans
-and time-frequency-shift phases for the run; for one (angle, pair)
+and time-frequency-shift phases for the run. For one (angle, pair)
 ``_spectrum`` computes each such spectrum once for every builder that
 asks, the operators share their shifted and modulated operands and the
 FFTs of their chirped operands, and ``_residuals`` computes each check
 (the left side and the derived residual) once for every record that
-reads it, printed forms included. Every call outside ``run_suite`` is
-computed afresh.
+reads it, printed forms included. Each of these entries names its
+operand in its key, right after its tag, and dies when its (angle, pair)
+ends. Every call outside ``run_suite`` is computed afresh.
 
 The rows hold no evaluator; each is looked up in this module when a
 check runs, so the test suite can re-run the whole certificate with the
@@ -67,9 +68,6 @@ from .grid import ComplexArray, SampledSignal, UniformGrid
 from .kernel import SQRT_J2PI, SQRT_J_OVER_2PI, Angle, _reuse, make_angle, reused
 from .operators import (
     _lattice_index,
-    _modulated,
-    _operand_spectrum,
-    _shifted,
     frac_convolve,
     frac_correlate,
     frac_product,
@@ -150,8 +148,8 @@ def _spectrum(x: SampledSignal, start: float, step: float, count: int,
         values = smfrft_quadrature(x.conjugate() if conj else x, start, step,
                                    count, angle)
         values.setflags(write=False)
-        return x, values
-    return reused((_spectrum, id(x), conj, angle, start, step, count), build)[1]
+        return values
+    return reused((_spectrum, x, conj, angle, start, step, count), build)
 
 
 def _tf_shifted(x: SampledSignal, angle: Angle, d: float, q: float,
@@ -351,11 +349,11 @@ def _residuals(identity: IdentityId, f: SampledSignal, g: SampledSignal,
         read = any(row.op == family.op and operand in (None, row.operand)
                    and row.printed_differs(angle.phi, d, q)
                    for row in _FAMILIES.values())
-        return (f, g, lhs if read else None, *_residual(lhs, derived))
+        return lhs if read else None, *_residual(lhs, derived)
 
     with np.errstate(over="ignore", invalid="ignore"):
-        _, _, lhs, r_derived, absolute = reused(
-            (check, id(f), id(g), angle, family.op, operand, d, q), build)
+        lhs, r_derived, absolute = reused(
+            (check, f, g, angle, family.op, operand, d, q), build)
         if not family.printed_differs(angle.phi, d, q):
             return r_derived, r_derived, absolute
         r_paper, abs_p = _residual(
@@ -508,12 +506,6 @@ class SuiteConfig:
         return self.tolerance_fractional
 
 
-# the tags of the reuse scope's entries that read one operand pair at one
-# angle: the operands' spectra on the u grid and chirped for the operators,
-# the shifted and modulated operands, and the checks
-_PAIR_LIVED = (_spectrum, _operand_spectrum, _shifted, _modulated, check)
-
-
 def run_suite(cfg: SuiteConfig = SuiteConfig()) -> list[IdentityReport]:
     """Run every configured identity over the parameter grid.
 
@@ -551,9 +543,8 @@ def run_suite(cfg: SuiteConfig = SuiteConfig()) -> list[IdentityReport]:
                         if isinstance(exc, SmfrftError):
                             raise type(exc)(f"{where}: {exc}") from exc
                         raise RuntimeError(f"{where} failed") from exc
-                # the spectra, the shifted and modulated operands and the
-                # checks die with their (angle, pair)
-                for key in [k for k in memo if k[0] in _PAIR_LIVED]:
+                # an entry keyed by an operand dies with its (angle, pair)
+                for key in [k for k in memo if isinstance(k[1], SampledSignal)]:
                     del memo[key]
     finally:
         _reuse.reset(token)

@@ -1,10 +1,11 @@
+import contextlib
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from smfrft import UniformGrid, gen_gaussian, make_angle
+from smfrft import UniformGrid, gen_gaussian, kernel, make_angle
 
 
 @pytest.fixture
@@ -58,3 +59,19 @@ def traced_peak():
                 tracemalloc.stop()
 
     return measure
+
+
+@pytest.fixture
+def reuse_scope():
+    """``with reuse_scope() as memo:`` opens a reuse scope as ``run_suite``
+    opens one and binds its dict."""
+    @contextlib.contextmanager
+    def scope():
+        memo = {}
+        token = kernel._reuse.set(memo)
+        try:
+            yield memo
+        finally:
+            kernel._reuse.reset(token)
+
+    return scope

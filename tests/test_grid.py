@@ -212,6 +212,17 @@ class TestSampledSignal:
         with pytest.raises(InvalidParameterError):
             SampledSignal(small_grid, _Fresh(bad))
 
+    def test_equal_and_hashed_by_identity(self, small_grid):
+        # a signal equals only itself, not a copy with the same samples,
+        # and serves as a dict key
+        x = gen_gaussian(small_grid, 0.0, 1.0, 0.0)
+        copy = SampledSignal(x.grid, x.samples)
+        assert x == x and hash(x) == hash(x)
+        assert x != copy and not x == copy
+        keys = {x: "x", copy: "copy", (x, 1): "x at 1"}
+        assert len(keys) == 3
+        assert keys[x] == "x" and keys[copy] == "copy" and keys[x, 1] == "x at 1"
+
 
 class TestRelativeL2Error:
     # the tests' residual norm, kept in the dense oracle

@@ -1,6 +1,5 @@
 import cmath
 import collections
-import contextlib
 import gc
 import math
 import tracemalloc
@@ -158,22 +157,11 @@ class TestBranchConstants:
         assert SQRT_J_OVER_2PI.imag == pytest.approx(0.282095, abs=1e-6)
 
 
-@contextlib.contextmanager
-def reuse_scope():
-    """A reuse scope as ``run_suite`` opens one; yields its dict."""
-    memo = {}
-    token = kernel._reuse.set(memo)
-    try:
-        yield memo
-    finally:
-        kernel._reuse.reset(token)
-
-
 def held_arrays(memo):
-    """Every array that a scope's values hold, the samples of its signals
-    included."""
-    held = [item for value in memo.values()
-            for item in (value if isinstance(value, tuple) else (value,))]
+    """Every array that a scope holds: its values and the samples of the
+    signals in its keys and values."""
+    held = [item for key, value in memo.items()
+            for item in (*key, *(value if isinstance(value, tuple) else (value,)))]
     return [item.samples if isinstance(item, SampledSignal) else item
             for item in held if isinstance(item, (np.ndarray, SampledSignal))]
 
@@ -181,33 +169,37 @@ def held_arrays(memo):
 def scope_probe(monkeypatch):
     """Patch ``run_suite``'s checks to record, after each, weak references
     to the arrays its reuse scope holds and, of the entries that one
-    (angle, pair) reads (``theorems._PAIR_LIVED``), their angles, the ids
-    of the operands they hold, each shifted or modulated operand traced
-    back to its source, and their number per tag; beside the check's
-    angle and operand ids and the keys of the scope's other entries.
-    Returns both lists."""
+    (angle, pair) reads (those whose key names a signal right after its
+    tag), their angles, the ids of the operands in their keys, each
+    shifted or modulated operand traced back through its key to its
+    source, and their number per tag; beside the check's angle and operand
+    ids, the keys of the scope's other entries, and the ids of the signals
+    that the scope's keys held when the check began. Returns both lists."""
     refs, spectra = [], []
     derived = (operators._shifted, operators._modulated)
 
     def probed(identity, f, g, angle, *args, _fn=theorems._residuals):
+        before = {id(x) for key in kernel._reuse.get() for x in key
+                  if isinstance(x, SampledSignal)}
         try:
             return _fn(identity, f, g, angle, *args)
         finally:
             memo = kernel._reuse.get()
             refs.extend(weakref.ref(a) for a in held_arrays(memo))
             lived = {k: v for k, v in memo.items()
-                     if k[0] in theorems._PAIR_LIVED}
-            source = {id(v[1]): v[0] for k, v in lived.items() if k[0] in derived}
+                     if isinstance(k[1], SampledSignal)}
+            source = {id(v): k[1] for k, v in lived.items() if k[0] in derived}
 
             def root(x):
                 while id(x) in source:
                     x = source[id(x)]
                 return id(x)
             spectra.append(({a for k in lived for a in k if isinstance(a, Angle)},
-                            {root(x) for v in lived.values() for x in v
+                            {root(x) for k in lived for x in k
                              if isinstance(x, SampledSignal)},
                             collections.Counter(k[0].__name__ for k in lived),
-                            angle, {id(f), id(g)}, set(memo) - set(lived)))
+                            angle, {id(f), id(g)}, set(memo) - set(lived),
+                            before))
     monkeypatch.setattr(theorems, "_residuals", probed)
     return refs, spectra
 
@@ -241,7 +233,8 @@ class TestReuseScope:
                 lambda: modulate_op(x, 1.3).samples,
                 lambda: theorems._spectrum(x, *u, angle, conj=True))
 
-    def test_calls_outside_a_scope_equal_calls_inside_one(self, std_grid, rng):
+    def test_calls_outside_a_scope_equal_calls_inside_one(self, std_grid, rng,
+                                                          reuse_scope):
         for op in self.calls(std_grid, rng):
             fresh = op()
             with reuse_scope() as memo:
@@ -264,7 +257,7 @@ class TestReuseScope:
                 tracemalloc.stop()
             assert kept < 16 * std_grid.count
 
-    def test_reused_arrays_are_read_only(self, std_grid, rng):
+    def test_reused_arrays_are_read_only(self, std_grid, rng, reuse_scope):
         f, g = (SampledSignal(std_grid, rng.standard_normal(std_grid.count))
                 for _ in range(2))
         with reuse_scope() as memo:
@@ -314,11 +307,16 @@ class TestReuseScope:
         run_suite(SuiteConfig(n=64, angles=(math.pi / 4, math.pi / 2),
                               pair_indices=(0, 1)))
         assert len(spectra) > 20
-        kept = set()
-        for angles, operands, counts, angle, pair, others in spectra:
+        kept, last = set(), None
+        for angles, operands, counts, angle, pair, others, before in spectra:
             assert counts["check"] and angles == {angle} and operands == pair
             assert others >= kept
-            kept = others
+            # once an (angle, pair) ends, no key in the scope holds a signal
+            if (angle, pair) != last:
+                assert before == set()
+            kept, last = others, (angle, pair)
+        assert len({(angle.phi, *sorted(pair))
+                    for _, _, _, angle, pair, _, _ in spectra}) == 4
         assert {k[2].phi for k in kept if k[0] is time_chirp} == {math.pi / 4,
                                                                   math.pi / 2}
         assert {k[1].phi for k in kept if k[0] is theorems._tf_shifted} == {
@@ -332,7 +330,7 @@ class TestReuseScope:
         assert spectra[-1][2] == {"check": 15, "_spectrum": 8, "_shifted": 2,
                                   "_modulated": 6, "_operand_spectrum": 12}
 
-    def test_refusals_are_not_memoized(self):
+    def test_refusals_are_not_memoized(self, reuse_scope):
         # a chirp or a carrier whose phase overflows is refused on the first
         # call and again on a repeated one, and nothing is kept for it
         wide = UniformGrid(-1e200, 1e199, 4)

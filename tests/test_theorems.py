@@ -498,7 +498,8 @@ class TestSuite:
             assert repr(r) == repr(fresh)
         assert kernel._reuse.get() is None
 
-    def test_spectrum_memo_tells_inputs_apart(self, operands, theorem_grid):
+    def test_spectrum_memo_tells_inputs_apart(self, operands, theorem_grid,
+                                              reuse_scope):
         # a grid with the same start and count but another step, the
         # conjugate, another angle and another operand are all misses
         f, g = operands
@@ -508,20 +509,17 @@ class TestSuite:
                  (f, (ugrid.start, 2 * ugrid.step, ugrid.count), PI / 4, False),
                  (f, u, PI / 3, False), (g, u, PI / 4, False),
                  (f, u, PI / 4, False)]
-        memo = {}
-        token = kernel._reuse.set(memo)
-        try:
+        with reuse_scope() as memo:
             for x, grid, phi, conj in calls:
                 angle = make_angle(phi)
                 fresh = smfrft_quadrature(x.conjugate() if conj else x,
                                           *grid, angle)
                 got = theorems._spectrum(x, *grid, angle, conj=conj)
                 assert got.tobytes() == fresh.tobytes()
-        finally:
-            kernel._reuse.reset(token)
         assert len([k for k in memo if k[0] is theorems._spectrum]) == 5
 
-    def test_check_memo_tells_keys_apart(self, operands, theorem_grid):
+    def test_check_memo_tells_keys_apart(self, operands, theorem_grid,
+                                         reuse_scope):
         # another operand, (d, q), angle, operator or operand order is a
         # miss; a family that collapses onto a computed check is a hit,
         # and a printed form reads the left side that another family built
@@ -542,12 +540,8 @@ class TestSuite:
         calls = [(identity, x, y, make_angle(phi), d, q, ugrid)
                  for identity, x, y, phi, d, q in calls]
         fresh = [theorems._residuals(*args) for args in calls]
-        memo = {}
-        token = kernel._reuse.set(memo)
-        try:
+        with reuse_scope() as memo:
             assert [theorems._residuals(*args) for args in calls] == fresh
-        finally:
-            kernel._reuse.reset(token)
         assert len([k for k in memo if k[0] is theorems.check]) == 9
 
     def test_empty_corpus_is_refused(self):

@@ -576,3 +576,54 @@ class TestLinearity:
         rhs = (alpha * ismfrft_direct(sx, grid).samples
                + beta * ismfrft_direct(sy, grid).samples)
         assert relative_l2_error(lhs, rhs) <= 1e-12
+
+
+class TestTimeFrequencyShift:
+    """The quadrature's exact time-frequency-shift identity. Delaying x by
+    k whole samples, d = k dt, and modulating it by e^{jqt} turns its
+    transform into e^{-j(u - q)d + (j/2) d^2 cot} X(u - q - d cot): the
+    substitution t = t' + d in the sum, term by term. x fills N samples of
+    a grid widened by |k|, so the shift drops none. The image grid lies
+    q + d cot off the u grid, q a fraction of its step, so the two sides
+    split their output starts differently. Each side rounds its kernel
+    phases u t and its chirp phases cot t^2 / 2, so the sides may differ
+    by a few eps times those phases over the samples' L2 norm
+    (independent rounding errors add in quadrature)."""
+
+    @pytest.mark.parametrize("route", ["lattice", "bluestein"])
+    @given(n=st.integers(16, 4096), lag=st.integers(1, 1024),
+           sign=st.sampled_from([-1, 1]), offset=st.floats(0.1, 0.9),
+           span=st.floats(4.0, 64.0), phi=st.floats(0.1, PI - 0.1),
+           s=st.sampled_from([-2, -1, 1, 2]), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_shifted_and_modulated_transform(self, route, n, lag, sign, offset,
+                                             span, phi, s, seed):
+        k = sign * (1 + lag % (n // 4))
+        count = n + abs(k)
+        dt = span / n
+        grid = UniformGrid((offset - count // 2) * dt, dt, count)
+        rng = np.random.default_rng(seed)
+        x = np.zeros(count, dtype=np.complex128)
+        x[max(0, -k):max(0, -k) + n] = (rng.standard_normal(n)
+                                        + 1j * rng.standard_normal(n))
+        # the FFT-bin step of the widened grid takes the lattice route,
+        # 0.9 of it Bluestein's
+        du = 2 * PI / (count * dt) * (1.0 if route == "lattice" else 0.9)
+        assert bool(transform._dft_turn(count, dt, du, count, -1)) == (
+            route == "lattice")
+        angle = make_angle(phi)
+        cot = angle.cot_phi
+        d, q = k * dt, 0.37 * du * s
+        t = grid.points()
+        u0 = -(count // 2) * du
+        v0 = u0 - q - d * cot
+        u = np.arange(count) * du + u0
+        y = SampledSignal(grid, np.roll(x, k) * np.exp(1j * q * t))
+        lhs = smfrft_quadrature(y, u0, du, count, angle)
+        rhs = np.exp(-1j * (u - q) * d + 0.5j * d * d * cot) * smfrft_quadrature(
+            SampledSignal(grid, x), v0, du, count, angle)
+        u_max = max(abs(u0), abs(u[-1]), abs(v0), abs(v0 + (count - 1) * du))
+        t_max = max(abs(t[0]), abs(t[-1]))
+        bound = (8 * np.finfo(float).eps * (1 + u_max * t_max + abs(cot) * t_max ** 2)
+                 * dt * np.linalg.norm(x) / math.sqrt(2 * PI))
+        assert np.max(np.abs(lhs - rhs)) <= bound
